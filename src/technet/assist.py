@@ -58,11 +58,11 @@ def assist_matrix(m_t: PresenceMatrix, m_t_lag: PresenceMatrix) -> AssistMatrix:
     d = diversification(m_t_lag)
 
     base = m_t.presence.astype(np.float64)
-    later = m_t_lag.presence.astype(np.float64)
     with np.errstate(divide="ignore"):
         inv_d = np.where(d > 0, 1.0 / d, 0.0)
         inv_u = np.where(u > 0, 1.0 / u, 0.0)
-    values = inv_u[:, None] * (base.T @ (later * inv_d[:, None]))
+    # uint8 * float64 is exact: the GEMM operands are the same float64 arrays.
+    values = inv_u[:, None] * (base.T @ (m_t_lag.presence * inv_d[:, None]))
     return AssistMatrix(
         base_year=m_t.year,
         lag=lag,

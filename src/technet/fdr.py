@@ -52,25 +52,29 @@ class TechnologyNetwork:
         return sorted((self.fields[s], self.fields[t]) for s, t in zip(src, dst))
 
 
-def bh_fdr(pvalues: Sequence[tuple[Hashable, float]], q: float) -> set[Hashable]:
-    """Benjamini-Hochberg step-up selection over (key, p-value) pairs.
+def bh_reject(pvalues: Sequence[float] | np.ndarray, q: float) -> np.ndarray:
+    """Benjamini-Hochberg step-up selection over a 1-D p-value array.
 
-    Sorts ascending, finds the largest rank k with p_(k) <= k*q/m and rejects
-    ranks 1..k. Tied p-values straddle no boundary: if any member of a tie
-    group qualifies at its highest rank, the whole group is included.
+    Orders by (p-value, index), finds the largest rank k with
+    p_(k) <= k*q/m and returns the indices of ranks 1..k in that order.
+    Tied p-values straddle no boundary: if any member of a tie group
+    qualifies at its highest rank, the whole group is included.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
-    items = list(pvalues)
-    if not items:
+    p = np.asarray(pvalues, dtype=np.float64)
+    m = p.size
+    if m == 0:
         raise ValueError("empty p-value list")
-    m = len(items)
-    order = sorted(range(m), key=lambda i: (items[i][1], i))
-    k_max = 0
-    for rank, idx in enumerate(order, start=1):
-        if items[idx][1] <= rank * q / m:
-            k_max = rank
-    return {items[idx][0] for idx in order[:k_max]}
+    order = np.argsort(p, kind="stable")
+    passed = np.nonzero(p[order] <= np.arange(1, m + 1) * q / m)[0]
+    return order[: passed[-1] + 1 if passed.size else 0]
+
+
+def bh_fdr(pvalues: Sequence[tuple[Hashable, float]], q: float) -> set[Hashable]:
+    """Benjamini-Hochberg step-up selection over (key, p-value) pairs (see bh_reject)."""
+    items = list(pvalues)
+    return {items[i][0] for i in bh_reject([p for _key, p in items], q)}
 
 
 def build_adjacency(
@@ -97,13 +101,9 @@ def build_adjacency(
         np.fill_diagonal(tested, False)
 
     adjacency = np.zeros((n, n), dtype=np.uint8)
-    pairs = [
-        ((int(i), int(j)), float(values[i, j]))
-        for i, j in zip(*np.nonzero(tested))
-    ]
-    if pairs:
-        for i, j in bh_fdr(pairs, q):
-            adjacency[i, j] = 1
+    cells = np.flatnonzero(tested)
+    if cells.size:
+        adjacency.flat[cells[bh_reject(values.flat[cells], q)]] = 1
     return TechnologyNetwork(
         year=p.base_year, fields=p.fields, adjacency=adjacency, significance_level=q
     )

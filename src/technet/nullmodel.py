@@ -156,7 +156,7 @@ def fit_bicm(m: PresenceMatrix, tol: float = 1e-8, max_iter: int = 10_000) -> Bi
 def sample_null_matrix(params: BicmParameters, rng: np.random.Generator) -> PresenceMatrix:
     """Draw one presence matrix with independent Bernoulli cells."""
     uniforms = rng.random(params.link_probability.shape)
-    presence = (uniforms < params.link_probability).astype(np.uint8)
+    presence = (uniforms < params.link_probability).view(np.uint8)
     return PresenceMatrix(
         year=params.year, regions=params.regions, fields=params.fields, presence=presence
     )
@@ -215,19 +215,37 @@ class PvalueMatrix:
     source_active: np.ndarray
 
 
+def _count_exceedances(
+    b_emp: AssistMatrix, ensemble: Iterable[AssistMatrix], summaries: list | None
+) -> tuple[np.ndarray, int]:
+    counts = np.zeros(b_emp.values.shape, dtype=np.int64)
+    n = 0
+    for b_null in ensemble:
+        if b_null.fields != b_emp.fields:
+            raise ValueError("ensemble field index set differs from the empirical matrix")
+        counts += b_null.values >= b_emp.values
+        if summaries is not None:
+            summaries.append((float(b_null.values.mean()), float(b_null.values.max())))
+        n += 1
+    return counts, n
+
+
 def exceedance_counts(
     b_emp: AssistMatrix,
     params_t: BicmParameters,
     params_t_lag: BicmParameters,
     replicates: Sequence[int],
     master_seed: int,
+    summaries: list[tuple[float, float]] | None = None,
 ) -> np.ndarray:
-    """Count, per cell, the null replicates in `replicates` with value >= empirical."""
-    counts = np.zeros(b_emp.values.shape, dtype=np.int64)
-    for k in replicates:
-        b_null = null_assist_replicate(params_t, params_t_lag, master_seed, k)
-        counts += b_null.values >= b_emp.values
-    return counts
+    """Count, per cell, the null replicates in `replicates` with value >= empirical.
+
+    If `summaries` is a list, each replicate's (mean, max) is appended to it.
+    """
+    ensemble = (
+        null_assist_replicate(params_t, params_t_lag, master_seed, k) for k in replicates
+    )
+    return _count_exceedances(b_emp, ensemble, summaries)[0]
 
 
 def pvalues_from_counts(b_emp: AssistMatrix, counts: np.ndarray, n_replicates: int) -> PvalueMatrix:
@@ -248,13 +266,7 @@ def empirical_pvalues(b_emp: AssistMatrix, ensemble: Iterable[AssistMatrix]) -> 
     Ties count toward the upper tail, the conservative choice: a null value
     equal to the empirical one raises the p-value.
     """
-    counts = np.zeros(b_emp.values.shape, dtype=np.int64)
-    n = 0
-    for b_null in ensemble:
-        if b_null.fields != b_emp.fields:
-            raise ValueError("ensemble field index set differs from the empirical matrix")
-        counts += b_null.values >= b_emp.values
-        n += 1
+    counts, n = _count_exceedances(b_emp, ensemble, None)
     if n == 0:
         raise ValueError("empty null ensemble")
     return pvalues_from_counts(b_emp, counts, n)

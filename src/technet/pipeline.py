@@ -47,7 +47,6 @@ from .ingest import (
 from .nullmodel import (
     exceedance_counts,
     fit_bicm,
-    null_assist_replicate,
     pvalues_from_counts,
     pvalues_from_text,
     pvalues_to_text,
@@ -291,8 +290,11 @@ def stage_ingest(cfg: RunConfig, paths: RunPaths) -> None:
     (paths.root / "index" / "ingest_report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n"
     )
-    for year in cfg.years:
-        w = build_occurrence_matrix(parsed.records, year, regions=regions, fields=fields)
+    by_year: dict[int, list] = {year: [] for year in cfg.years}
+    for record in parsed.records:
+        by_year[record.year].append(record)
+    for year, records in by_year.items():
+        w = build_occurrence_matrix(records, year, regions=regions, fields=fields)
         paths.occurrence(year).write_text(occurrence_to_text(w))
 
 
@@ -324,44 +326,47 @@ def stage_assist(cfg: RunConfig, paths: RunPaths) -> None:
         paths.assist_sidecar(year).write_text(assist_sidecar_text(b))
 
 
-def _pair_pvalue_matrix(cfg: RunConfig, b_emp, params_t, params_lag, workers: int):
-    k = cfg.n_replicates
-    if workers <= 1 or k == 1:
-        counts = exceedance_counts(b_emp, params_t, params_lag, range(k), cfg.master_seed)
-    else:
-        chunks = [c for c in np.array_split(np.arange(k), min(workers * 4, k)) if len(c)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    exceedance_counts, b_emp, params_t, params_lag,
-                    chunk.tolist(), cfg.master_seed,
-                )
-                for chunk in chunks
-            ]
-            counts = sum(f.result() for f in futures)
-    return pvalues_from_counts(b_emp, counts, k)
+def _write_pair(cfg: RunConfig, paths: RunPaths, year: int, b_emp, tasks) -> None:
+    counts = sum(future.result() for future, _rows in tasks)
+    pv = pvalues_from_counts(b_emp, counts, cfg.n_replicates)
+    paths.pvalues(year).write_text(pvalues_to_text(pv))
+    if cfg.dump_null_summaries:
+        rows = enumerate(row for _future, chunk_rows in tasks for row in chunk_rows)
+        lines = ["replicate,mean,max"] + [f"{k},{mean!r},{top!r}" for k, (mean, top) in rows]
+        paths.null_summary(year).write_text("\n".join(lines) + "\n")
 
 
 def stage_nulls(cfg: RunConfig, paths: RunPaths, workers: int = 1) -> None:
+    """Null replicates of all year pairs, in chunks on one thread pool.
+
+    This thread fits the BiCMs and submits each pair before it waits for and
+    writes the previous one, so at most two pairs are in flight. Fits stay on
+    this thread: arrays allocated on pool threads stay in those threads'
+    malloc arenas, which later stages cannot reuse, and raise the peak RSS.
+    """
     fields = paths.read_fields()
     regions = paths.read_regions()
-    fits = {}
-    for year in cfg.years:
-        fits[year] = fit_bicm(_read_presence(paths, year, regions, fields))
-    for year in cfg.base_years:
-        b_emp = assist_from_text(
-            paths.assist(year).read_text(), paths.assist_sidecar(year).read_text()
-        )
-        pv = _pair_pvalue_matrix(cfg, b_emp, fits[year], fits[year + cfg.lag], workers)
-        paths.pvalues(year).write_text(pvalues_to_text(pv))
-        if cfg.dump_null_summaries:
-            lines = ["replicate,mean,max"]
-            for k in range(cfg.n_replicates):
-                b_null = null_assist_replicate(
-                    fits[year], fits[year + cfg.lag], cfg.master_seed, k
-                )
-                lines.append(f"{k},{float(b_null.values.mean())!r},{float(b_null.values.max())!r}")
-            paths.null_summary(year).write_text("\n".join(lines) + "\n")
+    k = cfg.n_replicates
+    chunks = [c.tolist() for c in np.array_split(np.arange(k), min(workers * 4, k))]
+    fits, previous = {}, None
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for year in cfg.base_years:
+            for y in (year, year + cfg.lag):
+                if y not in fits:
+                    fits[y] = fit_bicm(_read_presence(paths, y, regions, fields))
+            b_emp = assist_from_text(
+                paths.assist(year).read_text(), paths.assist_sidecar(year).read_text()
+            )
+            pair = (b_emp, fits.pop(year), fits[year + cfg.lag])
+            tasks = []
+            for chunk in chunks:
+                rows = [] if cfg.dump_null_summaries else None
+                future = pool.submit(exceedance_counts, *pair, chunk, cfg.master_seed, rows)
+                tasks.append((future, rows))
+            if previous:
+                _write_pair(cfg, paths, *previous)
+            previous = (year, b_emp, tasks)
+        _write_pair(cfg, paths, *previous)
 
 
 def stage_filter(cfg: RunConfig, paths: RunPaths) -> None:

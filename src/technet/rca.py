@@ -33,7 +33,7 @@ class PresenceMatrix:
             raise ValueError("presence matrix shape does not match index sets")
         if self.presence.dtype != np.uint8:
             object.__setattr__(self, "presence", self.presence.astype(np.uint8))
-        if not np.isin(self.presence, (0, 1)).all():
+        if self.presence.max(initial=0) > 1:
             raise ValueError("presence entries must be 0 or 1")
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from technet.nullmodel import (
     fit_bicm,
     null_assist_ensemble,
     null_assist_replicate,
+    pvalues_from_counts,
     pvalues_from_text,
     pvalues_to_text,
     sample_null_matrix,
@@ -232,3 +235,43 @@ class TestEmpiricalPvalues:
         assert np.array_equal(again.pvalues, pv.pvalues)
         assert np.array_equal(again.source_active, pv.source_active)
         assert again.n_replicates == pv.n_replicates
+
+
+class TestPinnedNullBytes:
+    # sha256 of the P_<year>.csv text for this fixed pair, recorded before the
+    # null loop dropped its per-replicate copies; any change to sampling, the
+    # assist GEMM or the reduction that moves a single count changes it.
+    GOLDEN_SHA256 = "bf039497d3dcb25fb228164ba6d915bbdd2b1f5f7d5f884e692724b41b587883"
+
+    def _pair(self):
+        rng = np.random.default_rng(2024)
+        regions = tuple(f"r{i:02d}" for i in range(40))
+        fields = tuple(f"f{i:02d}" for i in range(12))
+        m_t = PresenceMatrix(1998, regions, fields, (rng.random((40, 12)) < 0.3).astype(np.uint8))
+        m_lag = PresenceMatrix(1999, regions, fields, (rng.random((40, 12)) < 0.3).astype(np.uint8))
+        return assist_matrix(m_t, m_lag), fit_bicm(m_t), fit_bicm(m_lag)
+
+    def test_chunked_counts_match_golden_hash(self):
+        b_emp, params_t, params_lag = self._pair()
+        counts = sum(
+            exceedance_counts(b_emp, params_t, params_lag, chunk, 11)
+            for chunk in (range(0, 10), range(10, 37))
+        )
+        text = pvalues_to_text(pvalues_from_counts(b_emp, counts, 37))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_SHA256
+
+    def test_streamed_ensemble_matches_golden_hash(self):
+        b_emp, params_t, params_lag = self._pair()
+        pv = empirical_pvalues(b_emp, null_assist_ensemble(params_t, params_lag, 37, 11))
+        text = pvalues_to_text(pv)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_SHA256
+
+    def test_summaries_come_from_the_counted_replicates(self):
+        b_emp, params_t, params_lag = self._pair()
+        summaries: list = []
+        exceedance_counts(b_emp, params_t, params_lag, range(5, 9), 11, summaries)
+        expected = [
+            (float(b.values.mean()), float(b.values.max()))
+            for b in (null_assist_replicate(params_t, params_lag, 11, k) for k in range(5, 9))
+        ]
+        assert summaries == expected

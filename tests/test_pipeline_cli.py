@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from technet import pipeline
 from technet.cli import main
+from technet.nullmodel import BicmFitError
 from technet.pipeline import (
     ConfigError,
     PipelineError,
@@ -151,6 +153,34 @@ class TestRunPipeline:
         summary = RunPaths(out).null_summary(1991).read_text().splitlines()
         assert summary[0] == "replicate,mean,max"
         assert len(summary) == 9
+
+    def test_null_artifacts_identical_across_worker_counts(self, synth_inputs, tmp_path):
+        # K=37 splits unevenly into 4 chunks per worker, and the 5 year pairs
+        # overlap on the shared pool
+        null_bytes = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            cfg = run_config(synth_inputs, out, dump_null_summaries=True, n_replicates=37)
+            run_pipeline(cfg, workers=workers)
+            files = sorted((out / "pvalues").glob("P_*.csv")) + sorted(
+                (out / "nulls").glob("summary_*.csv")
+            )
+            assert len(files) == 10
+            null_bytes.append({p.relative_to(out): p.read_bytes() for p in files})
+        assert null_bytes[0] == null_bytes[1] == null_bytes[2]
+
+    def test_error_inside_null_pool_is_pipeline_error(self, synth_inputs, tmp_path, monkeypatch):
+        def failing_counts(*args, **kwargs):
+            raise BicmFitError("BiCM fit did not converge", 1.0, 7)
+
+        monkeypatch.setattr(pipeline, "exceedance_counts", failing_counts)
+        out = tmp_path / "fails"
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(run_config(synth_inputs, out), workers=2)
+        assert err.value.stage == "nulls"
+        assert isinstance(err.value.cause, BicmFitError)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed"]["stage"] == "nulls"
 
     def test_addone_basis_runs(self, synth_inputs, tmp_path):
         out = tmp_path / "addone"

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from technet.ingest import OccurrenceMatrix
-from technet.rca import RcaError, binarize_rca, presence_from_text, presence_to_text
+from technet.rca import (
+    PresenceMatrix,
+    RcaError,
+    binarize_rca,
+    presence_from_text,
+    presence_to_text,
+)
 
 
 def make_w(weights, year=1998):
@@ -76,3 +82,15 @@ def test_empty_presence_needs_year():
         presence_from_text("", regions=("r0",), fields=("f0",))
     m = presence_from_text("", regions=("r0",), fields=("f0",), year=1998)
     assert m.presence.sum() == 0
+
+
+def test_presence_matrix_validates_entries():
+    regions, fields = ("r0", "r1"), ("f0", "f1", "f2")
+    for fill in (0, 1):
+        m = PresenceMatrix(1998, regions, fields, np.full((2, 3), fill, dtype=np.uint8))
+        assert int(m.presence.sum()) == 6 * fill
+    assert PresenceMatrix(1998, (), fields, np.zeros((0, 3), dtype=np.uint8)).presence.size == 0
+    bad = np.zeros((2, 3), dtype=np.uint8)
+    bad[1, 2] = 2
+    with pytest.raises(ValueError):
+        PresenceMatrix(1998, regions, fields, bad)

@@ -32,7 +32,6 @@ from .nullmodel import (
 from .pipeline import RunConfig, run_pipeline
 from .rca import PresenceMatrix, binarize_rca
 from .stats import (
-    field_fitness,
     fit_noncentral_weights,
     section_mixing,
     section_occupancy,
@@ -62,7 +61,6 @@ __all__ = [
     "diversification",
     "empirical_pvalues",
     "estimate_growth_rate",
-    "field_fitness",
     "find_core",
     "find_periphery",
     "fit_bicm",

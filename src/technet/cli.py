@@ -171,7 +171,7 @@ def _cmd_acs(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    cfg = _stage_config(args, require_inputs=True)
+    cfg = _stage_config(args)
     return _run_stage("stats", stage_stats, cfg, RunPaths(cfg.out_dir))
 
 
@@ -289,10 +289,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("stats", help="fitness, variety, and mixing statistics")
     _add_run_dir(p)
-    p.add_argument("--events", required=True)
     p.add_argument("--hierarchy", required=True)
-    p.add_argument("--granularity", choices=("class", "subclass"), default=None)
-    p.add_argument("--delimiter", default=None)
     p.add_argument("--lag", type=int, default=None)
     p.add_argument("--q", type=float, default=None)
     p.set_defaults(func=_cmd_stats)

@@ -224,25 +224,3 @@ def occurrence_from_text(
     for region, code, weight in entries:
         weights[region_index[region], field_index[code]] += weight
     return OccurrenceMatrix(year=year, regions=tuple(regions), fields=tuple(fields), weights=weights)
-
-
-def reindex_occurrence(
-    m: OccurrenceMatrix, regions: Sequence[str], fields: Sequence[str]
-) -> OccurrenceMatrix:
-    """Embed a matrix into larger index sets (missing rows/columns are zero)."""
-    region_index = {r: i for i, r in enumerate(regions)}
-    field_index = {f: i for i, f in enumerate(fields)}
-    weights = np.zeros((len(regions), len(fields)), dtype=np.float64)
-    for ri, region in enumerate(m.regions):
-        try:
-            target_r = region_index[region]
-        except KeyError:
-            raise IngestError(f"region {region!r} missing from target index") from None
-        for fi, code in enumerate(m.fields):
-            w = m.weights[ri, fi]
-            if w != 0.0:
-                try:
-                    weights[target_r, field_index[code]] = w
-                except KeyError:
-                    raise IngestError(f"field {code!r} missing from target index") from None
-    return OccurrenceMatrix(year=m.year, regions=tuple(regions), fields=tuple(fields), weights=weights)

@@ -5,6 +5,7 @@ so every stage can be rerun standalone on persisted inputs:
 
     index/       field and region universes, year span
     occurrence/  W_<year>.csv          weight triplets
+                 F_<year>.csv          families featuring each field
     presence/    M_<year>.csv          presence triplets
     assist/      B_<year>.csv (+ .sidecar.csv)
     pvalues/     P_<year>.csv          null exceedance counts
@@ -13,6 +14,9 @@ so every stage can be rerun standalone on persisted inputs:
     stats/       fitness.csv, variety.csv, mixing.csv, occupancy.csv,
                  adjacency_<year>.csv (+ .sections.csv)
     manifest.json
+
+Events are parsed once, at ingest, and each network is decomposed once, at
+acs: the stats stage reads the per-year field counts and the acs labels.
 
 Null replicates run on a bounded thread pool; replicate k draws from an RNG
 substream keyed by (year, k) and the reduction sums integer count matrices,
@@ -34,7 +38,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acs import decompose, decomposition_summary_line, decomposition_to_text
+from .acs import (
+    decompose,
+    decomposition_from_text,
+    decomposition_summary_line,
+    decomposition_to_text,
+)
 from .assist import assist_from_text, assist_matrix, assist_sidecar_text, assist_to_text
 from .fdr import SIGNIFICANCE_BASES, build_adjacency, network_from_text, network_to_text
 from .hierarchy import CodeHierarchy, parse_hierarchy, parse_region_table
@@ -55,6 +64,8 @@ from .rca import binarize_rca, presence_from_text, presence_to_text
 from .stats import (
     acs_section_counts,
     family_field_counts,
+    field_counts_from_text,
+    field_counts_to_text,
     ordered_adjacency_text,
     section_mixing,
     section_occupancy,
@@ -204,6 +215,9 @@ class RunPaths:
     def occurrence(self, year: int) -> Path:
         return self.root / "occurrence" / f"W_{year}.csv"
 
+    def field_counts(self, year: int) -> Path:
+        return self.root / "occurrence" / f"F_{year}.csv"
+
     def presence(self, year: int) -> Path:
         return self.root / "presence" / f"M_{year}.csv"
 
@@ -251,18 +265,6 @@ def _load_hierarchy(cfg: RunConfig) -> CodeHierarchy:
     return parse_hierarchy(Path(cfg.hierarchy_path).read_text())
 
 
-def _load_records(cfg: RunConfig, hierarchy: CodeHierarchy):
-    text = Path(cfg.events_path).read_text()
-    return parse_events(
-        text.splitlines(),
-        hierarchy,
-        cfg.granularity,
-        delimiter=cfg.delimiter,
-        year_min=cfg.year_min,
-        year_max=cfg.year_max,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Stages: each reads persisted artifacts and writes its own
 # ---------------------------------------------------------------------------
@@ -270,7 +272,14 @@ def _load_records(cfg: RunConfig, hierarchy: CodeHierarchy):
 
 def stage_ingest(cfg: RunConfig, paths: RunPaths) -> None:
     hierarchy = _load_hierarchy(cfg)
-    parsed = _load_records(cfg, hierarchy)
+    parsed = parse_events(
+        Path(cfg.events_path).read_text().splitlines(),
+        hierarchy,
+        cfg.granularity,
+        delimiter=cfg.delimiter,
+        year_min=cfg.year_min,
+        year_max=cfg.year_max,
+    )
     if cfg.regions_path:
         parse_region_table(Path(cfg.regions_path).read_text())  # validated, pass-through
     fields = hierarchy.codes_at(cfg.granularity)
@@ -296,6 +305,8 @@ def stage_ingest(cfg: RunConfig, paths: RunPaths) -> None:
     for year, records in by_year.items():
         w = build_occurrence_matrix(records, year, regions=regions, fields=fields)
         paths.occurrence(year).write_text(occurrence_to_text(w))
+        counts = family_field_counts(records, year)
+        paths.field_counts(year).write_text(field_counts_to_text(year, counts))
 
 
 def stage_rca(cfg: RunConfig, paths: RunPaths) -> None:
@@ -407,7 +418,6 @@ def _fmt(value) -> str:
 
 def stage_stats(cfg: RunConfig, paths: RunPaths) -> None:
     hierarchy = _load_hierarchy(cfg)
-    parsed = _load_records(cfg, hierarchy)
     fields = paths.read_fields()
 
     fitness_lines = ["year,subset,metric,value"]
@@ -418,14 +428,16 @@ def stage_stats(cfg: RunConfig, paths: RunPaths) -> None:
     ]
     for year in cfg.base_years:
         net = _read_network(cfg, paths, year, fields)
-        d = decompose(net)
-        fitness = family_field_counts(parsed.records, year)
-        for row in subset_fitness(d, fitness):
+        labels = decomposition_from_text(paths.labels(year).read_text(), year=year)
+        if tuple(labels) != fields:
+            raise ValueError(f"labels of year {year} are not over the fields in index/")
+        fitness = field_counts_from_text(paths.field_counts(year).read_text(), year=year)
+        for row in subset_fitness(labels, fitness):
             for metric in ("n_fields", "total", "average", "fitness_share", "node_share"):
                 fitness_lines.append(
                     f"{year},{row.subset},{metric},{_fmt(getattr(row, metric))}"
                 )
-        sections, counts, sizes = acs_section_counts(d, hierarchy)
+        sections, counts, sizes = acs_section_counts(labels, hierarchy)
         result = variety_llr(counts, sizes, sections=sections, year=year)
         variety_lines.append(f"{year},applicable,{_fmt(result.applicable)}")
         variety_lines.append(f"{year},llr,{_fmt(result.llr)}")
@@ -438,7 +450,7 @@ def stage_stats(cfg: RunConfig, paths: RunPaths) -> None:
             variety_lines.append(f"{year},omega_{section},{_fmt(omega)}")
         mix = section_mixing(net, hierarchy)
         mixing_lines.append(f"{year},{mix.within},{mix.between}")
-        for occ in section_occupancy(d, hierarchy):
+        for occ in section_occupancy(labels, hierarchy):
             occupancy_lines.append(
                 f"{year},{occ.section},{occ.size},{occ.n_in_acs},"
                 f"{_fmt(occ.acs_fraction)},{_fmt(occ.share_of_acs)},"

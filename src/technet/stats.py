@@ -20,10 +20,9 @@ from scipy.optimize import minimize
 from scipy.special import gammaln
 from scipy.stats import chi2
 
-from .acs import AcsDecomposition
 from .fdr import TechnologyNetwork
 from .hierarchy import CodeHierarchy, HierarchyError
-from .ingest import EventRecord, split_family_weights
+from .ingest import EventRecord
 
 CHI2_DF7_CRITICAL_5PCT = 14.07
 VARIETY_DF = 7
@@ -52,26 +51,24 @@ def family_field_counts(records: Iterable[EventRecord], year: int) -> dict[str, 
     return counts
 
 
-def field_fitness(records: Iterable[EventRecord], year: int, field: str) -> int:
-    return family_field_counts(records, year).get(field, 0)
+def field_counts_to_text(year: int, counts: Mapping[str, int]) -> str:
+    """Per-field family counts: 'year,field,count' lines sorted by field."""
+    return "".join(f"{year},{code},{counts[code]}\n" for code in sorted(counts))
 
 
-def weighted_field_totals(records: Iterable[EventRecord], year: int) -> dict[str, float]:
-    """Weight-split per-field totals, for sensitivity analysis only."""
-    by_family: dict[str, list[EventRecord]] = {}
-    for r in records:
-        if r.year == year:
-            by_family.setdefault(r.family_id, []).append(r)
-    totals: dict[str, float] = {}
-    for family in sorted(by_family):
-        for _region, code, share in split_family_weights(by_family[family]):
-            totals[code] = totals.get(code, 0.0) + share
-    return totals
+def field_counts_from_text(text: str, *, year: int) -> dict[str, int]:
+    """Parse a counts file of `year` back into a field -> count mapping."""
+    counts: dict[str, int] = {}
+    for raw in text.splitlines():
+        y, code, count = raw.split(",")
+        if int(y) != year:
+            raise StatsError(f"counts of year {y} in the counts file of year {year}")
+        counts[code] = int(count)
+    return counts
 
 
 @dataclass(frozen=True)
 class SubsetFitness:
-    year: int
     subset: str
     n_fields: int
     total: float
@@ -81,27 +78,33 @@ class SubsetFitness:
 
 
 def subset_fitness(
-    decomp: AcsDecomposition, fitness: Mapping[str, float]
+    labels: Mapping[str, str], fitness: Mapping[str, float]
 ) -> list[SubsetFitness]:
     """Fitness aggregates for core, periphery, the whole ACS, and the rest.
 
+    `labels` maps every field of the network to core, periphery or outside.
     Averages of empty subsets are reported as absent (None), never 0/0; shares
     are normalized by the network total and are absent when that total is 0.
     """
+    by_label: dict[str, list[str]] = {"core": [], "periphery": [], "outside": []}
+    for code, label in labels.items():
+        try:
+            by_label[label].append(code)
+        except KeyError:
+            raise StatsError(f"field {code!r} has unknown label {label!r}") from None
     subsets = {
-        "core": decomp.core,
-        "periphery": decomp.periphery,
-        "acs": decomp.acs_nodes,
-        "outside": decomp.outside,
+        "core": by_label["core"],
+        "periphery": by_label["periphery"],
+        "acs": by_label["core"] + by_label["periphery"],
+        "outside": by_label["outside"],
     }
-    network_total = float(sum(fitness.get(f, 0) for f in decomp.fields))
-    n_fields = len(decomp.fields)
+    network_total = float(sum(fitness.get(f, 0) for f in labels))
+    n_fields = len(labels)
     rows = []
     for name, members in subsets.items():
         total = float(sum(fitness.get(f, 0) for f in members))
         rows.append(
             SubsetFitness(
-                year=decomp.year,
                 subset=name,
                 n_fields=len(members),
                 total=total,
@@ -316,21 +319,20 @@ def variety_llr(
 
 
 def acs_section_counts(
-    decomp: AcsDecomposition, hierarchy: CodeHierarchy
+    labels: Mapping[str, str], hierarchy: CodeHierarchy
 ) -> tuple[tuple[str, ...], list[int], list[int]]:
-    """Per-section (counts inside the ACS, total sizes) over the field universe."""
+    """Per-section (counts inside the ACS, total sizes) over the labelled fields."""
     sections = hierarchy.sections
     index = {s: i for i, s in enumerate(sections)}
     sizes = [0] * len(sections)
     counts = [0] * len(sections)
-    acs_nodes = decomp.acs_nodes
-    for code in decomp.fields:
+    for code, label in labels.items():
         try:
             section = hierarchy.section_of(code)
         except HierarchyError:
             raise StatsError(f"field {code!r} does not map to a section") from None
         sizes[index[section]] += 1
-        if code in acs_nodes:
+        if label in ("core", "periphery"):
             counts[index[section]] += 1
     return sections, counts, sizes
 
@@ -392,7 +394,6 @@ def ordered_adjacency_text(net: TechnologyNetwork, hierarchy: CodeHierarchy) -> 
 
 @dataclass(frozen=True)
 class SectionOccupancy:
-    year: int
     section: str
     size: int
     n_in_acs: int
@@ -402,17 +403,16 @@ class SectionOccupancy:
 
 
 def section_occupancy(
-    decomp: AcsDecomposition, hierarchy: CodeHierarchy
+    labels: Mapping[str, str], hierarchy: CodeHierarchy
 ) -> list[SectionOccupancy]:
     """Per-section ACS occupancy ratios; empty denominators are absent."""
-    sections, counts, sizes = acs_section_counts(decomp, hierarchy)
+    sections, counts, sizes = acs_section_counts(labels, hierarchy)
     n_acs = sum(counts)
     n_outside = sum(sizes) - n_acs
     rows = []
     for section, count, size in zip(sections, counts, sizes):
         rows.append(
             SectionOccupancy(
-                year=decomp.year,
                 section=section,
                 size=size,
                 n_in_acs=count,

@@ -9,7 +9,6 @@ from technet.ingest import (
     occurrence_from_text,
     occurrence_to_text,
     parse_events,
-    reindex_occurrence,
     split_family_weights,
 )
 
@@ -238,10 +237,3 @@ class TestSerialization:
                     if IPC_LIKE.ancestor_at(sub_code, "class") == code
                 )
                 assert abs(agg - w_cls.weights[ri, ci]) < 1e-9
-
-    def test_reindex_preserves_entries(self):
-        records = [EventRecord("F1", 1998, "r1", "H01")]
-        w = build_occurrence_matrix(records, 1998)
-        big = reindex_occurrence(w, ("r0", "r1"), ("A01", "H01", "H02"))
-        assert big.weights[1, 1] == 1.0
-        assert big.total_mass == w.total_mass

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -110,6 +111,11 @@ class TestRunPipeline:
         for year in range(1991, 1997):
             assert paths.occurrence(year).is_file()
             assert paths.presence(year).is_file()
+            # year,field,count per field featured that year, sorted by field
+            rows = [line.split(",") for line in paths.field_counts(year).read_text().splitlines()]
+            assert rows and all(int(y) == year and int(n) > 0 for y, _code, n in rows)
+            codes = [code for _y, code, _n in rows]
+            assert codes == sorted(codes) and set(codes) <= set(paths.read_fields())
         for year in range(1991, 1996):
             assert paths.assist(year).is_file()
             assert paths.pvalues(year).is_file()
@@ -189,6 +195,102 @@ class TestRunPipeline:
         assert manifest["config"]["significance_basis"] == "addone"
 
 
+# sha256 of every acs/ and stats/ artifact of run_config(synth_inputs, ...),
+# recorded when the stats stage still parsed the events and decomposed each
+# network itself
+ACS_STATS_SHA256 = {
+    "acs/labels_1991.csv": "bcf53e923e6a22d6980db7a6a0e0e647ae8997a9d69e55746fa8af1ba7a73a9c",
+    "acs/labels_1992.csv": "6c3adfcfc15878e7901ce919c515305e579b0a37d570cd562ee52c6bf3059e66",
+    "acs/labels_1993.csv": "8cdeea00666bb20c9bcc4a0ada00b1f9b4fad7ba2fc236f1cb3136fbe5520f7e",
+    "acs/labels_1994.csv": "360d65a03946cae23f814bd57077bc03555fcf11e35379b5d831bc18db958435",
+    "acs/labels_1995.csv": "3a6da41bec46b30a546795f981baefe094590c19e367f2bb85199304bacbba14",
+    "acs/summary.csv": "784d6335bf7256af5da41381c4fd3197e37a097989028840785a30badea93aed",
+    "stats/adjacency_1991.csv": "f2089119976e4811ee44e6170501214adc1c1b838f86e768a79f083b27872cc2",
+    "stats/adjacency_1991.sections.csv": "b2ab5d5eeaa67338639bc943313c7c7a07d19a971a34d6d321d2ce75d7236ea0",
+    "stats/adjacency_1992.csv": "42402809eb076ca82e6f9351150eac996ff476bdf484160e58ac5cdecad5393c",
+    "stats/adjacency_1992.sections.csv": "b2ab5d5eeaa67338639bc943313c7c7a07d19a971a34d6d321d2ce75d7236ea0",
+    "stats/adjacency_1993.csv": "29711a9e9e6f0eadcd12627a4d86d199b322f645734e8c03f6a5760bffde16d9",
+    "stats/adjacency_1993.sections.csv": "b2ab5d5eeaa67338639bc943313c7c7a07d19a971a34d6d321d2ce75d7236ea0",
+    "stats/adjacency_1994.csv": "1659d2a4c346899d59814df0bdf9ac9073efecfba95a35f66daa95dfc44d9361",
+    "stats/adjacency_1994.sections.csv": "b2ab5d5eeaa67338639bc943313c7c7a07d19a971a34d6d321d2ce75d7236ea0",
+    "stats/adjacency_1995.csv": "15ffe275f935e539b62355a9c24683b29e8cbef53ed67b74743af2a94894a83e",
+    "stats/adjacency_1995.sections.csv": "b2ab5d5eeaa67338639bc943313c7c7a07d19a971a34d6d321d2ce75d7236ea0",
+    "stats/fitness.csv": "e9529de45035976f1c9d4b4f6a1b7ba862488256e36eddb5be6c4ed1e2aaf05c",
+    "stats/mixing.csv": "a19d1f3e051dc7c03088903df017ea948840628d557f4a53f16b9a273b91e4cb",
+    "stats/occupancy.csv": "039dbb2c9ee614aa4c808a76b76fe9c8fec0ecd7df093c4536be76b2cbfcfc27",
+    "stats/variety.csv": "736c187944822f8036f8e4f7522335e733cd47bf8c9d566fe88feb194f6fde2a",
+}
+
+
+def _drop_last_label(paths):
+    path = paths.labels(1993)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+def _labels_of_other_year(paths):
+    paths.labels(1993).write_text(paths.labels(1992).read_text())
+
+
+def _drop_field_counts(paths):
+    paths.field_counts(1993).unlink()
+
+
+def _field_counts_of_other_year(paths):
+    paths.field_counts(1993).write_text(paths.field_counts(1992).read_text())
+
+
+class TestStatsInputs:
+    def test_events_parsed_once_and_each_network_decomposed_once(
+        self, synth_inputs, tmp_path, monkeypatch
+    ):
+        calls = {"parse_events": 0, "decompose": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        cfg = run_config(synth_inputs, tmp_path / "run")
+        run_pipeline(cfg)
+        assert calls == {"parse_events": 1, "decompose": len(cfg.base_years)}
+
+    def test_acs_and_stats_artifacts_match_golden(self, synth_inputs, tmp_path):
+        out = tmp_path / "run"
+        run_pipeline(run_config(synth_inputs, out))
+        digests = {
+            str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for sub in ("acs", "stats") for p in sorted((out / sub).iterdir())
+        }
+        assert digests == ACS_STATS_SHA256
+
+    @pytest.mark.parametrize(
+        "tamper, cause",
+        [
+            (_drop_last_label, ValueError),
+            (_labels_of_other_year, ValueError),
+            (_drop_field_counts, FileNotFoundError),
+            (_field_counts_of_other_year, ValueError),
+        ],
+    )
+    def test_inconsistent_inputs_fail_the_stats_stage(
+        self, synth_inputs, tmp_path, monkeypatch, tamper, cause
+    ):
+        def tampered_stats(cfg, paths):
+            tamper(paths)
+            pipeline.stage_stats(cfg, paths)
+
+        stages = tuple(
+            (name, tampered_stats if name == "stats" else fn) for name, fn in pipeline.STAGES
+        )
+        monkeypatch.setattr(pipeline, "STAGES", stages)
+        out = tmp_path / "run"
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(run_config(synth_inputs, out))
+        assert err.value.stage == "stats"
+        assert isinstance(err.value.cause, cause)
+        assert not RunPaths(out).stats("fitness.csv").exists()
+
+
 class TestCli:
     def test_stagewise_chain_matches_pipeline(self, synth_inputs, tmp_path):
         staged = tmp_path / "staged"
@@ -204,13 +306,15 @@ class TestCli:
                      "--seed", "6", "--workers", "2"]) == 0
         assert main(["filter", "--run-dir", str(staged)]) == 0
         assert main(["acs", "--run-dir", str(staged)]) == 0
-        assert main(["stats", "--run-dir", str(staged), "--events", events,
-                     "--hierarchy", hierarchy]) == 0
+        assert main(["stats", "--run-dir", str(staged),
+                     "--hierarchy", str(tmp_path / "missing.csv")]) == 1
+        assert main(["stats", "--run-dir", str(staged), "--hierarchy", hierarchy]) == 0
         assert main(["dynamics", "--run-dir", str(staged), "--year", "1993",
                      "--t-end", "2", "--window", "1"]) == 0
 
         run_pipeline(run_config(synth_inputs, direct))
-        for rel in ("acs/summary.csv", "stats/mixing.csv", "network/C_1993.csv"):
+        for rel in ("acs/summary.csv", "stats/mixing.csv", "stats/fitness.csv",
+                    "network/C_1993.csv"):
             assert (staged / rel).read_bytes() == (direct / rel).read_bytes()
         assert (staged / "dynamics" / "trajectory_1993.csv").is_file()
         assert (staged / "dynamics" / "growth_1993.csv").is_file()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from technet.acs import decompose
+from technet.acs import decompose, decomposition_from_text, decomposition_to_text
 from technet.hierarchy import CodeHierarchy
 from technet.ingest import EventRecord
 from technet.stats import (
@@ -11,7 +11,6 @@ from technet.stats import (
     StatsError,
     acs_section_counts,
     family_field_counts,
-    field_fitness,
     fit_noncentral_weights,
     fnch_loglik,
     log_fnch_normalizer,
@@ -20,7 +19,6 @@ from technet.stats import (
     section_occupancy,
     subset_fitness,
     variety_llr,
-    weighted_field_totals,
 )
 
 from drivers import net_from_edges
@@ -30,6 +28,11 @@ TWO_SECTIONS = CodeHierarchy.from_pairs(
     [("A", None), ("H", None),
      ("A01", "A"), ("A21", "A"), ("H01", "H"), ("H02", "H")]
 )
+
+
+def labels_of(net):
+    """Field -> label mapping as the stats stage reads it from acs/labels_<year>.csv."""
+    return decomposition_from_text(decomposition_to_text(decompose(net)))
 
 
 def records_for(families):
@@ -43,7 +46,7 @@ def records_for(families):
 class TestFitness:
     def test_absent_field_zero(self):
         records = records_for([("F1", 1998, [("r1", "A01")])])
-        assert field_fitness(records, 1998, "H01") == 0
+        assert family_field_counts(records, 1998).get("H01", 0) == 0
 
     def test_three_families_featuring_field(self):
         records = records_for([
@@ -52,7 +55,7 @@ class TestFitness:
             ("F3", 1998, [("r1", "H01")]),
             ("F4", 1997, [("r1", "H01")]),
         ])
-        assert field_fitness(records, 1998, "H01") == 3
+        assert family_field_counts(records, 1998).get("H01", 0) == 3
 
     def test_multi_code_family_counts_once_per_field(self):
         # totals across fields may exceed the family count
@@ -65,18 +68,11 @@ class TestFitness:
         assert counts == {"H01": 2, "A01": 2}
         assert sum(counts.values()) > 3 - 1  # 4 field hits from 3 families
 
-    def test_weighted_totals_split_mass(self):
-        records = records_for([
-            ("F1", 1998, [("r1", "H01"), ("r1", "A01")]),
-        ])
-        totals = weighted_field_totals(records, 1998)
-        assert totals == {"H01": 0.5, "A01": 0.5}
-
 
 class TestSubsetFitness:
     def test_all_outside_rest_share_one(self):
         net = net_from_edges(3, [])
-        d = decompose(net)
+        d = labels_of(net)
         rows = {r.subset: r for r in subset_fitness(d, {"N00": 1, "N01": 2, "N02": 3})}
         assert rows["outside"].fitness_share == 1.0
         assert rows["core"].average is None
@@ -85,7 +81,7 @@ class TestSubsetFitness:
     def test_hand_computed_averages_and_shares(self):
         # core {a, b} with fitness {10, 20}; rest {c} with 30
         net = net_from_edges(3, [(0, 1), (1, 0)])
-        d = decompose(net)
+        d = labels_of(net)
         fitness = {"N00": 10, "N01": 20, "N02": 30}
         rows = {r.subset: r for r in subset_fitness(d, fitness)}
         assert rows["core"].average == 15.0
@@ -93,10 +89,14 @@ class TestSubsetFitness:
         assert rows["core"].fitness_share == 0.5
         assert rows["acs"].total == 30.0
 
+    def test_unknown_label_is_error(self):
+        with pytest.raises(StatsError):
+            subset_fitness({"N00": "core", "N01": "inside"}, {"N00": 1})
+
     def test_shares_sum_to_one(self):
         rng = np.random.default_rng(41)
         net = net_from_edges(6, [(0, 1), (1, 0), (1, 2), (2, 3)])
-        d = decompose(net)
+        d = labels_of(net)
         fitness = {f: int(rng.integers(0, 50)) + 1 for f in net.fields}
         rows = {r.subset: r for r in subset_fitness(d, fitness)}
         total_share = sum(
@@ -269,7 +269,7 @@ class TestSectionStats:
         net = net_from_edges(4, [])
         net = net.__class__(year=net.year, fields=("A01", "A21", "H01", "H02"),
                             adjacency=net.adjacency, significance_level=0.05)
-        rows = section_occupancy(decompose(net), TWO_SECTIONS)
+        rows = section_occupancy(labels_of(net), TWO_SECTIONS)
         assert all(r.acs_fraction == 0.0 for r in rows)
         assert all(r.share_of_acs is None for r in rows)
 
@@ -278,7 +278,7 @@ class TestSectionStats:
         net = net_from_edges(4, [(2, 3), (3, 2)])
         net = net.__class__(year=net.year, fields=("A01", "A21", "H01", "H02"),
                             adjacency=net.adjacency, significance_level=0.05)
-        d = decompose(net)
+        d = labels_of(net)
         rows = {r.section: r for r in section_occupancy(d, TWO_SECTIONS)}
         assert rows["H"].acs_fraction == 1.0
         assert rows["A"].acs_fraction == 0.0
@@ -289,7 +289,7 @@ class TestSectionStats:
         net = net_from_edges(4, [(0, 1), (1, 0), (1, 2)])
         net = net.__class__(year=net.year, fields=("A01", "A21", "H01", "H02"),
                             adjacency=net.adjacency, significance_level=0.05)
-        sections, counts, sizes = acs_section_counts(decompose(net), TWO_SECTIONS)
+        sections, counts, sizes = acs_section_counts(labels_of(net), TWO_SECTIONS)
         assert sections == ("A", "H")
         assert counts == [2, 1]
         assert sizes == [2, 2]

@@ -19,7 +19,6 @@ from .ingest import (
     OccurrenceMatrix,
     build_occurrence_matrix,
     parse_events,
-    split_family_weights,
 )
 from .nullmodel import (
     BicmParameters,
@@ -74,7 +73,6 @@ __all__ = [
     "section_mixing",
     "section_occupancy",
     "simulate_linear",
-    "split_family_weights",
     "subset_fitness",
     "ubiquity",
     "variety_llr",

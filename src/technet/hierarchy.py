@@ -94,13 +94,14 @@ class CodeHierarchy:
         Longest-prefix match against known codes, then walk up. Returns None
         when no prefix matches or the matched node sits above the level.
         """
+        d = level_depth(level)
         raw_code = raw_code.strip()
         for end in range(len(raw_code), 0, -1):
             candidate = raw_code[:end]
             if candidate in self.depth:
-                if self.depth[candidate] < level_depth(level):
+                if self.depth[candidate] < d:
                     return None
-                return self.ancestor_at(candidate, level)
+                return self.ancestor_at(candidate, d)
         return None
 
     def section_of(self, code: str) -> str:

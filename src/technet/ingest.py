@@ -8,22 +8,26 @@ active families.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .hierarchy import CodeHierarchy
 
 EVENT_COLUMNS = ("family_id", "year", "region_id", "code")
+# Why a line was rejected: too few columns, an empty family or region id, a
+# year that is not an integer, one outside the range, an unresolvable code.
+REJECTION_KINDS = ("columns", "empty_id", "year_format", "year_range", "unknown_code")
 
 
 class IngestError(ValueError):
-    """Raised on unusable event input (bad header, empty family group, ...)."""
+    """Raised on unusable event input (bad header, unknown index, ...)."""
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     family_id: str
     year: int
     region_id: str
@@ -34,6 +38,7 @@ class EventRecord:
 class ParseIssue:
     line_no: int
     reason: str
+    kind: str
 
 
 @dataclass
@@ -44,6 +49,12 @@ class ParseResult:
     @property
     def n_rejected(self) -> int:
         return len(self.issues)
+
+    @property
+    def rejected_by_reason(self) -> dict[str, int]:
+        """Rejected line count per kind, every kind of REJECTION_KINDS present."""
+        counts = Counter(issue.kind for issue in self.issues)
+        return {kind: counts[kind] for kind in REJECTION_KINDS}
 
 
 def parse_events(
@@ -60,8 +71,9 @@ def parse_events(
     The first line must be a header containing the columns family_id, year,
     region_id and code (extra columns are ignored). Codes are resolved to the
     requested granularity; records collapsing to the same (family, year,
-    region, code) tuple are kept once. Bad lines never abort the parse: each
-    yields a ParseIssue carrying its 1-based line number.
+    region, code) tuple are kept once, in the order of their first line. Bad
+    lines never abort the parse: each yields a ParseIssue carrying its 1-based
+    line number and its kind, one of REJECTION_KINDS.
     """
     it = iter(lines)
     try:
@@ -75,59 +87,47 @@ def parse_events(
         missing = [name for name in EVENT_COLUMNS if name not in columns]
         raise IngestError(f"event header missing columns {missing}") from None
     needed = max(idx.values()) + 1
+    i_family, i_year, i_region, i_code = (idx[name] for name in EVENT_COLUMNS)
 
-    records: list[EventRecord] = []
+    unique: dict[EventRecord, None] = {}  # insertion-ordered set of records
     issues: list[ParseIssue] = []
-    seen: set[tuple[str, int, str, str]] = set()
+    resolved: dict[str, str | None] = {}  # raw code -> code at granularity
     for line_no, raw in enumerate(it, start=2):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip():
             continue
         cells = line.split(delimiter)
         if len(cells) < needed:
-            issues.append(ParseIssue(line_no, f"expected >= {needed} columns, got {len(cells)}"))
+            issues.append(
+                ParseIssue(line_no, f"expected >= {needed} columns, got {len(cells)}", "columns")
+            )
             continue
-        family = cells[idx["family_id"]].strip()
-        region = cells[idx["region_id"]].strip()
-        raw_code = cells[idx["code"]].strip()
-        year_text = cells[idx["year"]].strip()
+        family = cells[i_family].strip()
+        region = cells[i_region].strip()
+        raw_code = cells[i_code].strip()
+        year_text = cells[i_year].strip()
         if not family or not region:
-            issues.append(ParseIssue(line_no, "empty family_id or region_id"))
+            issues.append(ParseIssue(line_no, "empty family_id or region_id", "empty_id"))
             continue
         try:
             year = int(year_text)
         except ValueError:
-            issues.append(ParseIssue(line_no, f"non-integer year {year_text!r}"))
+            issues.append(ParseIssue(line_no, f"non-integer year {year_text!r}", "year_format"))
             continue
         if not year_min <= year <= year_max:
-            issues.append(ParseIssue(line_no, f"year {year} outside [{year_min}, {year_max}]"))
-            continue
-        code = hierarchy.resolve(raw_code, granularity)
-        if code is None:
-            issues.append(ParseIssue(line_no, f"unknown code {raw_code!r}"))
-            continue
-        key = (family, year, region, code)
-        if key in seen:
-            continue
-        seen.add(key)
-        records.append(EventRecord(family, year, region, code))
-    return ParseResult(records=records, issues=issues)
-
-
-def split_family_weights(records: Sequence[EventRecord]) -> list[tuple[str, str, float]]:
-    """Split one family-year's unit weight evenly over unique (region, field) pairs."""
-    if not records:
-        raise IngestError("cannot split weights of an empty family group")
-    family = records[0].family_id
-    year = records[0].year
-    for r in records:
-        if r.family_id != family or r.year != year:
-            raise IngestError(
-                f"family group mixes ({family}, {year}) with ({r.family_id}, {r.year})"
+            issues.append(
+                ParseIssue(line_no, f"year {year} outside [{year_min}, {year_max}]", "year_range")
             )
-    pairs = sorted({(r.region_id, r.code) for r in records})
-    share = 1.0 / len(pairs)
-    return [(region, code, share) for region, code in pairs]
+            continue
+        try:
+            code = resolved[raw_code]
+        except KeyError:
+            code = resolved[raw_code] = hierarchy.resolve(raw_code, granularity)
+        if code is None:
+            issues.append(ParseIssue(line_no, f"unknown code {raw_code!r}", "unknown_code"))
+            continue
+        unique[EventRecord(family, year, region, code)] = None
+    return ParseResult(records=list(unique), issues=issues)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,25 +162,29 @@ def build_occurrence_matrix(
     When index sets are not supplied they are derived from the year's records,
     sorted. Supplying them keeps indexing stable across years.
     """
-    year_records = [r for r in records if r.year == year]
-    by_family: dict[str, list[EventRecord]] = {}
-    for r in year_records:
-        by_family.setdefault(r.family_id, []).append(r)
+    # The year's distinct records in sorted family order. A family adds at
+    # most one share to a cell, so every cell sums from 0.0 in sorted family
+    # order, whatever the order of the records.
+    unique = sorted({r for r in records if r.year == year}, key=itemgetter(0))
+    n_pairs = Counter(map(itemgetter(0), unique))
 
     if regions is None:
-        regions = sorted({r.region_id for r in year_records})
+        regions = sorted({r.region_id for r in unique})
     if fields is None:
-        fields = sorted({r.code for r in year_records})
+        fields = sorted({r.code for r in unique})
     region_index = {r: i for i, r in enumerate(regions)}
     field_index = {f: i for i, f in enumerate(fields)}
 
-    weights = np.zeros((len(regions), len(fields)), dtype=np.float64)
-    for family in sorted(by_family):
-        for region, code, share in split_family_weights(by_family[family]):
-            try:
-                weights[region_index[region], field_index[code]] += share
-            except KeyError as exc:
-                raise IngestError(f"record references unknown index {exc}") from None
+    n_fields = len(fields)
+    cell_weights: dict[int, float] = {}  # flat index region * n_fields + field
+    try:
+        for family, _year, region, code in unique:
+            cell = region_index[region] * n_fields + field_index[code]
+            cell_weights[cell] = cell_weights.get(cell, 0.0) + 1.0 / n_pairs[family]
+    except KeyError as exc:
+        raise IngestError(f"record references unknown index {exc}") from None
+    weights = np.zeros((len(regions), n_fields), dtype=np.float64)
+    weights.flat[list(cell_weights)] = list(cell_weights.values())
     return OccurrenceMatrix(year=year, regions=tuple(regions), fields=tuple(fields), weights=weights)
 
 

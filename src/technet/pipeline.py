@@ -292,6 +292,7 @@ def stage_ingest(cfg: RunConfig, paths: RunPaths) -> None:
     report = {
         "n_records": len(parsed.records),
         "n_rejected": parsed.n_rejected,
+        "rejected_by_reason": parsed.rejected_by_reason,
         "issues": [
             {"line": issue.line_no, "reason": issue.reason} for issue in parsed.issues[:200]
         ],

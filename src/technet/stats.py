@@ -12,7 +12,9 @@ clamped odds cannot overflow.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,15 +42,8 @@ class StatsError(ValueError):
 
 def family_field_counts(records: Iterable[EventRecord], year: int) -> dict[str, int]:
     """Per-field count of distinct families active in `year` featuring the field."""
-    codes_by_family: dict[str, set[str]] = {}
-    for r in records:
-        if r.year == year:
-            codes_by_family.setdefault(r.family_id, set()).add(r.code)
-    counts: dict[str, int] = {}
-    for codes in codes_by_family.values():
-        for code in codes:
-            counts[code] = counts.get(code, 0) + 1
-    return counts
+    pairs = {(r.family_id, r.code) for r in records if r.year == year}
+    return dict(Counter(map(itemgetter(1), pairs)))
 
 
 def field_counts_to_text(year: int, counts: Mapping[str, int]) -> str:

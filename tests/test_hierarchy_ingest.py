@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import numpy as np
 import pytest
 
@@ -9,8 +13,8 @@ from technet.ingest import (
     occurrence_from_text,
     occurrence_to_text,
     parse_events,
-    split_family_weights,
 )
+from technet.pipeline import RunConfig, RunPaths, stage_ingest
 
 IPC_LIKE = CodeHierarchy.from_pairs(
     [
@@ -38,6 +42,12 @@ class TestHierarchy:
         # a bare section cannot be resolved at class granularity
         assert IPC_LIKE.resolve("A", "class") is None
         assert IPC_LIKE.resolve("X99", "class") is None
+
+    def test_resolve_rejects_unknown_level(self):
+        # the level is checked before any prefix is tried, matched or not
+        for raw in ("H01L", "X99"):
+            with pytest.raises(HierarchyError):
+                IPC_LIKE.resolve(raw, "group")
 
     def test_section_of(self):
         assert IPC_LIKE.section_of("H01L") == "H"
@@ -108,10 +118,10 @@ class TestParseEvents:
         assert result.records[0].code == "H01"
 
 
-class TestSplitFamilyWeights:
+class TestBuildOccurrenceMatrix:
     def test_single_pair_gets_unit_weight(self):
-        records = [EventRecord("F1", 1998, "r1", "H01")]
-        assert split_family_weights(records) == [("r1", "H01", 1.0)]
+        w = build_occurrence_matrix([EventRecord("F1", 1998, "r1", "H01")], 1998)
+        assert w.weights.tolist() == [[1.0]]
 
     def test_four_pairs_quarter_each(self):
         records = [
@@ -120,10 +130,9 @@ class TestSplitFamilyWeights:
             EventRecord("F1", 1998, "r2", "H01"),
             EventRecord("F1", 1998, "r2", "A01"),
         ]
-        shares = split_family_weights(records)
-        assert len(shares) == 4
-        assert all(w == 0.25 for _, _, w in shares)
-        assert sum(w for _, _, w in shares) == 1.0
+        w = build_occurrence_matrix(records, 1998)
+        assert w.weights.tolist() == [[0.25, 0.25], [0.25, 0.25]]
+        assert w.total_mass == 1.0
 
     def test_three_unique_pairs_third_each(self):
         # hand enumeration: {(r1,i), (r1,j), (r2,i)} -> three entries of 1/3
@@ -133,22 +142,19 @@ class TestSplitFamilyWeights:
             EventRecord("F1", 1998, "r2", "H01"),
             EventRecord("F1", 1998, "r2", "H01"),  # duplicate pair collapses
         ]
-        shares = split_family_weights(records)
-        assert sorted(s[:2] for s in shares) == [("r1", "A01"), ("r1", "H01"), ("r2", "H01")]
-        assert all(abs(w - 1 / 3) < 1e-15 for _, _, w in shares)
+        w = build_occurrence_matrix(records, 1998)
+        assert w.regions == ("r1", "r2") and w.fields == ("A01", "H01")
+        assert w.weights[1, 0] == 0.0
+        for cell in [(0, 0), (0, 1), (1, 1)]:
+            assert abs(w.weights[cell] - 1 / 3) < 1e-15
 
-    def test_empty_group_is_error(self):
+    def test_unknown_region_or_field_is_error(self):
+        records = [EventRecord("F1", 1998, "r1", "H01")]
         with pytest.raises(IngestError):
-            split_family_weights([])
-
-    def test_mixed_family_is_error(self):
+            build_occurrence_matrix(records, 1998, regions=("r2",), fields=("H01",))
         with pytest.raises(IngestError):
-            split_family_weights(
-                [EventRecord("F1", 1998, "r1", "H01"), EventRecord("F2", 1998, "r1", "H01")]
-            )
+            build_occurrence_matrix(records, 1998, regions=("r1",), fields=("A01",))
 
-
-class TestBuildOccurrenceMatrix:
     def test_empty_year_gives_zero_mass(self):
         w = build_occurrence_matrix([], 1998, regions=("r1",), fields=("H01",))
         assert w.total_mass == 0.0
@@ -237,3 +243,112 @@ class TestSerialization:
                     if IPC_LIKE.ancestor_at(sub_code, "class") == code
                 )
                 assert abs(agg - w_cls.weights[ri, ci]) < 1e-9
+
+
+# Event lines after the header. Synthetic inputs carry one code per family, so
+# this file is what exercises weight splitting: families over 2 regions x 2
+# codes, duplicates that collapse only after truncation to class, codes deeper
+# than subclass, blank lines, one line per rejection kind and a family (F2)
+# active in both years.
+GOLDEN_BODY = [
+    "F1,1998,r1,H01L21/02",
+    "F1,1998,r1,A01B33/00",
+    "F1,1998,r2,H01S3/10",
+    "F1,1998,r2,A01B",
+    "F1,1998,r1,H01L33/00",
+    "",
+    "F2,1998,r1,H01",
+    "F2,1998,r3,H02",
+    "F2,1999,r3,H02",
+    "F2,1999,r2,A21",
+    "F3,1999,r1,A01B12/00",
+    "F3,1999,r1,A01B1/02",
+    "F4,1998,r2,H01L",
+    "   ",
+    "garbage",
+    ",1998,r1,H01",
+    "F5,19x8,r1,H01",
+    "F5,2025,r1,H01",
+    "F5,1998,r1,Z99",
+    "F5,1998,r1,A",
+    "F6,1998,r4,A21",
+    "F6,1998,r4,H02",
+    "F6,1998,r1,H01",
+    "F7,1998,r4,A21",
+    "F7,1998,r4,H02S",
+    "F7,1998,r1,H01S",
+    "F8,1998,r1,H01",
+    "F8,1998,r1,H02",
+    "F8,1998,r2,H02",
+    "F8,1998,r3,A01",
+    "F8,1998,r4,A21",
+    "F9, 1999 ,r4,H01L",
+    "F9,1999,r4,H02",
+]
+
+GOLDEN_HASHES = {
+    "index/regions.txt": "b374cd37eec0446166815f275db609e62fafc8e4d1f4c7525dc9712fa6b02998",
+    "occurrence/F_1998.csv": "28892f9eb32c5e3367d7f933c168a7cf52bc24033deff7e22d836137549ca643",
+    "occurrence/F_1999.csv": "97a4171c7eafff42667c844d0229dc8e9484ecbec12846017a8adf10cc43b2cb",
+    "occurrence/W_1998.csv": "ee37750e692b3febe7c46499825c1bfea3acee46320f80ccc395ad2079117545",
+    "occurrence/W_1999.csv": "9401d2794177776b329cb4982c50a09c2b8c6cff13d0e4f36054535469338528",
+}
+GOLDEN_ISSUES = [
+    {"line": 16, "reason": "expected >= 4 columns, got 1"},
+    {"line": 17, "reason": "empty family_id or region_id"},
+    {"line": 18, "reason": "non-integer year '19x8'"},
+    {"line": 19, "reason": "year 2025 outside [1998, 1999]"},
+    {"line": 20, "reason": "unknown code 'Z99'"},
+    {"line": 21, "reason": "unknown code 'A'"},
+]
+
+
+def run_golden_ingest(root, body):
+    """Write the events with CRLF line endings and run the ingest stage on them."""
+    root.mkdir(parents=True)
+    events = root / "events.csv"
+    events.write_bytes(("\r\n".join(["family_id,year,region_id,code", *body]) + "\r\n").encode())
+    hierarchy = root / "hierarchy.csv"
+    hierarchy.write_text(hierarchy_to_text(IPC_LIKE))
+    cfg = RunConfig(
+        events_path=str(events), hierarchy_path=str(hierarchy), out_dir=str(root / "run"),
+        year_min=1998, year_max=1999,
+    )
+    paths = RunPaths(cfg.out_dir)
+    paths.ensure()
+    stage_ingest(cfg, paths)
+    return paths
+
+
+def artifact_hashes(paths):
+    return {
+        name: hashlib.sha256((paths.root / name).read_bytes()).hexdigest()
+        for name in sorted(GOLDEN_HASHES)
+    }
+
+
+class TestIngestGolden:
+    def test_occurrence_artifacts_match_golden(self, tmp_path):
+        # recorded on the commit before the ingest rewrite
+        paths = run_golden_ingest(tmp_path / "golden", GOLDEN_BODY)
+        assert artifact_hashes(paths) == GOLDEN_HASHES
+        report = json.loads((paths.root / "index" / "ingest_report.json").read_text())
+        assert report["n_records"] == 23
+        assert report["n_rejected"] == 6
+        assert report["issues"] == GOLDEN_ISSUES
+        assert report["rejected_by_reason"] == {
+            "columns": 1, "empty_id": 1, "year_format": 1, "year_range": 1, "unknown_code": 2,
+        }
+
+    def test_carriage_returns_are_stripped(self):
+        lines = "\r\n".join(["family_id,year,region_id,code", *GOLDEN_BODY, ""])
+        kept = parse_events(lines.split("\n"), IPC_LIKE, "class", year_min=1998, year_max=1999)
+        split = parse_events(lines.splitlines(), IPC_LIKE, "class", year_min=1998, year_max=1999)
+        assert kept == split
+
+    def test_occurrence_does_not_depend_on_line_order(self, tmp_path):
+        body = list(GOLDEN_BODY)
+        random.Random(5).shuffle(body)
+        assert body != GOLDEN_BODY
+        shuffled = run_golden_ingest(tmp_path / "shuffled", body)
+        assert artifact_hashes(shuffled) == GOLDEN_HASHES

@@ -23,9 +23,9 @@ from .ingest import (
 from .nullmodel import (
     BicmParameters,
     PvalueMatrix,
-    empirical_pvalues,
+    exceedance_counts,
     fit_bicm,
-    null_assist_ensemble,
+    pvalues_from_counts,
     sample_null_matrix,
 )
 from .pipeline import RunConfig, run_pipeline
@@ -58,16 +58,16 @@ __all__ = [
     "build_occurrence_matrix",
     "decompose",
     "diversification",
-    "empirical_pvalues",
     "estimate_growth_rate",
+    "exceedance_counts",
     "find_core",
     "find_periphery",
     "fit_bicm",
     "fit_noncentral_weights",
     "generate_events",
-    "null_assist_ensemble",
     "parse_events",
     "pf_eigen",
+    "pvalues_from_counts",
     "run_pipeline",
     "sample_null_matrix",
     "section_mixing",

@@ -281,17 +281,22 @@ def decompose(net: TechnologyNetwork) -> AcsDecomposition:
     periphery = find_periphery(net, core)
     outside = frozenset(net.fields) - core - periphery
     acs_list = tuple(split_distinct_acs(net, core, periphery))
-    lambda1, pf_vector = pf_eigen(net)
+    pf_lambda, pf_vector = pf_eigen(net)
 
+    # An empty core means no cycle, so the adjacency is nilpotent and lambda1
+    # is exactly 0; the power iteration's small positive residue only serves
+    # the consistency cross-check.
     if core:
         support = {
             net.fields[i]
             for i in np.nonzero(pf_vector > PF_SUPPORT_RTOL * pf_vector.max())[0]
         }
         dominant_nodes = acs_list[0].nodes if acs_list else frozenset()
-        consistent = lambda1 > LAMBDA_POSITIVE_TOL and support <= dominant_nodes
+        consistent = pf_lambda > LAMBDA_POSITIVE_TOL and support <= dominant_nodes
+        lambda1 = pf_lambda
     else:
-        consistent = lambda1 <= LAMBDA_POSITIVE_TOL
+        consistent = pf_lambda <= LAMBDA_POSITIVE_TOL
+        lambda1 = 0.0
     return AcsDecomposition(
         year=net.year,
         fields=net.fields,

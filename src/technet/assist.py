@@ -45,6 +45,28 @@ def ubiquity(m: PresenceMatrix) -> np.ndarray:
     return m.presence.sum(axis=0).astype(np.int64)
 
 
+def _base_operands(m: PresenceMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Base-year GEMM operand, its row scale 1/u and the ubiquity u itself."""
+    u = ubiquity(m)
+    with np.errstate(divide="ignore"):
+        inv_u = np.where(u > 0, 1.0 / u, 0.0)
+    return m.presence.astype(np.float64), inv_u, u
+
+
+def _lag_operand(m: PresenceMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Later-year GEMM operand L diag(1/d), rows of zero d left at 0, and d itself."""
+    d = diversification(m)
+    with np.errstate(divide="ignore"):
+        inv_d = np.where(d > 0, 1.0 / d, 0.0)
+    # uint8 * float64 is exact: every caller gets the same float64 operand.
+    return m.presence * inv_d[:, None], d
+
+
+def _assist_values(base: np.ndarray, inv_u: np.ndarray, lag: np.ndarray) -> np.ndarray:
+    """The assist kernel on prepared operands; empirical and null values share it."""
+    return inv_u[:, None] * (base.T @ lag)
+
+
 def assist_matrix(m_t: PresenceMatrix, m_t_lag: PresenceMatrix) -> AssistMatrix:
     """Compute the assist matrix for a pair of presence matrices.
 
@@ -53,22 +75,14 @@ def assist_matrix(m_t: PresenceMatrix, m_t_lag: PresenceMatrix) -> AssistMatrix:
     """
     if m_t.regions != m_t_lag.regions or m_t.fields != m_t_lag.fields:
         raise AssistError("presence matrices must share region and field index sets")
-    lag = m_t_lag.year - m_t.year
-    u = ubiquity(m_t)
-    d = diversification(m_t_lag)
-
-    base = m_t.presence.astype(np.float64)
-    with np.errstate(divide="ignore"):
-        inv_d = np.where(d > 0, 1.0 / d, 0.0)
-        inv_u = np.where(u > 0, 1.0 / u, 0.0)
-    # uint8 * float64 is exact: the GEMM operands are the same float64 arrays.
-    values = inv_u[:, None] * (base.T @ (m_t_lag.presence * inv_d[:, None]))
+    base, inv_u, u = _base_operands(m_t)
+    lag, d = _lag_operand(m_t_lag)
     return AssistMatrix(
         base_year=m_t.year,
-        lag=lag,
+        lag=m_t_lag.year - m_t.year,
         regions=m_t.regions,
         fields=m_t.fields,
-        values=values,
+        values=_assist_values(base, inv_u, lag),
         diversification=d,
         ubiquity=u,
     )

@@ -6,20 +6,22 @@ diversification and ubiquity. Each cell is an independent Bernoulli with
 probability p_ri = x_r y_i / (1 + x_r y_i); the multipliers x, y solve the
 degree-matching fixed point.
 
-Replicate k of an ensemble draws presence matrices for both years from an RNG
-substream keyed by (base_year, k), so parallel evaluation in any order gives
-bit-identical results. Exceedance counts are integers and sum associatively,
-which keeps the streamed reduction order-insensitive.
+Replicate k of year y is one presence matrix drawn from an RNG substream keyed
+by (y, k). Replicate k of the pair (y, y + lag) pairs the draws (y, k) and
+(y + lag, k), so the one draw of a year serves both pairs that use it, and
+parallel evaluation in any order gives bit-identical results. Exceedance counts
+are integers and sum associatively, which keeps the chunked reduction
+order-insensitive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .assist import AssistMatrix, assist_matrix
+from .assist import AssistMatrix, _assist_values, _base_operands, _lag_operand
 from .rca import PresenceMatrix
 
 
@@ -61,9 +63,12 @@ def fit_bicm(m: PresenceMatrix, tol: float = 1e-8, max_iter: int = 10_000) -> Bi
     """Fit the canonical bipartite configuration model to a presence matrix.
 
     Empty and saturated rows/columns are peeled off first (their cells are
-    forced to 0 or 1 and the remaining degree targets adjusted); the interior
-    block is solved by alternating fixed-point iteration on the multipliers.
-    Raises BicmFitError carrying the residual if max_iter is exhausted.
+    forced to 0 or 1 and the remaining degree targets adjusted). Interior rows
+    with equal targets share one multiplier, and so do columns, so the fixed
+    point is iterated over the distinct (row target, column target) classes,
+    each weighted by its size, and the class solution is scattered back over
+    the matrix. Raises BicmFitError carrying the residual if max_iter is
+    exhausted or the full matrix misses the degrees by more than 10 * tol.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -78,66 +83,51 @@ def fit_bicm(m: PresenceMatrix, tol: float = 1e-8, max_iter: int = 10_000) -> Bi
     row_target = d_emp.copy()
     col_target = u_emp.copy()
 
-    # Peel forced rows/columns until stable. Removing a saturated row lowers
-    # the remaining column targets, which can force further rows/columns.
+    # Peel forced rows, then columns, until stable. Removing a saturated row
+    # lowers the remaining column targets, which can force further columns.
     changed = True
     while changed:
-        changed = False
-        n_af = int(active_f.sum())
-        for r in np.nonzero(active_r)[0]:
-            if row_target[r] <= 0:
-                active_r[r] = False
-                changed = True
-            elif row_target[r] >= n_af:
-                p[r, active_f] = 1.0
-                col_target[active_f] -= 1.0
-                active_r[r] = False
-                changed = True
-        n_ar = int(active_r.sum())
-        for f in np.nonzero(active_f)[0]:
-            if col_target[f] <= 0:
-                active_f[f] = False
-                changed = True
-            elif col_target[f] >= n_ar:
-                p[active_r, f] = 1.0
-                row_target[active_r] -= 1.0
-                active_f[f] = False
-                changed = True
+        empty_r = active_r & (row_target <= 0)
+        full_r = active_r & ~empty_r & (row_target >= active_f.sum())
+        p[np.ix_(full_r, active_f)] = 1.0
+        col_target[active_f] -= full_r.sum()
+        active_r &= ~(empty_r | full_r)
+        empty_f = active_f & (col_target <= 0)
+        full_f = active_f & ~empty_f & (col_target >= active_r.sum())
+        p[np.ix_(active_r, full_f)] = 1.0
+        row_target[active_r] -= full_f.sum()
+        active_f &= ~(empty_f | full_f)
+        changed = bool((empty_r | full_r).any() or (empty_f | full_f).any())
 
     x = np.full(n_regions, np.nan)
     y = np.full(n_fields, np.nan)
     ar = np.nonzero(active_r)[0]
     af = np.nonzero(active_f)[0]
     if ar.size and af.size:
-        dt = row_target[ar]
-        ut = col_target[af]
-        total = dt.sum()
-        xs = dt / np.sqrt(total)
-        ys = ut / np.sqrt(total)
+        dt, row_class, n_r = np.unique(row_target[ar], return_inverse=True, return_counts=True)
+        ut, col_class, n_f = np.unique(col_target[af], return_inverse=True, return_counts=True)
+        scale = np.sqrt(n_r @ dt)
+        xs = dt / scale
+        ys = ut / scale
         converged = False
         iterations = 0
         for iterations in range(1, max_iter + 1):
-            xy = np.outer(xs, ys)
-            block = xy / (1.0 + xy)
-            denom_x = (ys[None, :] / (1.0 + xy)).sum(axis=1)
-            xs = dt / denom_x
-            xy = np.outer(xs, ys)
-            denom_y = (xs[:, None] / (1.0 + xy)).sum(axis=0)
-            ys = ut / denom_y
+            xs = dt / ((n_f * ys)[None, :] / (1.0 + np.outer(xs, ys))).sum(axis=1)
+            ys = ut / ((n_r * xs)[:, None] / (1.0 + np.outer(xs, ys))).sum(axis=0)
             xy = np.outer(xs, ys)
             block = xy / (1.0 + xy)
             res = max(
-                float(np.abs(block.sum(axis=1) - dt).max()),
-                float(np.abs(block.sum(axis=0) - ut).max()),
+                float(np.abs(block @ n_f - dt).max()),
+                float(np.abs(n_r @ block - ut).max()),
             )
             if res <= tol:
                 converged = True
                 break
         if not converged:
             raise BicmFitError("BiCM fit did not converge", res, iterations)
-        p[np.ix_(ar, af)] = block
-        x[ar] = xs
-        y[af] = ys
+        p[np.ix_(ar, af)] = block[np.ix_(row_class, col_class)]
+        x[ar] = xs[row_class]
+        y[af] = ys[col_class]
 
     residual = _degree_residual(p, d_emp, u_emp)
     if residual > 10 * tol:
@@ -162,10 +152,16 @@ def sample_null_matrix(params: BicmParameters, rng: np.random.Generator) -> Pres
     )
 
 
-def replicate_rng(master_seed: int, base_year: int, replicate: int) -> np.random.Generator:
-    """Independent RNG substream for one replicate, keyed by (base_year, k)."""
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(base_year, replicate))
+def replicate_rng(master_seed: int, year: int, replicate: int) -> np.random.Generator:
+    """Independent RNG substream for replicate k of one year, keyed by (year, k)."""
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(year, replicate))
     return np.random.default_rng(seq)
+
+
+def _prepared_draw(params: BicmParameters, master_seed: int, replicate: int) -> tuple:
+    """Draw (year, k) with both of its GEMM operands, for use as a base or a lag year."""
+    m = sample_null_matrix(params, replicate_rng(master_seed, params.year, replicate))
+    return _base_operands(m), _lag_operand(m)
 
 
 def null_assist_replicate(
@@ -173,27 +169,32 @@ def null_assist_replicate(
     params_t_lag: BicmParameters,
     master_seed: int,
     replicate: int,
+    draws: dict[int, tuple] | None = None,
 ) -> AssistMatrix:
-    """Assist matrix of one null replicate (both years sampled independently)."""
-    rng = replicate_rng(master_seed, params_t.year, replicate)
-    m_t = sample_null_matrix(params_t, rng)
-    m_lag = sample_null_matrix(params_t_lag, rng)
-    return assist_matrix(m_t, m_lag)
+    """Assist matrix of null replicate k of one pair: the (year, k) draws of both years.
 
-
-def null_assist_ensemble(
-    params_t: BicmParameters,
-    params_t_lag: BicmParameters,
-    n_replicates: int,
-    master_seed: int,
-) -> Iterator[AssistMatrix]:
-    """Stream the K-replicate null assist ensemble for one year pair."""
-    if n_replicates < 1:
-        raise ValueError("n_replicates must be >= 1")
-    if params_t.regions != params_t_lag.regions or params_t.fields != params_t_lag.fields:
-        raise ValueError("null parameters must share region and field index sets")
-    for k in range(n_replicates):
-        yield null_assist_replicate(params_t, params_t_lag, master_seed, k)
+    `draws` maps a year to its prepared draw for this k; a year missing from
+    it is drawn and added, so pairs that share `draws` share each year's one
+    draw. The two years must differ, or both halves would be one draw.
+    """
+    if params_t.year == params_t_lag.year:
+        raise ValueError("a pair's two years must differ: null draws are keyed by (year, k)")
+    if draws is None:
+        draws = {}
+    for params in (params_t, params_t_lag):
+        if params.year not in draws:
+            draws[params.year] = _prepared_draw(params, master_seed, replicate)
+    (base, inv_u, u), _ = draws[params_t.year]
+    _, (lag, d) = draws[params_t_lag.year]
+    return AssistMatrix(
+        base_year=params_t.year,
+        lag=params_t_lag.year - params_t.year,
+        regions=params_t.regions,
+        fields=params_t.fields,
+        values=_assist_values(base, inv_u, lag),
+        diversification=d,
+        ubiquity=u,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,40 +216,67 @@ class PvalueMatrix:
     source_active: np.ndarray
 
 
-def _count_exceedances(
-    b_emp: AssistMatrix, ensemble: Iterable[AssistMatrix], summaries: list | None
-) -> tuple[np.ndarray, int]:
-    counts = np.zeros(b_emp.values.shape, dtype=np.int64)
-    n = 0
-    for b_null in ensemble:
-        if b_null.fields != b_emp.fields:
-            raise ValueError("ensemble field index set differs from the empirical matrix")
-        counts += b_null.values >= b_emp.values
-        if summaries is not None:
-            summaries.append((float(b_null.values.mean()), float(b_null.values.max())))
-        n += 1
-    return counts, n
+NullPair = tuple[AssistMatrix, BicmParameters, BicmParameters]
+
+
+def _check_pairs(pairs: Sequence[NullPair]) -> None:
+    """Reject pairs whose draws could not be shared: one parameter set per year."""
+    fits: dict[int, BicmParameters] = {}
+    for b_emp, params_t, params_t_lag in pairs:
+        if params_t.year == params_t_lag.year:
+            raise ValueError("a pair's two years must differ: null draws are keyed by (year, k)")
+        if b_emp.base_year != params_t.year:
+            raise ValueError("empirical matrix and base-year parameters are of different years")
+        for params in (params_t, params_t_lag):
+            if params.regions != b_emp.regions or params.fields != b_emp.fields:
+                raise ValueError("null parameters and empirical matrix differ in index sets")
+            if fits.setdefault(params.year, params) is not params:
+                raise ValueError(f"two null parameter sets for year {params.year}")
 
 
 def exceedance_counts(
-    b_emp: AssistMatrix,
-    params_t: BicmParameters,
-    params_t_lag: BicmParameters,
-    replicates: Sequence[int],
+    pairs: Sequence[NullPair],
+    replicates: Iterable[int],
     master_seed: int,
-    summaries: list[tuple[float, float]] | None = None,
-) -> np.ndarray:
-    """Count, per cell, the null replicates in `replicates` with value >= empirical.
+    summaries: Sequence[list[tuple[float, float]]] | None = None,
+) -> list[np.ndarray]:
+    """Count, per pair and cell, the null replicates in `replicates` with value >= empirical.
 
-    If `summaries` is a list, each replicate's (mean, max) is appended to it.
+    Each pair is (b_emp, params_t, params_t_lag). Replicate k of a pair is the
+    assist matrix of the (year, k) draws of its two years, so one draw of a
+    year serves every pair that uses the year: a chain of consecutive pairs
+    costs one draw per (year, k), not two. For each k the pairs are walked in
+    order and a draw is dropped after the last pair that uses it: with pairs
+    in base-year order, at most lag + 1 draws are alive. Ties count toward
+    the upper tail, the conservative choice: a null value equal to the
+    empirical one raises the p-value. If `summaries` holds one list per pair,
+    each replicate's (mean, max) is appended to its pair's list.
     """
-    ensemble = (
-        null_assist_replicate(params_t, params_t_lag, master_seed, k) for k in replicates
-    )
-    return _count_exceedances(b_emp, ensemble, summaries)[0]
+    _check_pairs(pairs)
+    retire: list[list[int]] = [[] for _ in pairs]  # years whose last use is pair i
+    last_use = {}
+    for i, (_b, params_t, params_t_lag) in enumerate(pairs):
+        last_use[params_t.year] = last_use[params_t_lag.year] = i
+    for year, i in last_use.items():
+        retire[i].append(year)
+
+    counts = [np.zeros(b_emp.values.shape, dtype=np.int64) for b_emp, _t, _l in pairs]
+    for k in replicates:
+        draws: dict[int, tuple] = {}
+        for i, (b_emp, params_t, params_t_lag) in enumerate(pairs):
+            values = null_assist_replicate(params_t, params_t_lag, master_seed, k, draws).values
+            counts[i] += values >= b_emp.values
+            if summaries is not None:
+                summaries[i].append((float(values.mean()), float(values.max())))
+            for year in retire[i]:
+                del draws[year]
+    return counts
 
 
 def pvalues_from_counts(b_emp: AssistMatrix, counts: np.ndarray, n_replicates: int) -> PvalueMatrix:
+    """The add-one p-value matrix of one pair's exceedance counts over K replicates."""
+    if n_replicates < 1:
+        raise ValueError("empty null ensemble: n_replicates must be >= 1")
     pv = (1.0 + counts) / (n_replicates + 1.0)
     return PvalueMatrix(
         base_year=b_emp.base_year,
@@ -258,18 +286,6 @@ def pvalues_from_counts(b_emp: AssistMatrix, counts: np.ndarray, n_replicates: i
         exceed_counts=counts.copy(),
         source_active=b_emp.ubiquity > 0,
     )
-
-
-def empirical_pvalues(b_emp: AssistMatrix, ensemble: Iterable[AssistMatrix]) -> PvalueMatrix:
-    """Reduce a null ensemble stream into the add-one p-value matrix.
-
-    Ties count toward the upper tail, the conservative choice: a null value
-    equal to the empirical one raises the p-value.
-    """
-    counts, n = _count_exceedances(b_emp, ensemble, None)
-    if n == 0:
-        raise ValueError("empty null ensemble")
-    return pvalues_from_counts(b_emp, counts, n)
 
 
 def pvalues_to_text(p: PvalueMatrix) -> str:

@@ -18,9 +18,10 @@ so every stage can be rerun standalone on persisted inputs:
 Events are parsed once, at ingest, and each network is decomposed once, at
 acs: the stats stage reads the per-year field counts and the acs labels.
 
-Null replicates run on a bounded thread pool; replicate k draws from an RNG
-substream keyed by (year, k) and the reduction sums integer count matrices,
-so any worker count gives byte-identical artifacts. The manifest records the
+Null replicates run on a bounded thread pool; the null matrix of year y,
+replicate k, is drawn once from an RNG substream keyed by (y, k) and serves
+both year pairs that use y, and the reduction sums integer count matrices, so
+any worker count gives byte-identical artifacts. The manifest records the
 effective config, versions, seed, and a checksum per artifact; it carries no
 timestamps or worker counts, so identical runs produce identical manifests.
 """
@@ -31,6 +32,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -338,47 +340,49 @@ def stage_assist(cfg: RunConfig, paths: RunPaths) -> None:
         paths.assist_sidecar(year).write_text(assist_sidecar_text(b))
 
 
-def _write_pair(cfg: RunConfig, paths: RunPaths, year: int, b_emp, tasks) -> None:
-    counts = sum(future.result() for future, _rows in tasks)
-    pv = pvalues_from_counts(b_emp, counts, cfg.n_replicates)
-    paths.pvalues(year).write_text(pvalues_to_text(pv))
-    if cfg.dump_null_summaries:
-        rows = enumerate(row for _future, chunk_rows in tasks for row in chunk_rows)
-        lines = ["replicate,mean,max"] + [f"{k},{mean!r},{top!r}" for k, (mean, top) in rows]
-        paths.null_summary(year).write_text("\n".join(lines) + "\n")
-
-
 def stage_nulls(cfg: RunConfig, paths: RunPaths, workers: int = 1) -> None:
-    """Null replicates of all year pairs, in chunks on one thread pool.
+    """Null replicates of all year pairs, in 8 contiguous chunks of K per worker.
 
-    This thread fits the BiCMs and submits each pair before it waits for and
-    writes the previous one, so at most two pairs are in flight. Fits stay on
-    this thread: arrays allocated on pool threads stay in those threads'
-    malloc arenas, which later stages cannot reuse, and raise the peak RSS.
+    This thread first fits the BiCM of every year that some pair uses; with
+    lag >= 2 a short range can hold a year that no pair uses, and it is not
+    read. Fits stay on this thread: arrays allocated on pool threads stay in
+    those threads' malloc arenas, which later stages cannot reuse, and raise
+    the peak RSS. Each pool task walks every year pair for its chunk of
+    replicates, drawing each (year, k) matrix once, and returns one count
+    matrix per pair. With one chunk per worker, a worker that shares its CPU
+    with another process held the whole stage back, while the other worker
+    idled after its chunk; 8 chunks per worker let the faster one take more.
+    This thread adds each task's counts into the totals in submission order
+    and drops them, so only a few tasks' counts are held at once.
     """
     fields = paths.read_fields()
     regions = paths.read_regions()
+    used = sorted({*cfg.base_years, *(year + cfg.lag for year in cfg.base_years)})
+    fits = {year: fit_bicm(_read_presence(paths, year, regions, fields)) for year in used}
+    pairs = []
+    for year in cfg.base_years:
+        b_emp = assist_from_text(
+            paths.assist(year).read_text(), paths.assist_sidecar(year).read_text()
+        )
+        pairs.append((b_emp, fits[year], fits[year + cfg.lag]))
     k = cfg.n_replicates
-    chunks = [c.tolist() for c in np.array_split(np.arange(k), min(workers * 4, k))]
-    fits, previous = {}, None
+    totals = [np.zeros(b_emp.values.shape, dtype=np.int64) for b_emp, _t, _l in pairs]
+    chunks = [c.tolist() for c in np.array_split(np.arange(k), min(8 * workers, k))]
+    summaries = [[[] for _ in pairs] if cfg.dump_null_summaries else None for _ in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for year in cfg.base_years:
-            for y in (year, year + cfg.lag):
-                if y not in fits:
-                    fits[y] = fit_bicm(_read_presence(paths, y, regions, fields))
-            b_emp = assist_from_text(
-                paths.assist(year).read_text(), paths.assist_sidecar(year).read_text()
-            )
-            pair = (b_emp, fits.pop(year), fits[year + cfg.lag])
-            tasks = []
-            for chunk in chunks:
-                rows = [] if cfg.dump_null_summaries else None
-                future = pool.submit(exceedance_counts, *pair, chunk, cfg.master_seed, rows)
-                tasks.append((future, rows))
-            if previous:
-                _write_pair(cfg, paths, *previous)
-            previous = (year, b_emp, tasks)
-        _write_pair(cfg, paths, *previous)
+        tasks = deque(
+            pool.submit(exceedance_counts, pairs, chunk, cfg.master_seed, rows)
+            for chunk, rows in zip(chunks, summaries)
+        )
+        while tasks:
+            for total, counts in zip(totals, tasks.popleft().result()):
+                total += counts
+    for i, (year, (b_emp, _fit_t, _fit_lag)) in enumerate(zip(cfg.base_years, pairs)):
+        paths.pvalues(year).write_text(pvalues_to_text(pvalues_from_counts(b_emp, totals[i], k)))
+        if cfg.dump_null_summaries:
+            rows = enumerate(row for chunk_rows in summaries for row in chunk_rows[i])
+            lines = ["replicate,mean,max"] + [f"{r},{mean!r},{top!r}" for r, (mean, top) in rows]
+            paths.null_summary(year).write_text("\n".join(lines) + "\n")
 
 
 def stage_filter(cfg: RunConfig, paths: RunPaths) -> None:

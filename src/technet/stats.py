@@ -19,8 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gammaln
-from scipy.stats import chi2
+from scipy.special import gammaincinv, gammaln
 
 from .fdr import TechnologyNetwork
 from .hierarchy import CodeHierarchy, HierarchyError
@@ -277,7 +276,11 @@ def variety_llr(
     if sections is None:
         sections = tuple(f"S{i}" for i in range(len(sizes)))
     df = len(sizes) - 1
-    critical = CHI2_DF7_CRITICAL_5PCT if df == VARIETY_DF else float(chi2.ppf(0.95, df))
+    # 2 * gammaincinv(df / 2, 0.95) is the chi-square 95% quantile, the value
+    # scipy.stats.chi2.ppf computes, without importing scipy.stats
+    critical = (
+        CHI2_DF7_CRITICAL_5PCT if df == VARIETY_DF else float(2.0 * gammaincinv(df / 2, 0.95))
+    )
     total = sum(counts)
     if n is None:
         n = total

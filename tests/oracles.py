@@ -3,8 +3,10 @@
 Every oracle here is implemented by a different route than the package code
 it checks: explicit walk enumeration instead of matrix algebra, boolean matrix
 powers instead of Tarjan, Taylor-series matrix exponentials instead of RK4,
-the quadratic step-up definition instead of the sort-scan, and brute-force
-composition enumeration instead of polynomial convolution.
+the quadratic step-up definition instead of the sort-scan, brute-force
+composition enumeration instead of polynomial convolution, a row-by-row peel
+and a full-matrix fixed point instead of the degree-class BiCM fit, and a plain
+per-pair replicate loop instead of the shared-draw walk over year pairs.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from technet.assist import assist_matrix
+from technet.rca import PresenceMatrix
 
 
 def walk_assist_exact(m1: np.ndarray, m2: np.ndarray) -> list[list[Fraction]]:
@@ -158,3 +163,102 @@ def fnch_loglik_bruteforce(counts: list[int], sizes: list[int], omegas: list[flo
     for c, s, w in zip(counts, sizes, omegas):
         num *= math.comb(s, c) * w ** c
     return math.log(num) - math.log(fnch_normalizer_bruteforce(sizes, omegas, n))
+
+
+def bicm_fit_full_matrix(
+    presence: np.ndarray, tol: float = 1e-8, max_iter: int = 10_000
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BiCM link probabilities and multipliers by iterating on every cell.
+
+    Forced rows and columns are peeled one at a time; the interior fixed point
+    then runs over the full region x field block, one multiplier per row and
+    column, without grouping equal degrees. Returns (p, x, y), with NaN
+    multipliers on forced rows and columns.
+    """
+    presence = np.asarray(presence, dtype=np.float64)
+    n_regions, n_fields = presence.shape
+    p = np.zeros((n_regions, n_fields))
+    active_r = np.ones(n_regions, dtype=bool)
+    active_f = np.ones(n_fields, dtype=bool)
+    row_target = presence.sum(axis=1)
+    col_target = presence.sum(axis=0)
+    changed = True
+    while changed:
+        changed = False
+        n_af = int(active_f.sum())
+        for r in np.nonzero(active_r)[0]:
+            if row_target[r] <= 0:
+                active_r[r] = False
+                changed = True
+            elif row_target[r] >= n_af:
+                p[r, active_f] = 1.0
+                col_target[active_f] -= 1.0
+                active_r[r] = False
+                changed = True
+        n_ar = int(active_r.sum())
+        for f in np.nonzero(active_f)[0]:
+            if col_target[f] <= 0:
+                active_f[f] = False
+                changed = True
+            elif col_target[f] >= n_ar:
+                p[active_r, f] = 1.0
+                row_target[active_r] -= 1.0
+                active_f[f] = False
+                changed = True
+
+    x = np.full(n_regions, np.nan)
+    y = np.full(n_fields, np.nan)
+    ar = np.nonzero(active_r)[0]
+    af = np.nonzero(active_f)[0]
+    if ar.size and af.size:
+        dt = row_target[ar]
+        ut = col_target[af]
+        xs = dt / np.sqrt(dt.sum())
+        ys = ut / np.sqrt(dt.sum())
+        for _ in range(max_iter):
+            xs = dt / (ys[None, :] / (1.0 + np.outer(xs, ys))).sum(axis=1)
+            ys = ut / (xs[:, None] / (1.0 + np.outer(xs, ys))).sum(axis=0)
+            xy = np.outer(xs, ys)
+            block = xy / (1.0 + xy)
+            res = max(np.abs(block.sum(axis=1) - dt).max(), np.abs(block.sum(axis=0) - ut).max())
+            if res <= tol:
+                break
+        else:
+            raise RuntimeError(f"full-matrix BiCM fit did not converge (residual {res:.3e})")
+        p[np.ix_(ar, af)] = block
+        x[ar] = xs
+        y[af] = ys
+    return p, x, y
+
+
+def pvalue_text_by_loop(
+    b_emp, p_base: np.ndarray, p_lag: np.ndarray, lag_year: int,
+    n_replicates: int, master_seed: int,
+) -> str:
+    """P_<year>.csv text of one pair, from a plain loop over the replicates.
+
+    Replicate k draws the base matrix from the (base year, k) stream and the
+    later matrix from the (later year, k) stream, each as uniforms < p over the
+    whole matrix. The null assist values come from `assist_matrix` itself:
+    a null value can tie the empirical one exactly, and which side of the tie
+    it lands on depends on the summation order, so only the draws and the
+    counting take an independent route here.
+    """
+    counts = np.zeros(b_emp.values.shape, dtype=np.int64)
+    for k in range(n_replicates):
+        draws = []
+        for year, p in ((b_emp.base_year, p_base), (lag_year, p_lag)):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(master_seed, spawn_key=(year, k))
+            )
+            presence = (rng.random(p.shape) < p).astype(np.uint8)
+            draws.append(PresenceMatrix(year, b_emp.regions, b_emp.fields, presence))
+        counts += assist_matrix(*draws).values >= b_emp.values
+    inactive = "|".join(f for f, u in zip(b_emp.fields, b_emp.ubiquity) if u == 0)
+    lines = [
+        f"# base_year={b_emp.base_year} replicates={n_replicates} inactive_sources={inactive}",
+        "field," + ",".join(b_emp.fields),
+    ]
+    for code, row in zip(b_emp.fields, counts):
+        lines.append(code + "," + ",".join(str(int(c)) for c in row))
+    return "\n".join(lines) + "\n"

@@ -139,6 +139,14 @@ class TestDecompose:
         assert d.outside == {"N00", "N01", "N02"}
         assert d.pf_support_consistent
 
+    def test_acyclic_network_has_lambda_exactly_zero(self):
+        # without a core the adjacency is nilpotent: the decomposition reports
+        # 0 whatever small residue the power iteration leaves for the check
+        net = net_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        d = decompose(net)
+        assert not d.core and d.lambda1 == 0.0
+        assert d.pf_support_consistent
+
     def test_cycle_tail_outsider_topology_counts(self):
         # 3-cycle core, two catalysed periphery nodes, one outside feeder
         net = net_from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (5, 0)])

@@ -3,13 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from technet.assist import assist_matrix
+from oracles import bicm_fit_full_matrix, pvalue_text_by_loop
+from technet.assist import AssistMatrix, assist_matrix
 from technet.nullmodel import (
+    BicmFitError,
     BicmParameters,
-    empirical_pvalues,
     exceedance_counts,
     fit_bicm,
-    null_assist_ensemble,
     null_assist_replicate,
     pvalues_from_counts,
     pvalues_from_text,
@@ -56,6 +56,44 @@ class TestFitBicm:
     def test_max_iter_validation(self):
         with pytest.raises(ValueError):
             fit_bicm(make_m(np.eye(2)), max_iter=0)
+
+    @staticmethod
+    def _assert_matches_oracle(pres, tol=1e-9):
+        params = fit_bicm(make_m(pres), tol=tol)
+        p, x, y = bicm_fit_full_matrix(pres, tol=tol)
+        assert np.abs(params.link_probability - p).max() <= 1e-12
+        assert np.array_equal(np.isnan(params.x), np.isnan(x))
+        assert np.array_equal(np.isnan(params.y), np.isnan(y))
+
+    def test_degree_classes_match_full_matrix_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            shape = (int(rng.integers(2, 60)), int(rng.integers(2, 20)))
+            pres = (rng.random(shape) < rng.uniform(0.05, 0.7)).astype(np.uint8)
+            self._assert_matches_oracle(pres)
+
+    def test_forced_rows_and_columns_match_oracle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(25):
+            pres = (rng.random((int(rng.integers(4, 30)), int(rng.integers(4, 12)))) < 0.4)
+            pres = pres.astype(np.uint8)
+            pres[rng.integers(0, pres.shape[0], 2)] = 1  # saturated rows
+            pres[rng.integers(0, pres.shape[0])] = 0  # an empty row
+            pres[:, rng.integers(0, pres.shape[1])] = 1  # a saturated column
+            pres[:, rng.integers(0, pres.shape[1])] = 0  # an empty column
+            self._assert_matches_oracle(pres)
+
+    def test_all_zero_and_saturated_match_oracle(self):
+        for pres in (np.zeros((5, 4)), np.ones((5, 4)), np.ones((1, 6)), np.zeros((6, 1))):
+            self._assert_matches_oracle(pres.astype(np.uint8))
+        # peeling cascades: the saturated row forces column 0, then row 1 is empty
+        self._assert_matches_oracle(np.array([[1, 1, 1], [1, 0, 0], [1, 1, 0]], dtype=np.uint8))
+
+    def test_non_convergence_raises(self):
+        pres = (np.random.default_rng(13).random((30, 10)) < 0.3).astype(np.uint8)
+        with pytest.raises(BicmFitError) as err:
+            fit_bicm(make_m(pres), max_iter=2)
+        assert err.value.iterations == 2 and err.value.residual > 1e-8
 
 
 class TestSampling:
@@ -107,9 +145,19 @@ class TestEnsemble:
     def test_ensemble_size_and_validation(self):
         pres = (np.random.default_rng(2).random((4, 3)) < 0.5).astype(np.uint8)
         params = fit_bicm(make_m(pres))
-        assert len(list(null_assist_ensemble(params, params, 5, 0))) == 5
+        params_lag = fit_bicm(make_m(pres, year=1999))
+        b_emp = assist_matrix(make_m(pres), make_m(pres, year=1999))
+        (counts,) = exceedance_counts([(b_emp, params, params_lag)], range(5), 0)
+        assert pvalues_from_counts(b_emp, counts, 5).n_replicates == 5
+        assert counts.min() >= 0 and counts.max() <= 5
+        (no_counts,) = exceedance_counts([(b_emp, params, params_lag)], [], 0)
         with pytest.raises(ValueError):
-            list(null_assist_ensemble(params, params, 0, 0))
+            pvalues_from_counts(b_emp, no_counts, 0)
+        # draws are keyed by (year, k): a pair over one year would reuse one draw
+        with pytest.raises(ValueError):
+            null_assist_replicate(params, params, 0, 0)
+        with pytest.raises(ValueError):
+            exceedance_counts([(b_emp, params, params)], range(5), 0)
 
     def test_ensemble_mean_matches_exhaustive_enumeration_uniform_p(self):
         # 4x4 toy at uniform p: expectation over all weighted configurations.
@@ -133,60 +181,80 @@ class TestEnsemble:
         cell_factor = float((row_weights * row_patterns[:, 0] * inv_d).sum())
         expected = row_factor[:, None] * cell_factor * np.ones((F, F))
 
-        params = BicmParameters(
-            year=1998, regions=tuple(f"r{i}" for i in range(R)),
-            fields=tuple(f"f{i}" for i in range(F)),
-            x=np.ones(R), y=np.ones(F),
-            link_probability=np.full((R, F), p), residual=0.0,
+        params, params_lag = (
+            BicmParameters(
+                year=year, regions=tuple(f"r{i}" for i in range(R)),
+                fields=tuple(f"f{i}" for i in range(F)),
+                x=np.ones(R), y=np.ones(F),
+                link_probability=np.full((R, F), p), residual=0.0,
+            )
+            for year in (1998, 1999)
         )
         k = 3000
         total = np.zeros((F, F))
-        for b in null_assist_ensemble(params, params, k, master_seed=21):
-            total += b.values
+        for rep in range(k):
+            total += null_assist_replicate(params, params_lag, master_seed=21, replicate=rep).values
         mean = total / k
         # B entries live in [0, 1]; 4 sigma of a bounded mean is ~4*0.5/sqrt(k)
         assert np.abs(mean - expected).max() < 4 * 0.5 / np.sqrt(k)
 
 
 class TestEmpiricalPvalues:
-    def _pair(self, emp_values):
-        fields = tuple(f"f{i}" for i in range(emp_values.shape[0]))
-        from technet.assist import AssistMatrix
+    # A 5 x 3 pair whose empirical values are set by each test; the null values
+    # are draws of its fitted BiCMs and lie in [0, 1].
+    _PRES = np.array(
+        [[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=np.uint8
+    )
 
-        return AssistMatrix(
-            base_year=1998, lag=1, regions=("r0",), fields=fields,
-            values=emp_values,
-            diversification=np.array([1]),
-            ubiquity=np.ones(len(fields), dtype=np.int64),
+    def _pair(self, emp_values, base=_PRES):
+        params_t = fit_bicm(make_m(base, year=1998))
+        params_lag = fit_bicm(make_m(self._PRES[::-1], year=1999))
+        b_emp = AssistMatrix(
+            base_year=1998, lag=1, regions=params_t.regions, fields=params_t.fields,
+            values=np.broadcast_to(np.asarray(emp_values, dtype=np.float64), (3, 3)).copy(),
+            diversification=np.ones(5, dtype=np.int64),
+            ubiquity=np.ones(3, dtype=np.int64),
         )
+        return b_emp, params_t, params_lag
 
-    def _null(self, values):
-        return self._pair(values)
+    def _pvalues(self, pair, n_replicates, seed=5):
+        (counts,) = exceedance_counts([pair], range(n_replicates), seed)
+        return pvalues_from_counts(pair[0], counts, n_replicates)
+
+    def _null_values(self, pair, n_replicates, seed=5):
+        return [null_assist_replicate(*pair[1:], seed, k).values for k in range(n_replicates)]
 
     def test_extreme_rank_gets_floor(self):
-        emp = self._pair(np.array([[0.9]]))
-        nulls = [self._null(np.array([[v]])) for v in (0.1, 0.2, 0.3)]
-        pv = empirical_pvalues(emp, nulls)
+        pv = self._pvalues(self._pair(2.0), 3)  # above every null value
         assert pv.pvalues[0, 0] == 1 / 4
 
     def test_all_zero_ties_give_one(self):
-        emp = self._pair(np.array([[0.0]]))
-        nulls = [self._null(np.array([[0.0]]))] * 5
-        pv = empirical_pvalues(emp, nulls)
-        assert pv.pvalues[0, 0] == 1.0
+        # f0 is absent from the base year, so its fitted ubiquity is 0 and its
+        # null row is exactly 0 in every draw: each null value ties the
+        # empirical 0 there and must count as an exceedance
+        base = self._PRES.copy()
+        base[:, 0] = 0
+        pair = self._pair(0.0, base)
+        assert (np.array(self._null_values(pair, 5))[:, 0, :] == 0.0).all()
+        pv = self._pvalues(pair, 5)
+        assert (pv.pvalues[0] == 1.0).all()
 
     def test_hand_counted_example(self):
-        # K=4, null {0.1, 0.2, 0.3, 0.4}, empirical 0.25 -> (1+2)/5
-        emp = self._pair(np.array([[0.25]]))
-        nulls = [self._null(np.array([[v]])) for v in (0.1, 0.2, 0.3, 0.4)]
-        pv = empirical_pvalues(emp, nulls)
-        assert pv.pvalues[0, 0] == 0.6
+        # K=4 distinct null values at one cell, empirical between the 2nd and
+        # 3rd smallest -> 2 exceedances -> (1+2)/5
+        pair = self._pair(0.0)
+        nulls = np.array(self._null_values(pair, 4))
+        cell = next(
+            (i, j) for i in range(3) for j in range(3) if len(set(nulls[:, i, j])) == 4
+        )
+        low, high = np.sort(nulls[(slice(None), *cell)])[1:3]
+        pair[0].values[cell] = (low + high) / 2
+        pv = self._pvalues(pair, 4)
+        assert pv.pvalues[cell] == 0.6
 
     def test_pvalues_are_addone_multiples(self):
         rng = np.random.default_rng(3)
-        emp = self._pair(rng.random((3, 3)))
-        nulls = [self._null(rng.random((3, 3))) for _ in range(7)]
-        pv = empirical_pvalues(emp, nulls)
+        pv = self._pvalues(self._pair(rng.random((3, 3)) * 0.5), 7)
         k = pv.n_replicates
         assert k == 7
         scaled = pv.pvalues * (k + 1)
@@ -195,20 +263,76 @@ class TestEmpiricalPvalues:
         assert pv.pvalues.max() <= 1.0
 
     def test_empty_ensemble_is_error(self):
+        pair = self._pair(0.0)
+        (counts,) = exceedance_counts([pair], [], 5)
         with pytest.raises(ValueError):
-            empirical_pvalues(self._pair(np.zeros((2, 2))), [])
+            pvalues_from_counts(pair[0], counts, 0)
 
     def test_chunked_counts_equal_streamed(self):
         pres = (np.random.default_rng(4).random((8, 6)) < 0.4).astype(np.uint8)
         params_t = fit_bicm(make_m(pres, year=1998))
         params_lag = fit_bicm(make_m(pres[::-1], year=1999))
         b_emp = assist_matrix(make_m(pres, year=1998), make_m(pres[::-1], year=1999))
-        full = exceedance_counts(b_emp, params_t, params_lag, range(40), 77)
+        pair = (b_emp, params_t, params_lag)
+        (full,) = exceedance_counts([pair], range(40), 77)
         chunked = sum(
-            exceedance_counts(b_emp, params_t, params_lag, chunk, 77)
+            exceedance_counts([pair], chunk, 77)[0]
             for chunk in ([0, 1, 2], range(3, 17), range(17, 40))
         )
         assert np.array_equal(full, chunked)
+
+    @pytest.mark.parametrize("lag", [1, 2])
+    def test_walk_over_pairs_equals_per_pair_reference(self, lag):
+        rng = np.random.default_rng(30 + lag)
+        years = range(1990, 1995 + lag)
+        ms = {y: make_m((rng.random((20, 7)) < 0.35).astype(np.uint8), year=y) for y in years}
+        fits = {y: fit_bicm(m) for y, m in ms.items()}
+        pairs = [
+            (assist_matrix(ms[y], ms[y + lag]), fits[y], fits[y + lag]) for y in range(1990, 1995)
+        ]
+        summaries = [[] for _ in pairs]
+        walked = exceedance_counts(pairs, range(30), 8, summaries)
+        chunks = (range(11), range(11, 30))
+        chunked = [sum(parts) for parts in zip(*(exceedance_counts(pairs, c, 8) for c in chunks))]
+        for pair, counts, rows, part_sum in zip(pairs, walked, summaries, chunked):
+            nulls = [null_assist_replicate(*pair[1:], 8, k).values for k in range(30)]
+            expected = sum((v >= pair[0].values).astype(np.int64) for v in nulls)
+            assert np.array_equal(counts, expected)
+            assert rows == [(float(v.mean()), float(v.max())) for v in nulls]
+            assert np.array_equal(counts, part_sum)
+            assert np.array_equal(counts, exceedance_counts([pair], range(30), 8)[0])
+
+    def test_walk_draws_each_year_once_per_replicate(self, monkeypatch):
+        import technet.nullmodel as nullmodel
+
+        drawn = []
+
+        def counted(params, rng):
+            drawn.append(params.year)
+            return sample_null_matrix(params, rng)
+
+        monkeypatch.setattr(nullmodel, "sample_null_matrix", counted)
+        rng = np.random.default_rng(40)
+        ms = {
+            y: make_m((rng.random((10, 5)) < 0.4).astype(np.uint8), year=y)
+            for y in range(2000, 2004)
+        }
+        fits = {y: fit_bicm(m) for y, m in ms.items()}
+        pairs = [(assist_matrix(ms[y], ms[y + 1]), fits[y], fits[y + 1]) for y in range(2000, 2003)]
+        exceedance_counts(pairs, range(6), 1)
+        assert sorted(drawn) == sorted(list(range(2000, 2004)) * 6)
+
+    def test_inconsistent_pairs_are_rejected(self):
+        rng = np.random.default_rng(41)
+        m_a, m_b = (
+            make_m((rng.random((6, 4)) < 0.5).astype(np.uint8), year=y) for y in (1998, 1999)
+        )
+        b_emp = assist_matrix(m_a, m_b)
+        fit_a, fit_b = fit_bicm(m_a), fit_bicm(m_b)
+        with pytest.raises(ValueError):  # a second parameter set for 1999
+            exceedance_counts([(b_emp, fit_a, fit_b), (b_emp, fit_a, fit_bicm(m_b))], range(2), 0)
+        with pytest.raises(ValueError):  # empirical matrix of another base year
+            exceedance_counts([(b_emp, fit_b, fit_a)], range(2), 0)
 
     def test_null_calibration_is_conservative(self):
         # p-values of null-drawn "empirical" matrices dominate the uniform law
@@ -218,8 +342,8 @@ class TestEmpiricalPvalues:
         collected = []
         for rep in range(30):
             emp = null_assist_replicate(params_t, params_lag, master_seed=123_000, replicate=rep)
-            nulls = null_assist_ensemble(params_t, params_lag, 99, master_seed=rep + 1)
-            pv = empirical_pvalues(emp, nulls)
+            (counts,) = exceedance_counts([(emp, params_t, params_lag)], range(99), rep + 1)
+            pv = pvalues_from_counts(emp, counts, 99)
             collected.extend(pv.pvalues[pv.source_active].ravel().tolist())
         collected = np.array(collected)
         for x in (0.05, 0.1, 0.25, 0.5):
@@ -227,9 +351,7 @@ class TestEmpiricalPvalues:
 
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(4)
-        emp = self._pair(rng.random((3, 3)))
-        nulls = [self._null(rng.random((3, 3))) for _ in range(9)]
-        pv = empirical_pvalues(emp, nulls)
+        pv = self._pvalues(self._pair(rng.random((3, 3)) * 0.5), 9)
         again = pvalues_from_text(pvalues_to_text(pv))
         assert np.array_equal(again.exceed_counts, pv.exceed_counts)
         assert np.array_equal(again.pvalues, pv.pvalues)
@@ -238,10 +360,12 @@ class TestEmpiricalPvalues:
 
 
 class TestPinnedNullBytes:
-    # sha256 of the P_<year>.csv text for this fixed pair, recorded before the
-    # null loop dropped its per-replicate copies; any change to sampling, the
-    # assist GEMM or the reduction that moves a single count changes it.
-    GOLDEN_SHA256 = "bf039497d3dcb25fb228164ba6d915bbdd2b1f5f7d5f884e692724b41b587883"
+    # sha256 of the P_<year>.csv text for this fixed pair, derived from the
+    # plain replicate loop of oracles.pvalue_text_by_loop (replicate k draws
+    # year 1998 from the (1998, k) stream and year 1999 from the (1999, k)
+    # stream); any change to sampling, the assist GEMM or the reduction that
+    # moves a single count changes it.
+    GOLDEN_SHA256 = "e6b4fa44adba7cbf61082b09267947904941c59f554e409c19878fd296297d2f"
 
     def _pair(self):
         rng = np.random.default_rng(2024)
@@ -252,26 +376,26 @@ class TestPinnedNullBytes:
         return assist_matrix(m_t, m_lag), fit_bicm(m_t), fit_bicm(m_lag)
 
     def test_chunked_counts_match_golden_hash(self):
-        b_emp, params_t, params_lag = self._pair()
+        pair = self._pair()
         counts = sum(
-            exceedance_counts(b_emp, params_t, params_lag, chunk, 11)
-            for chunk in (range(0, 10), range(10, 37))
+            exceedance_counts([pair], chunk, 11)[0] for chunk in (range(0, 10), range(10, 37))
         )
-        text = pvalues_to_text(pvalues_from_counts(b_emp, counts, 37))
+        text = pvalues_to_text(pvalues_from_counts(pair[0], counts, 37))
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_SHA256
 
     def test_streamed_ensemble_matches_golden_hash(self):
         b_emp, params_t, params_lag = self._pair()
-        pv = empirical_pvalues(b_emp, null_assist_ensemble(params_t, params_lag, 37, 11))
-        text = pvalues_to_text(pv)
+        text = pvalue_text_by_loop(
+            b_emp, params_t.link_probability, params_lag.link_probability, 1999, 37, 11
+        )
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_SHA256
 
     def test_summaries_come_from_the_counted_replicates(self):
-        b_emp, params_t, params_lag = self._pair()
-        summaries: list = []
-        exceedance_counts(b_emp, params_t, params_lag, range(5, 9), 11, summaries)
+        pair = self._pair()
+        summaries: list = [[]]
+        exceedance_counts([pair], range(5, 9), 11, summaries)
         expected = [
             (float(b.values.mean()), float(b.values.max()))
-            for b in (null_assist_replicate(params_t, params_lag, 11, k) for k in range(5, 9))
+            for b in (null_assist_replicate(*pair[1:], 11, k) for k in range(5, 9))
         ]
-        assert summaries == expected
+        assert summaries == [expected]

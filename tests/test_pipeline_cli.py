@@ -3,9 +3,11 @@ import json
 
 import pytest
 
-from technet import pipeline
+from oracles import pvalue_text_by_loop
+from technet import nullmodel, pipeline
+from technet.assist import assist_from_text
 from technet.cli import main
-from technet.nullmodel import BicmFitError
+from technet.nullmodel import BicmFitError, fit_bicm
 from technet.pipeline import (
     ConfigError,
     PipelineError,
@@ -161,8 +163,8 @@ class TestRunPipeline:
         assert len(summary) == 9
 
     def test_null_artifacts_identical_across_worker_counts(self, synth_inputs, tmp_path):
-        # K=37 splits unevenly into 4 chunks per worker, and the 5 year pairs
-        # overlap on the shared pool
+        # K=37 splits unevenly into 8 chunks per worker, and each chunk walks
+        # all 5 year pairs
         null_bytes = []
         for workers in (1, 2, 3):
             out = tmp_path / f"w{workers}"
@@ -188,6 +190,88 @@ class TestRunPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failed"]["stage"] == "nulls"
 
+    def test_each_year_is_drawn_once_per_replicate(self, synth_inputs, tmp_path, monkeypatch):
+        drawn = []
+        sample = nullmodel.sample_null_matrix
+
+        def counted(params, rng):
+            drawn.append((params.year, rng))
+            return sample(params, rng)
+
+        monkeypatch.setattr(nullmodel, "sample_null_matrix", counted)
+        cfg = run_config(synth_inputs, tmp_path / "run", n_replicates=7)
+        run_pipeline(cfg, workers=2)
+        assert sorted(year for year, _rng in drawn) == sorted(cfg.years * 7)
+
+    def test_replicates_run_in_eight_chunks_per_worker(self, synth_inputs, tmp_path, monkeypatch):
+        # many small tasks let a worker that is not slowed take over the rest
+        chunks = []
+        counts = pipeline.exceedance_counts
+
+        def recorded(pairs, replicates, *args):
+            chunks.append(list(replicates))
+            return counts(pairs, replicates, *args)
+
+        monkeypatch.setattr(pipeline, "exceedance_counts", recorded)
+        run_pipeline(run_config(synth_inputs, tmp_path / "run", n_replicates=37), workers=2)
+        assert sorted(map(len, chunks)) == [2] * 11 + [3] * 5
+        assert all(chunk == list(range(chunk[0], chunk[0] + len(chunk))) for chunk in chunks)
+        assert sorted(k for chunk in chunks for k in chunk) == list(range(37))
+
+    def test_year_in_no_pair_is_neither_fitted_nor_drawn(
+        self, synth_inputs, tmp_path, monkeypatch
+    ):
+        # lag 2 over 1991-1993: the one pair is (1991, 1993), so 1992 is unused
+        fitted, drawn = [], []
+        fit, sample = pipeline.fit_bicm, nullmodel.sample_null_matrix
+
+        def counted_fit(m, *args, **kwargs):
+            fitted.append(m.year)
+            return fit(m, *args, **kwargs)
+
+        def counted_sample(params, rng):
+            drawn.append(params.year)
+            return sample(params, rng)
+
+        monkeypatch.setattr(pipeline, "fit_bicm", counted_fit)
+        monkeypatch.setattr(nullmodel, "sample_null_matrix", counted_sample)
+        out = tmp_path / "run"
+        cfg = run_config(synth_inputs, out, year_max=1993, lag=2, n_replicates=6)
+        run_pipeline(cfg, workers=2)
+        assert sorted(fitted) == [1991, 1993]
+        assert sorted(drawn) == [1991] * 6 + [1993] * 6
+        paths = RunPaths(out)
+        regions, fields = paths.read_regions(), paths.read_fields()
+        p_t, p_lag = (
+            fit(pipeline._read_presence(paths, year, regions, fields)).link_probability
+            for year in (1991, 1993)
+        )
+        b_emp = assist_from_text(
+            paths.assist(1991).read_text(), paths.assist_sidecar(1991).read_text()
+        )
+        expected = pvalue_text_by_loop(b_emp, p_t, p_lag, 1993, 6, cfg.master_seed)
+        assert paths.pvalues(1991).read_text() == expected
+
+    def test_pvalues_equal_the_replicate_loop_oracle(self, synth_inputs, tmp_path):
+        out = tmp_path / "run"
+        cfg = run_config(synth_inputs, out)
+        run_pipeline(cfg, workers=2)
+        paths = RunPaths(out)
+        regions, fields = paths.read_regions(), paths.read_fields()
+        fits = {
+            year: fit_bicm(pipeline._read_presence(paths, year, regions, fields))
+            for year in cfg.years
+        }
+        for year in cfg.base_years:
+            b_emp = assist_from_text(
+                paths.assist(year).read_text(), paths.assist_sidecar(year).read_text()
+            )
+            expected = pvalue_text_by_loop(
+                b_emp, fits[year].link_probability, fits[year + 1].link_probability,
+                year + 1, cfg.n_replicates, cfg.master_seed,
+            )
+            assert paths.pvalues(year).read_text() == expected
+
     def test_addone_basis_runs(self, synth_inputs, tmp_path):
         out = tmp_path / "addone"
         cfg = run_config(synth_inputs, out, significance_basis="addone")
@@ -195,30 +279,32 @@ class TestRunPipeline:
         assert manifest["config"]["significance_basis"] == "addone"
 
 
-# sha256 of every acs/ and stats/ artifact of run_config(synth_inputs, ...),
-# recorded when the stats stage still parsed the events and decomposed each
-# network itself
+# sha256 of every acs/ and stats/ artifact of run_config(synth_inputs, ...).
+# Derived, not just re-recorded, when each null draw became keyed by its own
+# (year, k): the run's pvalues/ equal the replicate-loop oracle (see
+# test_pvalues_equal_the_replicate_loop_oracle), and the acs and stats stages
+# of the commit before that change give these same bytes on the new networks.
 ACS_STATS_SHA256 = {
-    "acs/labels_1991.csv": "bcf53e923e6a22d6980db7a6a0e0e647ae8997a9d69e55746fa8af1ba7a73a9c",
-    "acs/labels_1992.csv": "6c3adfcfc15878e7901ce919c515305e579b0a37d570cd562ee52c6bf3059e66",
-    "acs/labels_1993.csv": "8cdeea00666bb20c9bcc4a0ada00b1f9b4fad7ba2fc236f1cb3136fbe5520f7e",
+    "acs/labels_1991.csv": "f956a4b2e15fae8b044df10a01d22f779b813fe2fdb582a9b185f42b1f8a438d",
+    "acs/labels_1992.csv": "e2eb6d39d647ef652f6b9af53e6d8f890c9f903e1f31c869c6dd242a9bbcba74",
+    "acs/labels_1993.csv": "6d2f8215e2f8704ec61d42e5f60259a7e63f4cdf5356dab5f5939b560526bf2a",
     "acs/labels_1994.csv": "360d65a03946cae23f814bd57077bc03555fcf11e35379b5d831bc18db958435",
-    "acs/labels_1995.csv": "3a6da41bec46b30a546795f981baefe094590c19e367f2bb85199304bacbba14",
-    "acs/summary.csv": "784d6335bf7256af5da41381c4fd3197e37a097989028840785a30badea93aed",
-    "stats/adjacency_1991.csv": "f2089119976e4811ee44e6170501214adc1c1b838f86e768a79f083b27872cc2",
+    "acs/labels_1995.csv": "7e9cc581ebd5f764789e22f2e12726a114f08175764cb640463e94a634e6b572",
+    "acs/summary.csv": "8240cf51b0fb0a9551f0b5c346ef7b7d134d0b758bacce5a31bf28b13536ecd8",
+    "stats/adjacency_1991.csv": "f43529cc79a7d9c09a96caa0e47868d628632a3a78f7c8334d6db5695b41627e",
     "stats/adjacency_1991.sections.csv": "b2ab5d5eeaa67338639bc943313c7c7a07d19a971a34d6d321d2ce75d7236ea0",
-    "stats/adjacency_1992.csv": "42402809eb076ca82e6f9351150eac996ff476bdf484160e58ac5cdecad5393c",
+    "stats/adjacency_1992.csv": "ba7707d5edbd83dfc35a457945224c098d1d0802a5540ad5bba2f7cf59327b96",
     "stats/adjacency_1992.sections.csv": "b2ab5d5eeaa67338639bc943313c7c7a07d19a971a34d6d321d2ce75d7236ea0",
-    "stats/adjacency_1993.csv": "29711a9e9e6f0eadcd12627a4d86d199b322f645734e8c03f6a5760bffde16d9",
+    "stats/adjacency_1993.csv": "703d375d1fd73b5f1187bd76ff26e31ac4c9551bae5fa28e253ef7dc91a26ce6",
     "stats/adjacency_1993.sections.csv": "b2ab5d5eeaa67338639bc943313c7c7a07d19a971a34d6d321d2ce75d7236ea0",
-    "stats/adjacency_1994.csv": "1659d2a4c346899d59814df0bdf9ac9073efecfba95a35f66daa95dfc44d9361",
+    "stats/adjacency_1994.csv": "53db9a27f13cbed4c00b52a985f441795687499f57548f0c89f458976b19894c",
     "stats/adjacency_1994.sections.csv": "b2ab5d5eeaa67338639bc943313c7c7a07d19a971a34d6d321d2ce75d7236ea0",
-    "stats/adjacency_1995.csv": "15ffe275f935e539b62355a9c24683b29e8cbef53ed67b74743af2a94894a83e",
+    "stats/adjacency_1995.csv": "92d1835265e671aa8c2ae0d3e02bbc7ae8f2a197fa847841bc8b96d0418847a4",
     "stats/adjacency_1995.sections.csv": "b2ab5d5eeaa67338639bc943313c7c7a07d19a971a34d6d321d2ce75d7236ea0",
-    "stats/fitness.csv": "e9529de45035976f1c9d4b4f6a1b7ba862488256e36eddb5be6c4ed1e2aaf05c",
-    "stats/mixing.csv": "a19d1f3e051dc7c03088903df017ea948840628d557f4a53f16b9a273b91e4cb",
-    "stats/occupancy.csv": "039dbb2c9ee614aa4c808a76b76fe9c8fec0ecd7df093c4536be76b2cbfcfc27",
-    "stats/variety.csv": "736c187944822f8036f8e4f7522335e733cd47bf8c9d566fe88feb194f6fde2a",
+    "stats/fitness.csv": "339a80d50d1a5ba3fa3c6a1f24d8e5083d802ae3ed9b941e0cb7a286200773eb",
+    "stats/mixing.csv": "4a8763c28e7af107f2e55090e0698e8033e731d67101bceeebb1326221fc5b99",
+    "stats/occupancy.csv": "b2943b49f0da037b9dc043d9ed9566f62c83c49fb85acfe4715f77cab28dc1cf",
+    "stats/variety.csv": "d625223f11c72c79e5feb24407f044b18c63b965aeffe118ecf45ed68d352a17",
 }
 
 

@@ -20,9 +20,11 @@ nothing back, carry positive weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from . import artifacts
 from .fdr import TechnologyNetwork
 
 LAMBDA_POSITIVE_TOL = 1e-8
@@ -236,10 +238,12 @@ def pf_eigen(
 ) -> tuple[float, np.ndarray]:
     """Leading eigenvalue and receiver-side eigenvector of the adjacency matrix.
 
-    Power iteration on (C^T + I) from a uniform start, accelerated by repeated
-    matrix squaring so that acyclic (nilpotent) and defective cases, whose
-    plain iteration converges only like 1/k, stabilize as well. The +I shift
-    removes periodicity; the eigenvalue of C is the converged value minus one.
+    An acyclic (nilpotent) adjacency gives 0 and the uniform vector at once;
+    from 21 path nodes on, its squarings below underflow to all zeros. Else,
+    power iteration on (C^T + I) from a uniform start, accelerated by repeated
+    matrix squaring so that defective cases, whose plain iteration converges
+    only like 1/k, stabilize as well. The +I shift removes periodicity; the
+    eigenvalue of C is the converged value minus one.
 
     Convergence uses the Collatz-Wielandt bracket: for a nonnegative matrix A
     and positive vector v, min_i (Av)_i / v_i and max_i (Av)_i / v_i enclose
@@ -252,8 +256,10 @@ def pf_eigen(
     n = len(net.fields)
     if n == 0:
         return 0.0, np.zeros(0)
-    shifted = net.adjacency.T.astype(np.float64) + np.eye(n)
     start = np.full(n, 1.0 / n)
+    if not _core_components(net):
+        return 0.0, start
+    shifted = net.adjacency.T.astype(np.float64) + np.eye(n)
 
     power = shifted / shifted.max()
     width = np.inf
@@ -283,9 +289,9 @@ def decompose(net: TechnologyNetwork) -> AcsDecomposition:
     acs_list = tuple(split_distinct_acs(net, core, periphery))
     pf_lambda, pf_vector = pf_eigen(net)
 
-    # An empty core means no cycle, so the adjacency is nilpotent and lambda1
-    # is exactly 0; the power iteration's small positive residue only serves
-    # the consistency cross-check.
+    # Without a core the adjacency is nilpotent: pf_eigen gives exactly 0 and
+    # there is no support to check.
+    consistent = True
     if core:
         support = {
             net.fields[i]
@@ -293,10 +299,6 @@ def decompose(net: TechnologyNetwork) -> AcsDecomposition:
         }
         dominant_nodes = acs_list[0].nodes if acs_list else frozenset()
         consistent = pf_lambda > LAMBDA_POSITIVE_TOL and support <= dominant_nodes
-        lambda1 = pf_lambda
-    else:
-        consistent = pf_lambda <= LAMBDA_POSITIVE_TOL
-        lambda1 = 0.0
     return AcsDecomposition(
         year=net.year,
         fields=net.fields,
@@ -304,16 +306,15 @@ def decompose(net: TechnologyNetwork) -> AcsDecomposition:
         periphery=periphery,
         outside=outside,
         acs_list=acs_list,
-        lambda1=lambda1,
+        lambda1=pf_lambda,
         pf_vector=pf_vector,
         pf_support_consistent=consistent,
     )
 
 
 def decomposition_to_text(d: AcsDecomposition) -> str:
-    """Per-field labels: 'year,field,label' with label in {core, periphery, outside}."""
-    lines = [f"{d.year},{code},{d.label_of(code)}" for code in d.fields]
-    return "\n".join(lines) + "\n"
+    """Year-keyed 'year,field,label' rows, label in {core, periphery, outside}, field order."""
+    return artifacts.year_rows_to_text(d.year, ((code, d.label_of(code)) for code in d.fields))
 
 
 def decomposition_summary_line(d: AcsDecomposition) -> str:
@@ -324,17 +325,11 @@ def decomposition_summary_line(d: AcsDecomposition) -> str:
     )
 
 
-def decomposition_from_text(text: str, *, year: int | None = None) -> dict[str, str]:
-    """Parse a labels file back into a field -> label mapping."""
-    labels: dict[str, str] = {}
-    for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        y, code, label = raw.split(",")
-        y_int = int(y)
-        if year is None:
-            year = y_int
-        elif y_int != year:
-            raise ValueError(f"mixed years {year} and {y_int} in labels text")
-        labels[code] = label
-    return labels
+def decomposition_from_text(
+    text: str, fields: Sequence[str], *, year: int | None = None
+) -> dict[str, str]:
+    """Parse a labels file, one row per field in `fields` order, into field -> label."""
+    _year, rows = artifacts.year_rows_from_text(text, 2, year=year)
+    if [code for code, _label in rows] != list(fields):
+        raise ValueError("labels are not over the given fields in their order")
+    return dict(rows)

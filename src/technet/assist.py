@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .rca import PresenceMatrix
 
 
@@ -89,63 +90,34 @@ def assist_matrix(m_t: PresenceMatrix, m_t_lag: PresenceMatrix) -> AssistMatrix:
 
 
 def assist_to_text(a: AssistMatrix) -> str:
-    """Dense matrix text: field-index header row, then one row per source field."""
-    header = "field," + ",".join(a.fields)
-    lines = [header]
-    for fi, code in enumerate(a.fields):
-        lines.append(code + "," + ",".join(repr(v) for v in a.values[fi].tolist()))
-    return "\n".join(lines) + "\n"
+    """Labelled dense matrix: field header row, then one row per source field."""
+    return artifacts.dense_to_text(a.fields, a.values)
 
 
 def assist_sidecar_text(a: AssistMatrix) -> str:
     """Sidecar with the diversification and ubiquity vectors."""
-    lines = [f"base_year,{a.base_year}", f"lag,{a.lag}"]
-    for ri, region in enumerate(a.regions):
-        lines.append(f"d,{region},{int(a.diversification[ri])}")
-    for fi, code in enumerate(a.fields):
-        lines.append(f"u,{code},{int(a.ubiquity[fi])}")
-    return "\n".join(lines) + "\n"
+    return artifacts.rows_to_text([
+        ("base_year", a.base_year), ("lag", a.lag),
+        *(("d", region, d) for region, d in zip(a.regions, a.diversification.tolist())),
+        *(("u", code, u) for code, u in zip(a.fields, a.ubiquity.tolist())),
+    ])
 
 
 def assist_from_text(text: str, sidecar: str) -> AssistMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise AssistError("empty assist matrix text")
-    fields = tuple(lines[0].split(",")[1:])
-    n = len(fields)
-    values = np.zeros((n, n), dtype=np.float64)
-    for fi, raw in enumerate(lines[1:]):
-        cells = raw.split(",")
-        if cells[0] != fields[fi]:
-            raise AssistError(f"row order mismatch at {cells[0]!r}")
-        values[fi] = [float(c) for c in cells[1:]]
-
-    base_year = lag = None
-    regions: list[str] = []
-    d_vals: list[int] = []
-    u_map: dict[str, int] = {}
-    for raw in sidecar.splitlines():
-        if not raw.strip():
-            continue
-        cells = raw.split(",")
-        if cells[0] == "base_year":
-            base_year = int(cells[1])
-        elif cells[0] == "lag":
-            lag = int(cells[1])
-        elif cells[0] == "d":
-            regions.append(cells[1])
-            d_vals.append(int(cells[2]))
-        elif cells[0] == "u":
-            u_map[cells[1]] = int(cells[2])
-    if base_year is None or lag is None:
-        raise AssistError("sidecar missing base_year or lag")
-    ubiq = np.array([u_map[f] for f in fields], dtype=np.int64)
+    _meta, fields, values = artifacts.dense_from_text(text, float, AssistError)
+    rows = artifacts.tagged_rows(sidecar, {"base_year": 1, "lag": 1, "d": 2, "u": 2}, AssistError)
+    try:
+        [[base_year]], [[lag]] = rows["base_year"], rows["lag"]
+    except ValueError:
+        raise AssistError("sidecar needs one base_year and one lag row") from None
+    if [code for code, _u in rows["u"]] != list(fields):
+        raise AssistError("sidecar ubiquity rows are not over the matrix fields in order")
     return AssistMatrix(
-        base_year=base_year,
-        lag=lag,
-        regions=tuple(regions),
+        base_year=int(base_year),
+        lag=int(lag),
+        regions=tuple(region for region, _d in rows["d"]),
         fields=fields,
         values=values,
-        diversification=np.array(d_vals, dtype=np.int64),
-        ubiquity=ubiq,
+        diversification=np.array([int(d) for _r, d in rows["d"]], dtype=np.int64),
+        ubiquity=np.array([int(u) for _f, u in rows["u"]], dtype=np.int64),
     )

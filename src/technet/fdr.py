@@ -22,6 +22,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from . import artifacts
 from .nullmodel import PvalueMatrix
 
 SIGNIFICANCE_BASES = ("percentile", "addone")
@@ -110,29 +111,15 @@ def build_adjacency(
 
 
 def network_to_text(net: TechnologyNetwork) -> str:
-    """Directed edge list 'year,source_field,target_field', lexicographic order."""
-    lines = [f"{net.year},{src},{dst}" for src, dst in net.edges()]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Year-keyed 'year,source_field,target_field' edge rows, lexicographic order."""
+    return artifacts.year_rows_to_text(net.year, net.edges())
 
 
 def network_from_text(
     text: str, fields: Sequence[str], *, year: int | None = None, q: float = 0.05
 ) -> TechnologyNetwork:
-    field_index = {f: i for i, f in enumerate(fields)}
-    n = len(fields)
-    adjacency = np.zeros((n, n), dtype=np.uint8)
-    for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        y, src, dst = raw.split(",")
-        y_int = int(y)
-        if year is None:
-            year = y_int
-        elif y_int != year:
-            raise ValueError(f"mixed years {year} and {y_int} in network text")
-        adjacency[field_index[src], field_index[dst]] = 1
-    if year is None:
-        raise ValueError("year required to parse an empty network file")
+    year, rows = artifacts.year_rows_from_text(text, 2, year=year)
+    adjacency = artifacts.scatter(rows, (fields, fields), 1, np.uint8)
     return TechnologyNetwork(
         year=year, fields=tuple(fields), adjacency=adjacency, significance_level=q
     )

@@ -15,6 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import artifacts
 from .hierarchy import CodeHierarchy
 
 EVENT_COLUMNS = ("family_id", "year", "region_id", "code")
@@ -189,42 +190,20 @@ def build_occurrence_matrix(
 
 
 def occurrence_to_text(m: OccurrenceMatrix) -> str:
-    """Serialize as 'year,region,field,weight' triplets sorted by (region, field)."""
-    lines = []
-    for ri, region in enumerate(m.regions):
-        row = m.weights[ri]
-        for fi in np.nonzero(row)[0]:
-            lines.append(f"{m.year},{region},{m.fields[fi]},{float(row[fi])!r}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Year-keyed 'year,region,field,weight' rows of the nonzero cells, in index order."""
+    ri, fi = np.nonzero(m.weights)
+    cells = zip(
+        [m.regions[i] for i in ri.tolist()], [m.fields[j] for j in fi.tolist()],
+        map(repr, m.weights[ri, fi].tolist()),
+    )
+    return artifacts.year_rows_to_text(m.year, cells)
 
 
 def occurrence_from_text(
-    text: str,
-    *,
-    regions: Sequence[str] | None = None,
-    fields: Sequence[str] | None = None,
-    year: int | None = None,
+    text: str, *, regions: Sequence[str], fields: Sequence[str], year: int | None = None
 ) -> OccurrenceMatrix:
-    entries: list[tuple[str, str, float]] = []
-    for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        y, region, code, weight = raw.split(",")
-        y_int = int(y)
-        if year is None:
-            year = y_int
-        elif y_int != year:
-            raise IngestError(f"mixed years {year} and {y_int} in occurrence text")
-        entries.append((region, code, float(weight)))
-    if year is None:
-        raise IngestError("cannot infer year from an empty occurrence file")
-    if regions is None:
-        regions = sorted({e[0] for e in entries})
-    if fields is None:
-        fields = sorted({e[1] for e in entries})
-    region_index = {r: i for i, r in enumerate(regions)}
-    field_index = {f: i for i, f in enumerate(fields)}
-    weights = np.zeros((len(regions), len(fields)), dtype=np.float64)
-    for region, code, weight in entries:
-        weights[region_index[region], field_index[code]] += weight
+    year, rows = artifacts.year_rows_from_text(text, 3, year=year, error=IngestError)
+    weights = artifacts.scatter(
+        rows, (regions, fields), [float(w) for _r, _f, w in rows], np.float64, IngestError
+    )
     return OccurrenceMatrix(year=year, regions=tuple(regions), fields=tuple(fields), weights=weights)

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import artifacts
 from .assist import AssistMatrix, _assist_values, _base_operands, _lag_operand
 from .rca import PresenceMatrix
 
@@ -289,39 +290,24 @@ def pvalues_from_counts(b_emp: AssistMatrix, counts: np.ndarray, n_replicates: i
 
 
 def pvalues_to_text(p: PvalueMatrix) -> str:
-    """Dense matrix text with a header carrying year, K and inactive sources."""
-    inactive = [p.fields[i] for i in np.nonzero(~p.source_active)[0]]
-    lines = [
-        f"# base_year={p.base_year} replicates={p.n_replicates} "
-        f"inactive_sources={'|'.join(inactive)}",
-        "field," + ",".join(p.fields),
-    ]
-    for fi, code in enumerate(p.fields):
-        lines.append(code + "," + ",".join(str(int(c)) for c in p.exceed_counts[fi].tolist()))
-    return "\n".join(lines) + "\n"
+    """Labelled dense count matrix under a meta line of year, K and inactive sources."""
+    inactive = "|".join(p.fields[i] for i in np.flatnonzero(~p.source_active))
+    meta = {"base_year": p.base_year, "replicates": p.n_replicates, "inactive_sources": inactive}
+    return artifacts.dense_to_text(p.fields, p.exceed_counts, meta)
 
 
 def pvalues_from_text(text: str) -> PvalueMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("#"):
-        raise ValueError("malformed p-value matrix text")
-    meta = dict(item.split("=", 1) for item in lines[0][1:].split())
-    base_year = int(meta["base_year"])
-    n_replicates = int(meta["replicates"])
-    inactive = set(meta.get("inactive_sources", "").split("|")) - {""}
-    fields = tuple(lines[1].split(",")[1:])
-    n = len(fields)
-    counts = np.zeros((n, n), dtype=np.int64)
-    for fi, raw in enumerate(lines[2:]):
-        cells = raw.split(",")
-        counts[fi] = [int(c) for c in cells[1:]]
-    pv = (1.0 + counts) / (n_replicates + 1.0)
-    source_active = np.array([f not in inactive for f in fields], dtype=bool)
+    meta, fields, counts = artifacts.dense_from_text(text, int)
+    try:
+        base_year, n_replicates = int(meta["base_year"]), int(meta["replicates"])
+    except KeyError as exc:
+        raise ValueError(f"p-value matrix text lacks {exc.args[0]!r} in its meta line") from None
+    inactive = set(meta.get("inactive_sources", "").split("|"))
     return PvalueMatrix(
         base_year=base_year,
         fields=fields,
         n_replicates=n_replicates,
-        pvalues=pv,
+        pvalues=(1.0 + counts) / (n_replicates + 1.0),
         exceed_counts=counts,
-        source_active=source_active,
+        source_active=np.array([f not in inactive for f in fields], dtype=bool),
     )

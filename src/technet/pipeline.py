@@ -15,8 +15,10 @@ so every stage can be rerun standalone on persisted inputs:
                  adjacency_<year>.csv (+ .sections.csv)
     manifest.json
 
-Events are parsed once, at ingest, and each network is decomposed once, at
-acs: the stats stage reads the per-year field counts and the acs labels.
+Every matrix one stage hands to the next is written and read by `artifacts`,
+whose readers reject a truncated or malformed file. Events are parsed once,
+at ingest, each presence year is read once per stage, and each network is
+decomposed once, at acs: the stats stage reads the field counts and labels.
 
 Null replicates run on a bounded thread pool; the null matrix of year y,
 replicate k, is drawn once from an RNG substream keyed by (y, k) and serves
@@ -36,10 +38,11 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from . import __version__
+from . import __version__, artifacts
 from .acs import (
     decompose,
     decomposition_from_text,
@@ -62,7 +65,7 @@ from .nullmodel import (
     pvalues_from_text,
     pvalues_to_text,
 )
-from .rca import binarize_rca, presence_from_text, presence_to_text
+from .rca import PresenceMatrix, binarize_rca, presence_from_text, presence_to_text
 from .stats import (
     acs_section_counts,
     family_field_counts,
@@ -257,10 +260,9 @@ class RunPaths:
         return tuple(self.regions_file().read_text().split())
 
     def read_years(self) -> tuple[int, int]:
-        data = dict(
-            line.split(",") for line in self.years_file().read_text().splitlines() if line
-        )
-        return int(data["year_min"]), int(data["year_max"])
+        rows = artifacts.tagged_rows(self.years_file().read_text(), {"year_min": 1, "year_max": 1})
+        [[year_min]], [[year_max]] = rows["year_min"], rows["year_max"]
+        return int(year_min), int(year_max)
 
 
 def _load_hierarchy(cfg: RunConfig) -> CodeHierarchy:
@@ -289,7 +291,7 @@ def stage_ingest(cfg: RunConfig, paths: RunPaths) -> None:
     paths.fields_file().write_text("\n".join(fields) + "\n")
     paths.regions_file().write_text("\n".join(regions) + "\n")
     paths.years_file().write_text(
-        f"year_min,{cfg.year_min}\nyear_max,{cfg.year_max}\n"
+        artifacts.rows_to_text([("year_min", cfg.year_min), ("year_max", cfg.year_max)])
     )
     report = {
         "n_records": len(parsed.records),
@@ -323,19 +325,22 @@ def stage_rca(cfg: RunConfig, paths: RunPaths) -> None:
         paths.presence(year).write_text(presence_to_text(m))
 
 
-def _read_presence(paths: RunPaths, year: int, regions, fields):
-    return presence_from_text(
-        paths.presence(year).read_text(), regions=regions, fields=fields, year=year
-    )
+def _pair_presence(cfg: RunConfig, paths: RunPaths) -> Iterator[tuple[int, PresenceMatrix]]:
+    """The presence of each year that some year pair uses, read once, in year order.
+
+    With lag >= 2 a short range can hold a year that no pair uses; it is not read.
+    """
+    fields = paths.read_fields()
+    regions = paths.read_regions()
+    for year in sorted({*cfg.base_years, *(year + cfg.lag for year in cfg.base_years)}):
+        text = paths.presence(year).read_text()
+        yield year, presence_from_text(text, regions=regions, fields=fields, year=year)
 
 
 def stage_assist(cfg: RunConfig, paths: RunPaths) -> None:
-    fields = paths.read_fields()
-    regions = paths.read_regions()
+    presence = dict(_pair_presence(cfg, paths))
     for year in cfg.base_years:
-        m_t = _read_presence(paths, year, regions, fields)
-        m_lag = _read_presence(paths, year + cfg.lag, regions, fields)
-        b = assist_matrix(m_t, m_lag)
+        b = assist_matrix(presence[year], presence[year + cfg.lag])
         paths.assist(year).write_text(assist_to_text(b))
         paths.assist_sidecar(year).write_text(assist_sidecar_text(b))
 
@@ -343,11 +348,10 @@ def stage_assist(cfg: RunConfig, paths: RunPaths) -> None:
 def stage_nulls(cfg: RunConfig, paths: RunPaths, workers: int = 1) -> None:
     """Null replicates of all year pairs, in 8 contiguous chunks of K per worker.
 
-    This thread first fits the BiCM of every year that some pair uses; with
-    lag >= 2 a short range can hold a year that no pair uses, and it is not
-    read. Fits stay on this thread: arrays allocated on pool threads stay in
-    those threads' malloc arenas, which later stages cannot reuse, and raise
-    the peak RSS. Each pool task walks every year pair for its chunk of
+    This thread first fits the BiCM of every year that some pair uses. Fits
+    stay on this thread: arrays allocated on pool threads stay in those
+    threads' malloc arenas, which later stages cannot reuse, and raise the
+    peak RSS. Each pool task walks every year pair for its chunk of
     replicates, drawing each (year, k) matrix once, and returns one count
     matrix per pair. With one chunk per worker, a worker that shares its CPU
     with another process held the whole stage back, while the other worker
@@ -355,10 +359,7 @@ def stage_nulls(cfg: RunConfig, paths: RunPaths, workers: int = 1) -> None:
     This thread adds each task's counts into the totals in submission order
     and drops them, so only a few tasks' counts are held at once.
     """
-    fields = paths.read_fields()
-    regions = paths.read_regions()
-    used = sorted({*cfg.base_years, *(year + cfg.lag for year in cfg.base_years)})
-    fits = {year: fit_bicm(_read_presence(paths, year, regions, fields)) for year in used}
+    fits = {year: fit_bicm(m) for year, m in _pair_presence(cfg, paths)}
     pairs = []
     for year in cfg.base_years:
         b_emp = assist_from_text(
@@ -433,10 +434,8 @@ def stage_stats(cfg: RunConfig, paths: RunPaths) -> None:
     ]
     for year in cfg.base_years:
         net = _read_network(cfg, paths, year, fields)
-        labels = decomposition_from_text(paths.labels(year).read_text(), year=year)
-        if tuple(labels) != fields:
-            raise ValueError(f"labels of year {year} are not over the fields in index/")
-        fitness = field_counts_from_text(paths.field_counts(year).read_text(), year=year)
+        labels = decomposition_from_text(paths.labels(year).read_text(), fields, year=year)
+        fitness = field_counts_from_text(paths.field_counts(year).read_text(), fields, year=year)
         for row in subset_fitness(labels, fitness):
             for metric in ("n_fields", "total", "average", "fitness_share", "node_share"):
                 fitness_lines.append(

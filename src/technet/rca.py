@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import artifacts
 from .ingest import OccurrenceMatrix
 
 
@@ -51,41 +52,16 @@ def binarize_rca(w: OccurrenceMatrix) -> PresenceMatrix:
 
 
 def presence_to_text(m: PresenceMatrix) -> str:
-    """Serialize as 'year,region,field' triplets listing only presences."""
-    lines = []
-    for ri, region in enumerate(m.regions):
-        for fi in np.nonzero(m.presence[ri])[0]:
-            lines.append(f"{m.year},{region},{m.fields[fi]}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Year-keyed 'year,region,field' rows listing only presences, in index order."""
+    ri, fi = np.nonzero(m.presence)
+    return artifacts.year_rows_to_text(
+        m.year, zip([m.regions[i] for i in ri.tolist()], [m.fields[j] for j in fi.tolist()])
+    )
 
 
 def presence_from_text(
-    text: str,
-    *,
-    regions: Sequence[str] | None = None,
-    fields: Sequence[str] | None = None,
-    year: int | None = None,
+    text: str, *, regions: Sequence[str], fields: Sequence[str], year: int | None = None
 ) -> PresenceMatrix:
-    entries: list[tuple[str, str]] = []
-    for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        y, region, code = raw.split(",")
-        y_int = int(y)
-        if year is None:
-            year = y_int
-        elif y_int != year:
-            raise ValueError(f"mixed years {year} and {y_int} in presence text")
-        entries.append((region, code))
-    if year is None:
-        raise ValueError("year required to parse an empty presence file")
-    if regions is None:
-        regions = sorted({e[0] for e in entries})
-    if fields is None:
-        fields = sorted({e[1] for e in entries})
-    region_index = {r: i for i, r in enumerate(regions)}
-    field_index = {f: i for i, f in enumerate(fields)}
-    presence = np.zeros((len(regions), len(fields)), dtype=np.uint8)
-    for region, code in entries:
-        presence[region_index[region], field_index[code]] = 1
+    year, rows = artifacts.year_rows_from_text(text, 2, year=year)
+    presence = artifacts.scatter(rows, (regions, fields), 1, np.uint8)
     return PresenceMatrix(year=year, regions=tuple(regions), fields=tuple(fields), presence=presence)

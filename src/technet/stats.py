@@ -21,6 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaincinv, gammaln
 
+from . import artifacts
 from .fdr import TechnologyNetwork
 from .hierarchy import CodeHierarchy, HierarchyError
 from .ingest import EventRecord
@@ -46,19 +47,15 @@ def family_field_counts(records: Iterable[EventRecord], year: int) -> dict[str, 
 
 
 def field_counts_to_text(year: int, counts: Mapping[str, int]) -> str:
-    """Per-field family counts: 'year,field,count' lines sorted by field."""
-    return "".join(f"{year},{code},{counts[code]}\n" for code in sorted(counts))
+    """Per-field family counts: year-keyed 'year,field,count' rows sorted by field."""
+    return artifacts.year_rows_to_text(year, ((code, str(counts[code])) for code in sorted(counts)))
 
 
-def field_counts_from_text(text: str, *, year: int) -> dict[str, int]:
-    """Parse a counts file of `year` back into a field -> count mapping."""
-    counts: dict[str, int] = {}
-    for raw in text.splitlines():
-        y, code, count = raw.split(",")
-        if int(y) != year:
-            raise StatsError(f"counts of year {y} in the counts file of year {year}")
-        counts[code] = int(count)
-    return counts
+def field_counts_from_text(text: str, fields: Sequence[str], *, year: int) -> dict[str, int]:
+    """Parse a counts file of `year` into a field -> count mapping over `fields`."""
+    _year, rows = artifacts.year_rows_from_text(text, 2, year=year, error=StatsError)
+    counts = artifacts.scatter(rows, (fields,), [int(c) for _f, c in rows], np.int64, StatsError)
+    return dict(zip(fields, counts.tolist()))
 
 
 @dataclass(frozen=True)

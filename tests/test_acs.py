@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from technet.acs import (
     decompose,
@@ -124,6 +125,21 @@ class TestPfEigen:
             assert abs(lam - lam_oracle) < 1e-8
             checked += 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_directed_paths_are_nilpotent_at_any_length(self):
+        # from 21 nodes on, the squarings of (C^T + I) underflowed to an
+        # all-zero matrix (0/0 at the normalisation) before the bracket closed
+        for n in range(2, 61):
+            path = [(i, i + 1) for i in range(n - 1)]
+            lam, vec = pf_eigen(net_from_edges(n, path))
+            assert lam == 0.0 and np.isclose(vec.sum(), 1.0)
+            d = decompose(net_from_edges(n, path))
+            assert d.lambda1 == 0.0 and not d.core and d.pf_support_consistent
+            # a 2-cycle at either end of the path makes it cyclic again
+            for cycle in ((1, 0), (n - 1, n - 2)):
+                lam, _ = pf_eigen(net_from_edges(n, path + [cycle]))
+                assert abs(lam - 1.0) < 1e-9
+
     def test_cycle_with_chord_against_oracle(self):
         # 3-cycle plus chord: characteristic polynomial root via dense solver
         net = net_from_edges(3, [(0, 1), (1, 2), (2, 0), (1, 0)])
@@ -223,7 +239,7 @@ class TestDecompose:
 def test_labels_round_trip_and_summary():
     net = net_from_edges(4, [(0, 1), (1, 0), (1, 2)])
     d = decompose(net)
-    labels = decomposition_from_text(decomposition_to_text(d))
+    labels = decomposition_from_text(decomposition_to_text(d), d.fields)
     assert labels == {
         "N00": "core", "N01": "core", "N02": "periphery", "N03": "outside"
     }

@@ -1,0 +1,167 @@
+"""Artifact readers reject truncated and malformed text with their stage's ValueError."""
+
+import numpy as np
+import pytest
+
+from technet.acs import decomposition_from_text
+from technet.assist import (
+    AssistError,
+    assist_from_text,
+    assist_matrix,
+    assist_sidecar_text,
+    assist_to_text,
+)
+from technet.fdr import network_from_text
+from technet.ingest import IngestError, occurrence_from_text
+from technet.nullmodel import (
+    exceedance_counts,
+    fit_bicm,
+    pvalues_from_counts,
+    pvalues_from_text,
+    pvalues_to_text,
+)
+from technet.rca import PresenceMatrix, presence_from_text
+from technet.stats import StatsError, field_counts_from_text
+
+YEAR = 2000
+REGIONS = ("r0", "r1", "r2")
+FIELDS = ("A", "B", "C")
+
+
+def _pair():
+    rng = np.random.default_rng(5)
+    m_t, m_lag = (
+        PresenceMatrix(year, REGIONS, FIELDS, (rng.random((3, 3)) < 0.6).astype(np.uint8))
+        for year in (YEAR, YEAR + 1)
+    )
+    return assist_matrix(m_t, m_lag), fit_bicm(m_t), fit_bicm(m_lag)
+
+
+def _assist_texts():
+    b = _pair()[0]
+    return assist_to_text(b), assist_sidecar_text(b)
+
+
+def _pvalues_text():
+    pair = _pair()
+    (counts,) = exceedance_counts([pair], range(4), 3)
+    return pvalues_to_text(pvalues_from_counts(pair[0], counts, 4))
+
+
+# reader name -> (read(text), good text, error class of its module)
+READERS = {
+    "occurrence": (
+        lambda text: occurrence_from_text(text, regions=REGIONS, fields=FIELDS, year=YEAR),
+        "2000,r0,A,0.5\n2000,r1,B,0.25\n2000,r2,C,1.0\n",
+        IngestError,
+    ),
+    "presence": (
+        lambda text: presence_from_text(text, regions=REGIONS, fields=FIELDS, year=YEAR),
+        "2000,r0,A\n2000,r1,B\n2000,r2,C\n",
+        ValueError,
+    ),
+    "network": (
+        lambda text: network_from_text(text, FIELDS, year=YEAR),
+        "2000,A,B\n2000,B,C\n2000,C,A\n",
+        ValueError,
+    ),
+    "field_counts": (
+        lambda text: field_counts_from_text(text, FIELDS, year=YEAR),
+        "2000,A,3\n2000,B,1\n2000,C,2\n",
+        StatsError,
+    ),
+    "labels": (
+        lambda text: decomposition_from_text(text, FIELDS, year=YEAR),
+        "2000,A,core\n2000,B,core\n2000,C,outside\n",
+        ValueError,
+    ),
+    "assist": (
+        lambda text: assist_from_text(text, _assist_texts()[1]),
+        _assist_texts()[0],
+        AssistError,
+    ),
+    "pvalues": (pvalues_from_text, _pvalues_text(), ValueError),
+}
+
+DENSE = ("assist", "pvalues")
+
+
+def _lines(text):
+    return text.splitlines(keepends=True)
+
+
+def _tamper_last_line(text, change):
+    *head, last = _lines(text)
+    return "".join(head) + change(last.rstrip("\n")) + "\n"
+
+
+def missing_last_row(text):
+    return "".join(_lines(text)[:-1])
+
+
+def out_of_order_row(text):
+    *head, before_last, last = _lines(text)
+    return "".join(head) + last + before_last
+
+
+def short_row(text):
+    return _tamper_last_line(text, lambda line: line.rsplit(",", 1)[0])
+
+
+def wrong_column_count(text):
+    return _tamper_last_line(text, lambda line: line + ",0")
+
+
+def second_year(text):
+    return _tamper_last_line(
+        text, lambda line: line + "\n" + line.replace(f"{YEAR},", f"{YEAR + 1},", 1)
+    )
+
+
+def unknown_key(text):
+    # the last row's first key, the region or field after the year or the row label
+    def rename(line):
+        cells = line.split(",")
+        cells[0 if cells[0] != str(YEAR) else 1] = "ZZZ"
+        return ",".join(cells)
+
+    return _tamper_last_line(text, rename)
+
+
+CASES = {
+    "missing_last_row": (missing_last_row, ("labels", *DENSE)),
+    "out_of_order_row": (out_of_order_row, ("labels", *DENSE)),
+    "short_row": (short_row, tuple(READERS)),
+    "wrong_column_count": (wrong_column_count, tuple(READERS)),
+    "second_year": (second_year, ("occurrence", "presence", "network", "field_counts", "labels")),
+    "unknown_key": (unknown_key, tuple(READERS)),
+}
+
+
+@pytest.mark.parametrize(
+    "reader, case",
+    [(reader, case) for case, (_fn, readers) in CASES.items() for reader in readers],
+)
+def test_malformed_text_is_rejected(reader, case):
+    read, text, error = READERS[reader]
+    read(text)
+    tampered = CASES[case][0](text)
+    with pytest.raises(error):
+        read(tampered)
+
+
+@pytest.mark.parametrize(
+    "sidecar_change",
+    [
+        lambda rows: rows + ["base_year,2001"],  # a second year
+        lambda rows: rows[:-1],  # a missing ubiquity row
+        lambda rows: rows[:-1] + [rows[-1].replace("u,C,", "u,ZZZ,")],  # an unknown field
+        lambda rows: rows[:1] + rows[2:],  # a missing lag row
+        lambda rows: rows + ["x,1"],  # an unknown tag
+    ],
+)
+def test_malformed_assist_sidecar_is_rejected(sidecar_change):
+    text, sidecar = _assist_texts()
+    rows = sidecar.splitlines()
+    with pytest.raises(AssistError):
+        assist_from_text(text, "\n".join(sidecar_change(rows)) + "\n")

@@ -241,11 +241,8 @@ class TestRunPipeline:
         assert sorted(fitted) == [1991, 1993]
         assert sorted(drawn) == [1991] * 6 + [1993] * 6
         paths = RunPaths(out)
-        regions, fields = paths.read_regions(), paths.read_fields()
-        p_t, p_lag = (
-            fit(pipeline._read_presence(paths, year, regions, fields)).link_probability
-            for year in (1991, 1993)
-        )
+        presence = dict(pipeline._pair_presence(cfg, paths))
+        p_t, p_lag = (fit(presence[year]).link_probability for year in (1991, 1993))
         b_emp = assist_from_text(
             paths.assist(1991).read_text(), paths.assist_sidecar(1991).read_text()
         )
@@ -257,11 +254,7 @@ class TestRunPipeline:
         cfg = run_config(synth_inputs, out)
         run_pipeline(cfg, workers=2)
         paths = RunPaths(out)
-        regions, fields = paths.read_regions(), paths.read_fields()
-        fits = {
-            year: fit_bicm(pipeline._read_presence(paths, year, regions, fields))
-            for year in cfg.years
-        }
+        fits = {year: fit_bicm(m) for year, m in pipeline._pair_presence(cfg, paths)}
         for year in cfg.base_years:
             b_emp = assist_from_text(
                 paths.assist(year).read_text(), paths.assist_sidecar(year).read_text()
@@ -307,6 +300,65 @@ ACS_STATS_SHA256 = {
     "stats/variety.csv": "d625223f11c72c79e5feb24407f044b18c63b965aeffe118ecf45ed68d352a17",
 }
 
+# sha256 of every occurrence/, presence/, assist/, pvalues/ and network/
+# artifact of the same run, recorded before their text moved to one artifact
+# module; that move kept every byte.
+INTERMEDIATE_SHA256 = {
+    "occurrence/F_1991.csv": "c48bb792a2ba1262aa0f05358f635ff6df31e7a6b8abd3a1ec025b4dbad80bea",
+    "occurrence/F_1992.csv": "bcf09c462e68e715a66a7b304becb2e8f29ccb89d5a99647ebd3e59e0f4e8bf0",
+    "occurrence/F_1993.csv": "d0b8f48e14c1b94c3e58ec56be66ff119d4d4d18afe2536ed0e293b007fb4689",
+    "occurrence/F_1994.csv": "c67fbdcd2e1ee43066af20a045447b69e70985edf2b13550964068896f71fd59",
+    "occurrence/F_1995.csv": "296266ac274cffc0d22908316dd9b76406ebdf728844c42fcfc731aff8478a9a",
+    "occurrence/F_1996.csv": "a301301fe2b2136e272716ca89c9560eeefc502a464ce04948704f8db1a8618b",
+    "occurrence/W_1991.csv": "d0c4a27913e7c03a714827c82f63f6831748372e8f0c085c7da8cba69e54fb23",
+    "occurrence/W_1992.csv": "578c0fb19b96470715640a97084406bacd287e046a7c7c8f84f9f4232e9c938a",
+    "occurrence/W_1993.csv": "64bf03857262b344b5cf99d660436b9ab6155cedfbd045b304fcf093d29b3af5",
+    "occurrence/W_1994.csv": "96fa57b151e6fef4ea18c09a73b8520d0c5e8b12576fdd9a90f3fb5258b8f4ac",
+    "occurrence/W_1995.csv": "f4de4f5ae1fd06f3f8f9265e407e847e1d95dc8193c704c5c989b795c0f6e9d6",
+    "occurrence/W_1996.csv": "3421a7bb297ca68e30ec500dd63b779bf8433753a952b9e95e1fb3ff319f649f",
+    "presence/M_1991.csv": "764cf1143c306d0ffeb275a09016a54f5e39e2818fe84a9576ce0c9c60f35c26",
+    "presence/M_1992.csv": "56dbdbdc8c3ef288dffe85c8c2c57affa1bb3aa6ab7a0ff890c2a8992caae411",
+    "presence/M_1993.csv": "c7b241d5f71d51b0d828d412e3ca459b397080dd68ebedbba2a66831c04b6d02",
+    "presence/M_1994.csv": "3c419896c5b5cee1d15fc0bfbd816203b982c05577d4e7a135200e52070de986",
+    "presence/M_1995.csv": "392fc0584646f83b4de0dbbe0ff86d76f1441452712dab057401e9e6706a4b10",
+    "presence/M_1996.csv": "d882b278ed64e423edbdb3598365caaed8445bec1245e698583014f154df19b1",
+    "assist/B_1991.csv": "822aebc4ce4c0110d9298a7e639d42f6e025a86f8646f6eff27ed9c0c9f116fe",
+    "assist/B_1991.sidecar.csv": "82adc3bfbbf9af37d5d68c617c36a01dcf05241881d4061755837b1e935e9800",
+    "assist/B_1992.csv": "632f2dff9d74d5f2b7953f0246be7f1e52185feb7db42807a97e8654f322b812",
+    "assist/B_1992.sidecar.csv": "0f65a4bcb6faec61d82468b9f30ec52dc4bd2e67a596e540021b2620edf3111a",
+    "assist/B_1993.csv": "013d852c4392dd5476946665a2515d30119042d85ccf4239ad87f1528db1ea1a",
+    "assist/B_1993.sidecar.csv": "570235f7d9db66276b611857407050efcc2585f12814eaa0b75055d1fe6f0ceb",
+    "assist/B_1994.csv": "3016a8fa6bc474f6b678f61a889c511c361553b0e1f4cf8620d6251d8de8cc56",
+    "assist/B_1994.sidecar.csv": "d2a92f924f0d5f0122866b82acb5c03cba291633e3fe6007c4f8e254390a7e53",
+    "assist/B_1995.csv": "4ae7444179eabbe60e443fac7e584da04a5026edbf55fa61288a06360a5f22a9",
+    "assist/B_1995.sidecar.csv": "33f6944538520fc4f3e05561a97c9224efc236d358b5db7c8058e6e32ff10c35",
+    "pvalues/P_1991.csv": "1e037a62f472d50f36fba7510ccac13c8c531fa394d642ca16eb9a457f6def7d",
+    "pvalues/P_1992.csv": "3355f578f839110dec375f14e1ed6387f8c96001ffe442ed3044cbac30b2dd42",
+    "pvalues/P_1993.csv": "75ef358b29bcfdf4d86718937b36312c32d2751c21cdd93e6ac7b126390903cf",
+    "pvalues/P_1994.csv": "fe73bb0bb96f458c52d863c0d44ea87b0c4bb6bf5f17a4c0c0e3d4079594beab",
+    "pvalues/P_1995.csv": "8c17fe3ea556d1738ded0130d12de98a6ab326e7a34c1d825435cc24e25ea3b1",
+    "network/C_1991.csv": "a21555db5501de7038c3cd205715608c225dcec54a878827339a7c08bc11bfa2",
+    "network/C_1992.csv": "0aafb4ddc15ef7984721dcdfe41cc750e673ddecfc41781486b5b2ce0016736e",
+    "network/C_1993.csv": "7203e10a38b7724c7b435967bffe2ce22d9409bc16da67a3c0647614efe857a4",
+    "network/C_1994.csv": "671a7c37ce4067d0ceb0dfc4a0176ff190dd084fc5bfb14b6d3845d5e59e167f",
+    "network/C_1995.csv": "3ffbdd83800f9578a453c730d49d01a7d6d31f6398c9b3907d9aa2d95c23ed9f",
+}
+
+
+def _tamper_before(monkeypatch, stage, tamper):
+    """Make `stage` of the pipeline first apply tamper(paths) to its inputs."""
+    def tampered(cfg, paths, *args, _stage=dict(pipeline.STAGES)[stage], **kwargs):
+        tamper(paths)
+        _stage(cfg, paths, *args, **kwargs)
+
+    stages = tuple((name, tampered if name == stage else fn) for name, fn in pipeline.STAGES)
+    monkeypatch.setattr(pipeline, "STAGES", stages)
+
+
+def _drop_last_pvalue_row(paths):
+    path = paths.pvalues(1993)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
 
 def _drop_last_label(paths):
     path = paths.labels(1993)
@@ -340,14 +392,30 @@ class TestStatsInputs:
         run_pipeline(cfg)
         assert calls == {"parse_events": 1, "decompose": len(cfg.base_years)}
 
+    def test_each_presence_year_is_read_once_per_stage(
+        self, synth_inputs, tmp_path, monkeypatch
+    ):
+        reads = []
+        read = pipeline.presence_from_text
+
+        def counted(text, **kwargs):
+            reads.append(kwargs["year"])
+            return read(text, **kwargs)
+
+        monkeypatch.setattr(pipeline, "presence_from_text", counted)
+        cfg = run_config(synth_inputs, tmp_path / "run")
+        run_pipeline(cfg)
+        assert reads == cfg.years * 2  # the assist stage, then the null stage
+
     def test_acs_and_stats_artifacts_match_golden(self, synth_inputs, tmp_path):
         out = tmp_path / "run"
         run_pipeline(run_config(synth_inputs, out))
         digests = {
             str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
-            for sub in ("acs", "stats") for p in sorted((out / sub).iterdir())
+            for sub in ("occurrence", "presence", "assist", "pvalues", "network", "acs", "stats")
+            for p in sorted((out / sub).iterdir())
         }
-        assert digests == ACS_STATS_SHA256
+        assert digests == {**INTERMEDIATE_SHA256, **ACS_STATS_SHA256}
 
     @pytest.mark.parametrize(
         "tamper, cause",
@@ -361,20 +429,24 @@ class TestStatsInputs:
     def test_inconsistent_inputs_fail_the_stats_stage(
         self, synth_inputs, tmp_path, monkeypatch, tamper, cause
     ):
-        def tampered_stats(cfg, paths):
-            tamper(paths)
-            pipeline.stage_stats(cfg, paths)
-
-        stages = tuple(
-            (name, tampered_stats if name == "stats" else fn) for name, fn in pipeline.STAGES
-        )
-        monkeypatch.setattr(pipeline, "STAGES", stages)
+        _tamper_before(monkeypatch, "stats", tamper)
         out = tmp_path / "run"
         with pytest.raises(PipelineError) as err:
             run_pipeline(run_config(synth_inputs, out))
         assert err.value.stage == "stats"
         assert isinstance(err.value.cause, cause)
         assert not RunPaths(out).stats("fitness.csv").exists()
+
+    def test_truncated_pvalues_fail_the_filter_stage(self, synth_inputs, tmp_path, monkeypatch):
+        # read as zero exceedances, a missing last row would make BH keep
+        # every tested link of that source field
+        _tamper_before(monkeypatch, "filter", _drop_last_pvalue_row)
+        out = tmp_path / "run"
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(run_config(synth_inputs, out))
+        assert err.value.stage == "filter"
+        assert isinstance(err.value.cause, ValueError)
+        assert not RunPaths(out).network(1993).exists()
 
 
 class TestCli:

@@ -32,7 +32,7 @@ TWO_SECTIONS = CodeHierarchy.from_pairs(
 
 def labels_of(net):
     """Field -> label mapping as the stats stage reads it from acs/labels_<year>.csv."""
-    return decomposition_from_text(decomposition_to_text(decompose(net)))
+    return decomposition_from_text(decomposition_to_text(decompose(net)), net.fields)
 
 
 def records_for(families):

@@ -226,10 +226,7 @@ def _induced_network(net: TechnologyNetwork, nodes: frozenset[str]) -> Technolog
     idx = [i for i, f in enumerate(net.fields) if f in nodes]
     sub = net.adjacency[np.ix_(idx, idx)]
     return TechnologyNetwork(
-        year=net.year,
-        fields=tuple(net.fields[i] for i in idx),
-        adjacency=sub,
-        significance_level=net.significance_level,
+        year=net.year, fields=tuple(net.fields[i] for i in idx), adjacency=sub
     )
 
 

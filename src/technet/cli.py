@@ -1,9 +1,11 @@
 """Command-line interface: every pipeline stage runnable standalone.
 
-Exit codes: 0 success, 1 validation error (bad flags, missing or malformed
-inputs), 2 compute error (a stage failed on valid inputs). Worker count for
-null replicates comes from the TECHNET_WORKERS environment variable unless
-given explicitly with --workers.
+A stage command takes the pipeline's flag for each setting it reads (see
+`technet <stage> --help`); `OPTIONS` declares each flag once. `--regions` is
+only checked to exist. Exit codes: 0 success, 1 validation error (bad flags,
+missing or malformed inputs), 2 compute error (a stage failed on valid
+inputs). Worker count for null replicates comes from the TECHNET_WORKERS
+environment variable unless given explicitly with --workers.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ import numpy as np
 from .dynamics import estimate_growth_rate, simulate_linear, trajectory_to_text
 from .hierarchy import HierarchyError
 from .ingest import IngestError
+from .fdr import SIGNIFICANCE_BASES, network_from_text
 from .pipeline import (
+    GRANULARITIES,
+    STAGES,
     ConfigError,
     PipelineError,
     RunConfig,
@@ -25,15 +30,7 @@ from .pipeline import (
     load_run_config,
     resolve_workers,
     run_pipeline,
-    stage_acs,
-    stage_assist,
-    stage_filter,
-    stage_ingest,
-    stage_nulls,
-    stage_rca,
-    stage_stats,
 )
-from .fdr import network_from_text
 from .synth import SynthConfig, SynthConfigError, generate_events, planted_cycle_pairs
 
 VALIDATION_ERRORS = (
@@ -57,34 +54,70 @@ class _Parser(argparse.ArgumentParser):
         raise _ValidationExit(message)
 
 
-def _add_run_dir(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--run-dir", required=True, help="artifact directory of the run")
+# Each CLI-settable RunConfig field: its flag and argparse keywords. A flag left
+# out reads None and keeps the value from the config file or index/years.txt.
+OPTIONS = {
+    "out_dir": ("--run-dir", {"help": "artifact directory of the run"}),
+    "events_path": ("--events", {}),
+    "hierarchy_path": ("--hierarchy", {}),
+    "regions_path": ("--regions", {"help": "region table; only checked to exist"}),
+    "year_min": ("--year-min", {"type": int}),
+    "year_max": ("--year-max", {"type": int}),
+    "lag": ("--lag", {"type": int}),
+    "granularity": ("--granularity", {"choices": GRANULARITIES}),
+    "n_replicates": ("--replicates", {"type": int}),
+    "fdr_q": ("--q", {"type": float}),
+    "master_seed": ("--seed", {"type": int}),
+    "include_diagonal": ("--include-diagonal", {"action": "store_const", "const": True}),
+    "significance_basis": ("--basis", {"choices": SIGNIFICANCE_BASES}),
+    "delimiter": ("--delimiter", {}),
+    "dump_null_summaries": ("--dump-null-summaries", {"action": "store_const", "const": True}),
+}
+
+# Each stage command: its help, the fields it requires besides --run-dir, and
+# the fields it reads when given.
+STAGE_COMMANDS = {
+    "ingest": (
+        "parse events and build occurrence matrices",
+        ("events_path", "hierarchy_path"),
+        ("regions_path", "year_min", "year_max", "granularity", "delimiter"),
+    ),
+    "rca": ("run the rca stage on persisted artifacts", (), ()),
+    "assist": ("run the assist stage on persisted artifacts", (), ("lag",)),
+    "nulls": (
+        "run the nulls stage on persisted artifacts",
+        (),
+        ("lag", "n_replicates", "master_seed", "dump_null_summaries"),
+    ),
+    "filter": (
+        "run the filter stage on persisted artifacts",
+        (),
+        ("lag", "fdr_q", "include_diagonal", "significance_basis"),
+    ),
+    "acs": ("run the acs stage on persisted artifacts", (), ("lag",)),
+    "stats": ("fitness, variety, and mixing statistics", ("hierarchy_path",), ("lag",)),
+}
 
 
-def _stage_config(args, *, require_inputs: bool = False) -> RunConfig:
-    cfg = RunConfig(out_dir=args.run_dir)
-    paths = RunPaths(args.run_dir)
-    if paths.years_file().is_file():
-        cfg.year_min, cfg.year_max = paths.read_years()
-    for attr, flag in (
-        ("events_path", "events"),
-        ("hierarchy_path", "hierarchy"),
-        ("regions_path", "regions"),
-        ("year_min", "year_min"),
-        ("year_max", "year_max"),
-        ("lag", "lag"),
-        ("granularity", "granularity"),
-        ("n_replicates", "replicates"),
-        ("fdr_q", "q"),
-        ("master_seed", "seed"),
-        ("include_diagonal", "include_diagonal"),
-        ("significance_basis", "basis"),
-        ("delimiter", "delimiter"),
-        ("dump_null_summaries", "dump_null_summaries"),
-    ):
-        if hasattr(args, flag) and getattr(args, flag) is not None:
-            setattr(cfg, attr, getattr(args, flag))
-    cfg.validate(require_inputs=require_inputs)
+def _add_options(p: argparse.ArgumentParser, fields, **kwargs) -> None:
+    for field in fields:
+        flag, keywords = OPTIONS[field]
+        p.add_argument(flag, dest=field, default=None, **keywords, **kwargs)
+
+
+def _config(args) -> RunConfig:
+    """The config file (pipeline only), then index/years.txt (stages only), then the flags."""
+    if args.command == "pipeline":
+        cfg = load_run_config(args.config) if args.config else RunConfig()
+    else:
+        cfg = RunConfig()
+        paths = RunPaths(args.out_dir)
+        if paths.years_file().is_file():
+            cfg.year_min, cfg.year_max = paths.read_years()
+    for field in OPTIONS:
+        value = getattr(args, field, None)
+        if value is not None:
+            setattr(cfg, field, value)
     return cfg
 
 
@@ -126,62 +159,29 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _run_stage(name: str, fn, cfg: RunConfig, paths: RunPaths, **kwargs) -> int:
+def _cmd_stage(args) -> int:
+    cfg = _config(args)
+    cfg.validate(require_inputs=args.command == "ingest")
+    paths = RunPaths(cfg.out_dir)
+    kwargs = {}
+    if args.command == "ingest":
+        paths.ensure()
+    elif args.command == "nulls":
+        kwargs["workers"] = resolve_workers(args.workers)
     try:
-        fn(cfg, paths, **kwargs)
+        dict(STAGES)[args.command](cfg, paths, **kwargs)
+    except VALIDATION_ERRORS:
+        raise
     except Exception as exc:  # noqa: BLE001
-        if isinstance(exc, VALIDATION_ERRORS):
-            raise
-        raise PipelineError(name, None, exc) from exc
-    print(f"stage {name} complete in {paths.root}")
+        raise PipelineError(args.command, None, exc) from exc
+    print(f"stage {args.command} complete in {paths.root}")
     return 0
 
 
-def _cmd_ingest(args) -> int:
-    cfg = _stage_config(args, require_inputs=True)
-    paths = RunPaths(cfg.out_dir)
-    paths.ensure()
-    return _run_stage("ingest", stage_ingest, cfg, paths)
-
-
-def _cmd_rca(args) -> int:
-    cfg = _stage_config(args)
-    return _run_stage("rca", stage_rca, cfg, RunPaths(cfg.out_dir))
-
-
-def _cmd_assist(args) -> int:
-    cfg = _stage_config(args)
-    return _run_stage("assist", stage_assist, cfg, RunPaths(cfg.out_dir))
-
-
-def _cmd_nulls(args) -> int:
-    cfg = _stage_config(args)
-    workers = resolve_workers(args.workers)
-    return _run_stage("nulls", stage_nulls, cfg, RunPaths(cfg.out_dir), workers=workers)
-
-
-def _cmd_filter(args) -> int:
-    cfg = _stage_config(args)
-    return _run_stage("filter", stage_filter, cfg, RunPaths(cfg.out_dir))
-
-
-def _cmd_acs(args) -> int:
-    cfg = _stage_config(args)
-    return _run_stage("acs", stage_acs, cfg, RunPaths(cfg.out_dir))
-
-
-def _cmd_stats(args) -> int:
-    cfg = _stage_config(args)
-    return _run_stage("stats", stage_stats, cfg, RunPaths(cfg.out_dir))
-
-
 def _cmd_dynamics(args) -> int:
-    cfg = _stage_config(args)
-    paths = RunPaths(cfg.out_dir)
+    paths = RunPaths(args.out_dir)
     fields = paths.read_fields()
-    net = network_from_text(
-        paths.network(args.year).read_text(), fields, year=args.year, q=cfg.fdr_q
-    )
+    net = network_from_text(paths.network(args.year).read_text(), fields, year=args.year)
     y0 = np.ones(len(fields))
     try:
         traj = simulate_linear(net, y0, t_end=args.t_end, dt=args.dt)
@@ -202,27 +202,7 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    cfg = load_run_config(args.config) if args.config else RunConfig()
-    for attr, flag in (
-        ("events_path", "events"),
-        ("hierarchy_path", "hierarchy"),
-        ("regions_path", "regions"),
-        ("out_dir", "run_dir"),
-        ("year_min", "year_min"),
-        ("year_max", "year_max"),
-        ("lag", "lag"),
-        ("granularity", "granularity"),
-        ("n_replicates", "replicates"),
-        ("fdr_q", "q"),
-        ("master_seed", "seed"),
-        ("include_diagonal", "include_diagonal"),
-        ("significance_basis", "basis"),
-        ("delimiter", "delimiter"),
-        ("dump_null_summaries", "dump_null_summaries"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, attr, value)
+    cfg = _config(args)
     manifest = run_pipeline(cfg, workers=args.workers)
     print(f"pipeline complete: {len(manifest['artifacts'])} artifacts in {cfg.out_dir}")
     return 0
@@ -247,82 +227,26 @@ def build_parser() -> _Parser:
                    help="plant a boosted 3-cycle over the first three fields")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("ingest", help="parse events and build occurrence matrices")
-    _add_run_dir(p)
-    p.add_argument("--events", required=True)
-    p.add_argument("--hierarchy", required=True)
-    p.add_argument("--regions", default=None)
-    p.add_argument("--granularity", choices=("class", "subclass"), default=None)
-    p.add_argument("--year-min", dest="year_min", type=int, default=None)
-    p.add_argument("--year-max", dest="year_max", type=int, default=None)
-    p.add_argument("--delimiter", default=None)
-    p.set_defaults(func=_cmd_ingest)
-
-    for name, handler, extras in (
-        ("rca", _cmd_rca, ()),
-        ("assist", _cmd_assist, ("lag",)),
-        ("nulls", _cmd_nulls, ("lag", "replicates", "seed", "dump", "workers")),
-        ("filter", _cmd_filter, ("lag", "q", "diag", "basis")),
-        ("acs", _cmd_acs, ("lag",)),
-    ):
-        p = sub.add_parser(name, help=f"run the {name} stage on persisted artifacts")
-        _add_run_dir(p)
-        if "lag" in extras:
-            p.add_argument("--lag", type=int, default=None)
-        if "replicates" in extras:
-            p.add_argument("--replicates", type=int, default=None)
-        if "seed" in extras:
-            p.add_argument("--seed", type=int, default=None)
-        if "dump" in extras:
-            p.add_argument("--dump-null-summaries", dest="dump_null_summaries",
-                           action="store_const", const=True, default=None)
-        if "workers" in extras:
+    for name, (help_text, required, optional) in STAGE_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_options(p, ("out_dir", *required), required=True)
+        _add_options(p, optional)
+        if name == "nulls":
             p.add_argument("--workers", type=int, default=None)
-        if "q" in extras:
-            p.add_argument("--q", type=float, default=None)
-        if "diag" in extras:
-            p.add_argument("--include-diagonal", dest="include_diagonal",
-                           action="store_const", const=True, default=None)
-        if "basis" in extras:
-            p.add_argument("--basis", choices=("percentile", "addone"), default=None)
-        p.set_defaults(func=handler)
-
-    p = sub.add_parser("stats", help="fitness, variety, and mixing statistics")
-    _add_run_dir(p)
-    p.add_argument("--hierarchy", required=True)
-    p.add_argument("--lag", type=int, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.set_defaults(func=_cmd_stats)
+        p.set_defaults(func=_cmd_stage)
 
     p = sub.add_parser("dynamics", help="simulate linear catalytic dynamics on one network")
-    _add_run_dir(p)
+    _add_options(p, ("out_dir",), required=True)
     p.add_argument("--year", type=int, required=True)
     p.add_argument("--t-end", dest="t_end", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=1e-2)
     p.add_argument("--window", type=float, default=None,
                    help="fit trailing-window growth rates as well")
-    p.add_argument("--q", type=float, default=None)
     p.set_defaults(func=_cmd_dynamics)
 
     p = sub.add_parser("pipeline", help="run every stage end to end")
     p.add_argument("--config", default=None, help="key = value configuration file")
-    p.add_argument("--run-dir", default=None)
-    p.add_argument("--events", default=None)
-    p.add_argument("--hierarchy", default=None)
-    p.add_argument("--regions", default=None)
-    p.add_argument("--year-min", dest="year_min", type=int, default=None)
-    p.add_argument("--year-max", dest="year_max", type=int, default=None)
-    p.add_argument("--lag", type=int, default=None)
-    p.add_argument("--granularity", choices=("class", "subclass"), default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--include-diagonal", dest="include_diagonal",
-                   action="store_const", const=True, default=None)
-    p.add_argument("--basis", choices=("percentile", "addone"), default=None)
-    p.add_argument("--delimiter", default=None)
-    p.add_argument("--dump-null-summaries", dest="dump_null_summaries",
-                   action="store_const", const=True, default=None)
+    _add_options(p, OPTIONS)
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=_cmd_pipeline)
     return parser

@@ -35,7 +35,6 @@ class TechnologyNetwork:
     year: int
     fields: tuple[str, ...]
     adjacency: np.ndarray
-    significance_level: float
 
     def __post_init__(self) -> None:
         n = len(self.fields)
@@ -105,9 +104,7 @@ def build_adjacency(
     cells = np.flatnonzero(tested)
     if cells.size:
         adjacency.flat[cells[bh_reject(values.flat[cells], q)]] = 1
-    return TechnologyNetwork(
-        year=p.base_year, fields=p.fields, adjacency=adjacency, significance_level=q
-    )
+    return TechnologyNetwork(year=p.base_year, fields=p.fields, adjacency=adjacency)
 
 
 def network_to_text(net: TechnologyNetwork) -> str:
@@ -116,10 +113,8 @@ def network_to_text(net: TechnologyNetwork) -> str:
 
 
 def network_from_text(
-    text: str, fields: Sequence[str], *, year: int | None = None, q: float = 0.05
+    text: str, fields: Sequence[str], *, year: int | None = None
 ) -> TechnologyNetwork:
     year, rows = artifacts.year_rows_from_text(text, 2, year=year)
     adjacency = artifacts.scatter(rows, (fields, fields), 1, np.uint8)
-    return TechnologyNetwork(
-        year=year, fields=tuple(fields), adjacency=adjacency, significance_level=q
-    )
+    return TechnologyNetwork(year=year, fields=tuple(fields), adjacency=adjacency)

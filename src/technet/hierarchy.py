@@ -133,20 +133,6 @@ def hierarchy_to_text(h: CodeHierarchy, delimiter: str = ",") -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_region_table(text: str, delimiter: str = ",") -> dict[str, str]:
-    """Parse a region table: header row, then (region_id, country) per line."""
-    table: dict[str, str] = {}
-    lines = text.splitlines()
-    for raw in lines[1:]:
-        if not raw.strip():
-            continue
-        cells = raw.split(delimiter)
-        region = cells[0].strip()
-        country = cells[1].strip() if len(cells) > 1 else ""
-        table[region] = country
-    return table
-
-
 def region_table_to_text(table: dict[str, str], delimiter: str = ",") -> str:
     lines = ["region_id" + delimiter + "country"]
     for region in sorted(table):

@@ -296,12 +296,15 @@ def pvalues_to_text(p: PvalueMatrix) -> str:
     return artifacts.dense_to_text(p.fields, p.exceed_counts, meta)
 
 
-def pvalues_from_text(text: str) -> PvalueMatrix:
+def pvalues_from_text(text: str, *, year: int | None = None) -> PvalueMatrix:
+    """The p-value matrix; with `year` given, its base year must be that year."""
     meta, fields, counts = artifacts.dense_from_text(text, int)
     try:
         base_year, n_replicates = int(meta["base_year"]), int(meta["replicates"])
     except KeyError as exc:
         raise ValueError(f"p-value matrix text lacks {exc.args[0]!r} in its meta line") from None
+    if year is not None and base_year != year:
+        raise ValueError(f"p-value matrix of base year {base_year} where {year} is expected")
     inactive = set(meta.get("inactive_sources", "").split("|"))
     return PvalueMatrix(
         base_year=base_year,

@@ -38,7 +38,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .acs import (
 )
 from .assist import assist_from_text, assist_matrix, assist_sidecar_text, assist_to_text
 from .fdr import SIGNIFICANCE_BASES, build_adjacency, network_from_text, network_to_text
-from .hierarchy import CodeHierarchy, parse_hierarchy, parse_region_table
+from .hierarchy import CodeHierarchy, parse_hierarchy
 from .ingest import (
     build_occurrence_matrix,
     occurrence_from_text,
@@ -151,22 +151,14 @@ class RunConfig:
         return list(range(self.year_min, self.year_max + 1))
 
 
-_CONFIG_TYPES = {
-    "year_min": int,
-    "year_max": int,
-    "lag": int,
-    "n_replicates": int,
-    "master_seed": int,
-    "fdr_q": float,
-    "include_diagonal": lambda v: v.lower() in ("1", "true", "yes"),
-    "dump_null_summaries": lambda v: v.lower() in ("1", "true", "yes"),
-}
-
-
 def load_run_config(path: str | Path) -> RunConfig:
-    """Plain key = value configuration file; '#' starts a comment line."""
+    """Plain key = value configuration file; '#' starts a comment line.
+
+    Each key is a RunConfig field and its value is cast to that field's type;
+    a bool field is true for 1, true or yes.
+    """
     cfg = RunConfig()
-    known = set(asdict(cfg))
+    types = get_type_hints(RunConfig)
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -174,11 +166,11 @@ def load_run_config(path: str | Path) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"malformed config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
-        caster = _CONFIG_TYPES.get(key, str)
+        kind = types[key]
         try:
-            setattr(cfg, key, caster(value))
+            setattr(cfg, key, value.lower() in ("1", "true", "yes") if kind is bool else kind(value))
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from None
     return cfg
@@ -284,8 +276,6 @@ def stage_ingest(cfg: RunConfig, paths: RunPaths) -> None:
         year_min=cfg.year_min,
         year_max=cfg.year_max,
     )
-    if cfg.regions_path:
-        parse_region_table(Path(cfg.regions_path).read_text())  # validated, pass-through
     fields = hierarchy.codes_at(cfg.granularity)
     regions = tuple(sorted({r.region_id for r in parsed.records}))
     paths.fields_file().write_text("\n".join(fields) + "\n")
@@ -388,7 +378,7 @@ def stage_nulls(cfg: RunConfig, paths: RunPaths, workers: int = 1) -> None:
 
 def stage_filter(cfg: RunConfig, paths: RunPaths) -> None:
     for year in cfg.base_years:
-        pv = pvalues_from_text(paths.pvalues(year).read_text())
+        pv = pvalues_from_text(paths.pvalues(year).read_text(), year=year)
         net = build_adjacency(
             pv, q=cfg.fdr_q, include_diagonal=cfg.include_diagonal,
             basis=cfg.significance_basis,
@@ -396,17 +386,11 @@ def stage_filter(cfg: RunConfig, paths: RunPaths) -> None:
         paths.network(year).write_text(network_to_text(net))
 
 
-def _read_network(cfg: RunConfig, paths: RunPaths, year: int, fields):
-    return network_from_text(
-        paths.network(year).read_text(), fields, year=year, q=cfg.fdr_q
-    )
-
-
 def stage_acs(cfg: RunConfig, paths: RunPaths) -> None:
     fields = paths.read_fields()
     summary = ["year,lambda1,core_size,periphery_size,acs_size"]
     for year in cfg.base_years:
-        d = decompose(_read_network(cfg, paths, year, fields))
+        d = decompose(network_from_text(paths.network(year).read_text(), fields, year=year))
         paths.labels(year).write_text(decomposition_to_text(d))
         summary.append(decomposition_summary_line(d))
     paths.acs_summary().write_text("\n".join(summary) + "\n")
@@ -433,7 +417,7 @@ def stage_stats(cfg: RunConfig, paths: RunPaths) -> None:
         "year,section,size,n_in_acs,acs_fraction,share_of_acs,share_of_outside"
     ]
     for year in cfg.base_years:
-        net = _read_network(cfg, paths, year, fields)
+        net = network_from_text(paths.network(year).read_text(), fields, year=year)
         labels = decomposition_from_text(paths.labels(year).read_text(), fields, year=year)
         fitness = field_counts_from_text(paths.field_counts(year).read_text(), fields, year=year)
         for row in subset_fitness(labels, fitness):

@@ -83,7 +83,6 @@ def net_from_edges(n: int, edges, year: int = 2000) -> TechnologyNetwork:
         year=year,
         fields=tuple(f"N{i:02d}" for i in range(n)),
         adjacency=adjacency,
-        significance_level=0.05,
     )
 
 
@@ -130,8 +129,7 @@ def random_single_acs(rng: np.random.Generator, n_max: int = 12):
             for dst in rng.choice(v, size=k, replace=False):
                 adjacency[v, dst] = 1
     fields = tuple(f"N{i:02d}" for i in range(n))
-    net = TechnologyNetwork(year=2000, fields=fields, adjacency=adjacency,
-                            significance_level=0.05)
+    net = TechnologyNetwork(year=2000, fields=fields, adjacency=adjacency)
     return (
         net,
         frozenset(fields[i] for i in core),

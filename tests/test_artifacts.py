@@ -80,7 +80,7 @@ READERS = {
         _assist_texts()[0],
         AssistError,
     ),
-    "pvalues": (pvalues_from_text, _pvalues_text(), ValueError),
+    "pvalues": (lambda text: pvalues_from_text(text, year=YEAR), _pvalues_text(), ValueError),
 }
 
 DENSE = ("assist", "pvalues")
@@ -128,6 +128,10 @@ def unknown_key(text):
     return _tamper_last_line(text, rename)
 
 
+def other_meta_year(text):
+    return text.replace(f"base_year={YEAR}", f"base_year={YEAR + 1}", 1)
+
+
 CASES = {
     "missing_last_row": (missing_last_row, ("labels", *DENSE)),
     "out_of_order_row": (out_of_order_row, ("labels", *DENSE)),
@@ -135,6 +139,7 @@ CASES = {
     "wrong_column_count": (wrong_column_count, tuple(READERS)),
     "second_year": (second_year, ("occurrence", "presence", "network", "field_counts", "labels")),
     "unknown_key": (unknown_key, tuple(READERS)),
+    "other_meta_year": (other_meta_year, ("pvalues",)),
 }
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from oracles import pvalue_text_by_loop
 from technet import nullmodel, pipeline
 from technet.assist import assist_from_text
-from technet.cli import main
+from technet.cli import _config, build_parser, main
 from technet.nullmodel import BicmFitError, fit_bicm
 from technet.pipeline import (
     ConfigError,
@@ -79,6 +80,9 @@ class TestValidation:
             "fdr_q = 0.1",
             "include_diagonal = true",
             "significance_basis = addone",
+            "lag = 2",
+            "dump_null_summaries = yes",
+            "granularity = subclass",
         ])
         path = tmp_path / "run.cfg"
         path.write_text(text + "\n")
@@ -86,6 +90,11 @@ class TestValidation:
         assert cfg.year_min == 1995 and cfg.n_replicates == 77
         assert cfg.fdr_q == 0.1 and cfg.include_diagonal
         assert cfg.significance_basis == "addone"
+        assert cfg.lag == 2 and cfg.dump_null_summaries is True
+        assert cfg.granularity == "subclass"
+        path.write_text("lag = x\n")
+        with pytest.raises(ConfigError):
+            load_run_config(path)
 
     def test_config_file_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -360,6 +369,10 @@ def _drop_last_pvalue_row(paths):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
 
 
+def _pvalues_of_other_year(paths):
+    paths.pvalues(1993).write_text(paths.pvalues(1992).read_text())
+
+
 def _drop_last_label(paths):
     path = paths.labels(1993)
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
@@ -448,9 +461,44 @@ class TestStatsInputs:
         assert isinstance(err.value.cause, ValueError)
         assert not RunPaths(out).network(1993).exists()
 
+    def test_pvalues_of_other_year_fail_the_filter_stage(
+        self, synth_inputs, tmp_path, monkeypatch
+    ):
+        # read as 1993's, 1992's counts would be written into C_1993.csv
+        _tamper_before(monkeypatch, "filter", _pvalues_of_other_year)
+        out = tmp_path / "run"
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(run_config(synth_inputs, out))
+        assert err.value.stage == "filter"
+        assert isinstance(err.value.cause, ValueError)
+        assert not RunPaths(out).network(1993).exists()
+
+
+# Flags per stage command, and the RunConfig fields that the pipeline takes for them.
+STAGE_SETTINGS = {
+    "defaults": ({}, {}),
+    "settings": (
+        {
+            "assist": ["--lag", "2"],
+            "nulls": ["--lag", "2", "--dump-null-summaries"],
+            "filter": ["--lag", "2", "--q", "0.1", "--include-diagonal", "--basis", "addone"],
+            "acs": ["--lag", "2"],
+            "stats": ["--lag", "2"],
+        },
+        {"lag": 2, "fdr_q": 0.1, "include_diagonal": True,
+         "significance_basis": "addone", "dump_null_summaries": True},
+    ),
+}
+
+
+def _dir_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
 
 class TestCli:
-    def test_stagewise_chain_matches_pipeline(self, synth_inputs, tmp_path):
+    @pytest.mark.parametrize("settings", STAGE_SETTINGS)
+    def test_stagewise_chain_matches_pipeline(self, synth_inputs, tmp_path, settings):
+        flags, fields = STAGE_SETTINGS[settings]
         staged = tmp_path / "staged"
         direct = tmp_path / "direct"
         events = str(synth_inputs / "events.csv")
@@ -459,21 +507,28 @@ class TestCli:
                      "--hierarchy", hierarchy, "--year-min", "1991",
                      "--year-max", "1996"]) == 0
         assert main(["rca", "--run-dir", str(staged)]) == 0
-        assert main(["assist", "--run-dir", str(staged)]) == 0
+        assert main(["assist", "--run-dir", str(staged), *flags.get("assist", [])]) == 0
         assert main(["nulls", "--run-dir", str(staged), "--replicates", "25",
-                     "--seed", "6", "--workers", "2"]) == 0
-        assert main(["filter", "--run-dir", str(staged)]) == 0
-        assert main(["acs", "--run-dir", str(staged)]) == 0
-        assert main(["stats", "--run-dir", str(staged),
-                     "--hierarchy", str(tmp_path / "missing.csv")]) == 1
-        assert main(["stats", "--run-dir", str(staged), "--hierarchy", hierarchy]) == 0
+                     "--seed", "6", "--workers", "2", *flags.get("nulls", [])]) == 0
+        assert main(["filter", "--run-dir", str(staged), *flags.get("filter", [])]) == 0
+        assert main(["acs", "--run-dir", str(staged), *flags.get("acs", [])]) == 0
+        stats = ["stats", "--run-dir", str(staged), *flags.get("stats", [])]
+        assert main([*stats, "--hierarchy", str(tmp_path / "missing.csv")]) == 1
+        assert main([*stats, "--hierarchy", hierarchy, "--q", "0.1"]) == 1  # no such flag
+        assert main([*stats, "--hierarchy", hierarchy]) == 0
         assert main(["dynamics", "--run-dir", str(staged), "--year", "1993",
                      "--t-end", "2", "--window", "1"]) == 0
 
-        run_pipeline(run_config(synth_inputs, direct))
-        for rel in ("acs/summary.csv", "stats/mixing.csv", "stats/fitness.csv",
-                    "network/C_1993.csv"):
-            assert (staged / rel).read_bytes() == (direct / rel).read_bytes()
+        cfg = run_config(synth_inputs, direct, **fields)
+        run_pipeline(cfg)
+        for sub in ("network", "acs", "stats", "nulls"):
+            assert _dir_bytes(staged / sub) == _dir_bytes(direct / sub)
+        # q and include_diagonal leave these small networks as they are (empty
+        # under addone at K=25), so check that they reach the filter stage's config
+        args = build_parser().parse_args(["filter", "--run-dir", str(staged),
+                                          *flags.get("filter", [])])
+        filter_cfg = _config(args)
+        assert (filter_cfg.fdr_q, filter_cfg.include_diagonal) == (cfg.fdr_q, cfg.include_diagonal)
         assert (staged / "dynamics" / "trajectory_1993.csv").is_file()
         assert (staged / "dynamics" / "growth_1993.csv").is_file()
 
@@ -546,3 +601,125 @@ def test_class_level_network_has_full_field_dimensions(tmp_path):
     assert len(fields) == 121
     net = network_from_text("2000,S000,S001\n", fields, year=2000)
     assert net.adjacency.shape == (121, 121)
+
+
+# Each subcommand's sorted (option strings, required, choices, type, action,
+# const, default), recorded before the option table replaced the hand-written
+# parsers; only `stats --q` and `dynamics --q`, whose value nothing read, are gone.
+PARENT_CLI_SURFACE = {
+    "synth": [
+        (("--families-per-presence",), False, None, "int", "_StoreAction", None, 3),
+        (("--fields",), False, None, "int", "_StoreAction", None, 30),
+        (("--out",), True, None, None, "_StoreAction", None, None),
+        (("--p-base",), False, None, "float", "_StoreAction", None, 0.02),
+        (("--plant",), False, None, None, "_AppendAction", None, None),
+        (("--plant-cycle",), False, None, "float", "_StoreAction", None, None),
+        (("--regions",), False, None, "int", "_StoreAction", None, 200),
+        (("--sections",), False, None, "int", "_StoreAction", None, 3),
+        (("--seed",), False, None, "int", "_StoreAction", None, 0),
+        (("--year-max",), False, None, "int", "_StoreAction", None, 2004),
+        (("--year-min",), False, None, "int", "_StoreAction", None, 1980),
+        (("-h", "--help"), False, None, None, "_HelpAction", None, "==SUPPRESS=="),
+    ],
+    "ingest": [
+        (("--delimiter",), False, None, None, "_StoreAction", None, None),
+        (("--events",), True, None, None, "_StoreAction", None, None),
+        (("--granularity",), False, ("class", "subclass"), None, "_StoreAction", None, None),
+        (("--hierarchy",), True, None, None, "_StoreAction", None, None),
+        (("--regions",), False, None, None, "_StoreAction", None, None),
+        (("--run-dir",), True, None, None, "_StoreAction", None, None),
+        (("--year-max",), False, None, "int", "_StoreAction", None, None),
+        (("--year-min",), False, None, "int", "_StoreAction", None, None),
+        (("-h", "--help"), False, None, None, "_HelpAction", None, "==SUPPRESS=="),
+    ],
+    "rca": [
+        (("--run-dir",), True, None, None, "_StoreAction", None, None),
+        (("-h", "--help"), False, None, None, "_HelpAction", None, "==SUPPRESS=="),
+    ],
+    "assist": [
+        (("--lag",), False, None, "int", "_StoreAction", None, None),
+        (("--run-dir",), True, None, None, "_StoreAction", None, None),
+        (("-h", "--help"), False, None, None, "_HelpAction", None, "==SUPPRESS=="),
+    ],
+    "nulls": [
+        (("--dump-null-summaries",), False, None, None, "_StoreConstAction", True, None),
+        (("--lag",), False, None, "int", "_StoreAction", None, None),
+        (("--replicates",), False, None, "int", "_StoreAction", None, None),
+        (("--run-dir",), True, None, None, "_StoreAction", None, None),
+        (("--seed",), False, None, "int", "_StoreAction", None, None),
+        (("--workers",), False, None, "int", "_StoreAction", None, None),
+        (("-h", "--help"), False, None, None, "_HelpAction", None, "==SUPPRESS=="),
+    ],
+    "filter": [
+        (("--basis",), False, ("percentile", "addone"), None, "_StoreAction", None, None),
+        (("--include-diagonal",), False, None, None, "_StoreConstAction", True, None),
+        (("--lag",), False, None, "int", "_StoreAction", None, None),
+        (("--q",), False, None, "float", "_StoreAction", None, None),
+        (("--run-dir",), True, None, None, "_StoreAction", None, None),
+        (("-h", "--help"), False, None, None, "_HelpAction", None, "==SUPPRESS=="),
+    ],
+    "acs": [
+        (("--lag",), False, None, "int", "_StoreAction", None, None),
+        (("--run-dir",), True, None, None, "_StoreAction", None, None),
+        (("-h", "--help"), False, None, None, "_HelpAction", None, "==SUPPRESS=="),
+    ],
+    "stats": [
+        (("--hierarchy",), True, None, None, "_StoreAction", None, None),
+        (("--lag",), False, None, "int", "_StoreAction", None, None),
+        (("--q",), False, None, "float", "_StoreAction", None, None),
+        (("--run-dir",), True, None, None, "_StoreAction", None, None),
+        (("-h", "--help"), False, None, None, "_HelpAction", None, "==SUPPRESS=="),
+    ],
+    "dynamics": [
+        (("--dt",), False, None, "float", "_StoreAction", None, 0.01),
+        (("--q",), False, None, "float", "_StoreAction", None, None),
+        (("--run-dir",), True, None, None, "_StoreAction", None, None),
+        (("--t-end",), False, None, "float", "_StoreAction", None, 10.0),
+        (("--window",), False, None, "float", "_StoreAction", None, None),
+        (("--year",), True, None, "int", "_StoreAction", None, None),
+        (("-h", "--help"), False, None, None, "_HelpAction", None, "==SUPPRESS=="),
+    ],
+    "pipeline": [
+        (("--basis",), False, ("percentile", "addone"), None, "_StoreAction", None, None),
+        (("--config",), False, None, None, "_StoreAction", None, None),
+        (("--delimiter",), False, None, None, "_StoreAction", None, None),
+        (("--dump-null-summaries",), False, None, None, "_StoreConstAction", True, None),
+        (("--events",), False, None, None, "_StoreAction", None, None),
+        (("--granularity",), False, ("class", "subclass"), None, "_StoreAction", None, None),
+        (("--hierarchy",), False, None, None, "_StoreAction", None, None),
+        (("--include-diagonal",), False, None, None, "_StoreConstAction", True, None),
+        (("--lag",), False, None, "int", "_StoreAction", None, None),
+        (("--q",), False, None, "float", "_StoreAction", None, None),
+        (("--regions",), False, None, None, "_StoreAction", None, None),
+        (("--replicates",), False, None, "int", "_StoreAction", None, None),
+        (("--run-dir",), False, None, None, "_StoreAction", None, None),
+        (("--seed",), False, None, "int", "_StoreAction", None, None),
+        (("--workers",), False, None, "int", "_StoreAction", None, None),
+        (("--year-max",), False, None, "int", "_StoreAction", None, None),
+        (("--year-min",), False, None, "int", "_StoreAction", None, None),
+        (("-h", "--help"), False, None, None, "_HelpAction", None, "==SUPPRESS=="),
+    ],
+}
+REMOVED_OPTIONS = {("stats", ("--q",)), ("dynamics", ("--q",))}
+
+
+def _cli_surface():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: sorted(
+            (
+                tuple(a.option_strings), a.required, tuple(a.choices) if a.choices else None,
+                getattr(a.type, "__name__", None), type(a).__name__, a.const, a.default,
+            )
+            for a in parser._actions
+        )
+        for name, parser in sub.choices.items()
+    }
+
+
+def test_cli_surface_is_the_parents_without_the_dead_q_flags():
+    expected = {
+        name: [row for row in rows if (name, row[0]) not in REMOVED_OPTIONS]
+        for name, rows in PARENT_CLI_SURFACE.items()
+    }
+    assert _cli_surface() == expected

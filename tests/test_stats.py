@@ -220,14 +220,14 @@ class TestSectionStats:
     def test_mixing_single_section(self):
         net = net_from_edges(2, [(0, 1), (1, 0)])
         net = net.__class__(year=net.year, fields=("A01", "A21"),
-                            adjacency=net.adjacency, significance_level=0.05)
+                            adjacency=net.adjacency)
         mix = section_mixing(net, TWO_SECTIONS)
         assert mix.within == 2 and mix.between == 0
 
     def test_mixing_hand_classified(self):
         net = net_from_edges(3, [(0, 1), (0, 2)])
         net = net.__class__(year=net.year, fields=("A01", "A21", "H01"),
-                            adjacency=net.adjacency, significance_level=0.05)
+                            adjacency=net.adjacency)
         mix = section_mixing(net, TWO_SECTIONS)
         assert mix.within == 1 and mix.between == 1
         assert mix.total == 2
@@ -235,7 +235,7 @@ class TestSectionStats:
     def test_unmapped_field_is_error(self):
         net = net_from_edges(2, [(0, 1)])
         net = net.__class__(year=net.year, fields=("A01", "Z99"),
-                            adjacency=net.adjacency, significance_level=0.05)
+                            adjacency=net.adjacency)
         with pytest.raises(StatsError):
             section_mixing(net, TWO_SECTIONS)
 
@@ -247,14 +247,14 @@ class TestSectionStats:
             np.fill_diagonal(adj, 0)
             net = net_from_edges(4, zip(*np.nonzero(adj)))
             net = net.__class__(year=net.year, fields=fields,
-                                adjacency=net.adjacency, significance_level=0.05)
+                                adjacency=net.adjacency)
             mix = section_mixing(net, TWO_SECTIONS)
             assert mix.total == int(adj.sum())
 
     def test_ordered_adjacency_blocks(self):
         net = net_from_edges(4, [(0, 1), (2, 3)])
         net = net.__class__(year=net.year, fields=("H01", "A01", "H02", "A21"),
-                            adjacency=net.adjacency, significance_level=0.05)
+                            adjacency=net.adjacency)
         grid, bounds = ordered_adjacency_text(net, TWO_SECTIONS)
         lines = grid.splitlines()
         assert lines[0] == "field,A01,A21,H01,H02"
@@ -268,7 +268,7 @@ class TestSectionStats:
     def test_occupancy_empty_acs(self):
         net = net_from_edges(4, [])
         net = net.__class__(year=net.year, fields=("A01", "A21", "H01", "H02"),
-                            adjacency=net.adjacency, significance_level=0.05)
+                            adjacency=net.adjacency)
         rows = section_occupancy(labels_of(net), TWO_SECTIONS)
         assert all(r.acs_fraction == 0.0 for r in rows)
         assert all(r.share_of_acs is None for r in rows)
@@ -277,7 +277,7 @@ class TestSectionStats:
         # both H classes on a cycle: section H entirely inside the ACS
         net = net_from_edges(4, [(2, 3), (3, 2)])
         net = net.__class__(year=net.year, fields=("A01", "A21", "H01", "H02"),
-                            adjacency=net.adjacency, significance_level=0.05)
+                            adjacency=net.adjacency)
         d = labels_of(net)
         rows = {r.section: r for r in section_occupancy(d, TWO_SECTIONS)}
         assert rows["H"].acs_fraction == 1.0
@@ -288,7 +288,7 @@ class TestSectionStats:
     def test_acs_section_counts_match_manual(self):
         net = net_from_edges(4, [(0, 1), (1, 0), (1, 2)])
         net = net.__class__(year=net.year, fields=("A01", "A21", "H01", "H02"),
-                            adjacency=net.adjacency, significance_level=0.05)
+                            adjacency=net.adjacency)
         sections, counts, sizes = acs_section_counts(labels_of(net), TWO_SECTIONS)
         assert sections == ("A", "H")
         assert counts == [2, 1]

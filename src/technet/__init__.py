@@ -9,10 +9,10 @@ statistics.
 
 __version__ = "0.1.0"
 
-from .acs import AcsDecomposition, decompose, find_core, find_periphery, pf_eigen
+from .acs import AcsDecomposition, decompose
 from .assist import AssistMatrix, assist_matrix, diversification, ubiquity
 from .dynamics import estimate_growth_rate, simulate_linear
-from .fdr import TechnologyNetwork, bh_fdr, build_adjacency
+from .fdr import TechnologyNetwork, build_adjacency
 from .hierarchy import CodeHierarchy
 from .ingest import (
     EventRecord,
@@ -52,7 +52,6 @@ __all__ = [
     "SynthConfig",
     "TechnologyNetwork",
     "assist_matrix",
-    "bh_fdr",
     "binarize_rca",
     "build_adjacency",
     "build_occurrence_matrix",
@@ -60,13 +59,10 @@ __all__ = [
     "diversification",
     "estimate_growth_rate",
     "exceedance_counts",
-    "find_core",
-    "find_periphery",
     "fit_bicm",
     "fit_noncentral_weights",
     "generate_events",
     "parse_events",
-    "pf_eigen",
     "pvalues_from_counts",
     "run_pipeline",
     "sample_null_matrix",

@@ -84,10 +84,6 @@ class AcsDecomposition:
         return "outside"
 
 
-def _neighbor_lists(adjacency: np.ndarray) -> list[list[int]]:
-    return [np.nonzero(adjacency[i])[0].tolist() for i in range(adjacency.shape[0])]
-
-
 def _tarjan_sccs(neighbors: list[list[int]]) -> list[list[int]]:
     """Iterative Tarjan; recursion would overflow on long subclass-level paths."""
     n = len(neighbors)
@@ -141,106 +137,66 @@ def _tarjan_sccs(neighbors: list[list[int]]) -> list[list[int]]:
     return sccs
 
 
-def _core_components(net: TechnologyNetwork) -> list[list[int]]:
-    """SCCs that contain a cycle: size >= 2, or a singleton with a self-loop."""
-    neighbors = _neighbor_lists(net.adjacency)
-    components = []
-    for comp in _tarjan_sccs(neighbors):
-        if len(comp) >= 2 or net.adjacency[comp[0], comp[0]]:
-            components.append(sorted(comp))
-    return components
-
-
-def _descendants(adjacency: np.ndarray, sources: list[int]) -> set[int]:
+def _descendants(neighbors: list[list[int]], sources: list[int]) -> set[int]:
+    """The sources and every node reachable from them."""
     seen = set(sources)
     frontier = list(sources)
     while frontier:
-        v = frontier.pop()
-        for w in np.nonzero(adjacency[v])[0]:
-            w = int(w)
+        for w in neighbors[frontier.pop()]:
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
     return seen
 
 
-def find_core(net: TechnologyNetwork) -> frozenset[str]:
-    """Fields lying on at least one directed cycle (self-loops count)."""
-    return frozenset(net.fields[i] for comp in _core_components(net) for i in comp)
-
-
-def find_periphery(net: TechnologyNetwork, core: frozenset[str]) -> frozenset[str]:
-    """Fields reachable from the core by directed paths, excluding the core."""
-    core_idx = [i for i, f in enumerate(net.fields) if f in core]
-    reached = _descendants(net.adjacency, core_idx)
-    return frozenset(net.fields[i] for i in reached) - core
+def find_core(adjacency: np.ndarray, neighbors: list[list[int]]) -> list[list[int]]:
+    """The cycle cores, each sorted: SCCs of size >= 2 or with a self-loop (one SCC pass)."""
+    return [sorted(c) for c in _tarjan_sccs(neighbors) if len(c) >= 2 or adjacency[c[0], c[0]]]
 
 
 def split_distinct_acs(
-    net: TechnologyNetwork, core: frozenset[str], periphery: frozenset[str]
+    adjacency: np.ndarray, names: Sequence[str], cores: list[list[int]], reach: list[set[int]]
 ) -> list[Acs]:
-    """Group core components connected by a directed path (either direction).
+    """Group the cores joined by a directed path in either direction into ACSs.
 
-    Each group, with the periphery it reaches, is one distinct ACS. A
-    periphery node catalysed by two path-disconnected cores appears in both:
-    maximality of each ACS wins over disjointness of the list.
+    `reach[a]` is everything core a reaches. An SCC is reached as a whole, so
+    one node of it stands for all. Each ACS keeps the periphery its cores reach;
+    the list runs from the largest core eigenvalue down, then the larger core,
+    then the smallest field code.
     """
-    components = _core_components(net)
-    if not components:
-        return []
-    reach = [_descendants(net.adjacency, comp) for comp in components]
-    parent = list(range(len(components)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(len(components)):
-        for b in range(a + 1, len(components)):
-            if any(i in reach[a] for i in components[b]) or any(
-                i in reach[b] for i in components[a]
-            ):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-
+    group = list(range(len(cores)))
+    for a in range(len(cores)):
+        for b in range(a + 1, len(cores)):
+            if group[a] != group[b] and (cores[b][0] in reach[a] or cores[a][0] in reach[b]):
+                old = group[b]
+                group = [group[a] if g == old else g for g in group]
     groups: dict[int, list[int]] = {}
-    for a in range(len(components)):
-        groups.setdefault(find(a), []).append(a)
+    for a, g in enumerate(group):
+        groups.setdefault(g, []).append(a)
 
-    result = []
+    core_idx = {i for comp in cores for i in comp}
+    acs_list = []
     for members in groups.values():
-        group_core = frozenset(net.fields[i] for a in members for i in components[a])
+        idx = sorted(i for a in members for i in cores[a])
         reached = set().union(*(reach[a] for a in members))
-        group_periphery = frozenset(net.fields[i] for i in reached) & periphery
-        core_net = _induced_network(net, group_core)
-        lam, _ = pf_eigen(core_net)
-        result.append(Acs(core=group_core, periphery=group_periphery, core_lambda1=lam))
-    result.sort(key=lambda a: (-a.core_lambda1, -len(a.core), min(a.core)))
-    return result
-
-
-def _induced_network(net: TechnologyNetwork, nodes: frozenset[str]) -> TechnologyNetwork:
-    idx = [i for i, f in enumerate(net.fields) if f in nodes]
-    sub = net.adjacency[np.ix_(idx, idx)]
-    return TechnologyNetwork(
-        year=net.year, fields=tuple(net.fields[i] for i in idx), adjacency=sub
-    )
+        lam, _ = pf_eigen(adjacency[np.ix_(idx, idx)])
+        periphery = frozenset(names[i] for i in reached - core_idx)
+        acs_list.append(Acs(frozenset(names[i] for i in idx), periphery, core_lambda1=lam))
+    acs_list.sort(key=lambda a: (-a.core_lambda1, -len(a.core), min(a.core)))
+    return acs_list
 
 
 def pf_eigen(
-    net: TechnologyNetwork, tol: float = 1e-10, max_squarings: int = 60
+    adjacency: np.ndarray, tol: float = 1e-10, max_squarings: int = 60
 ) -> tuple[float, np.ndarray]:
-    """Leading eigenvalue and receiver-side eigenvector of the adjacency matrix.
+    """Leading eigenvalue and receiver-side eigenvector of a cyclic adjacency.
 
-    An acyclic (nilpotent) adjacency gives 0 and the uniform vector at once;
-    from 21 path nodes on, its squarings below underflow to all zeros. Else,
-    power iteration on (C^T + I) from a uniform start, accelerated by repeated
-    matrix squaring so that defective cases, whose plain iteration converges
-    only like 1/k, stabilize as well. The +I shift removes periodicity; the
-    eigenvalue of C is the converged value minus one.
+    The caller handles the acyclic (nilpotent) case, whose eigenvalue is 0
+    exactly: from 21 path nodes on, its squarings below underflow to all
+    zeros. Here, power iteration on (C^T + I) from a uniform start,
+    accelerated by repeated matrix squaring so that defective cases, whose
+    plain iteration converges only like 1/k, stabilize as well. The +I shift
+    removes periodicity; the eigenvalue of C is the converged value minus one.
 
     Convergence uses the Collatz-Wielandt bracket: for a nonnegative matrix A
     and positive vector v, min_i (Av)_i / v_i and max_i (Av)_i / v_i enclose
@@ -250,13 +206,9 @@ def pf_eigen(
     from its limit, and on non-normal matrices the quotient error is only
     first order in the eigenpair residual.)
     """
-    n = len(net.fields)
-    if n == 0:
-        return 0.0, np.zeros(0)
+    n = adjacency.shape[0]
     start = np.full(n, 1.0 / n)
-    if not _core_components(net):
-        return 0.0, start
-    shifted = net.adjacency.T.astype(np.float64) + np.eye(n)
+    shifted = adjacency.T.astype(np.float64) + np.eye(n)
 
     power = shifted / shifted.max()
     width = np.inf
@@ -279,30 +231,42 @@ def pf_eigen(
 
 
 def decompose(net: TechnologyNetwork) -> AcsDecomposition:
-    """Full combinatorial + spectral decomposition of one year's network."""
-    core = find_core(net)
-    periphery = find_periphery(net, core)
-    outside = frozenset(net.fields) - core - periphery
-    acs_list = tuple(split_distinct_acs(net, core, periphery))
-    pf_lambda, pf_vector = pf_eigen(net)
+    """Full combinatorial + spectral decomposition of one year's network.
 
-    # Without a core the adjacency is nilpotent: pf_eigen gives exactly 0 and
-    # there is no support to check.
-    consistent = True
+    One SCC pass finds the cycle cores (`find_core`). One search from each
+    core finds what it reaches, and the periphery is everything reached
+    outside the core. Cores joined by a directed path in either direction
+    form one distinct ACS (`split_distinct_acs`). A periphery node catalysed
+    by two path-disconnected cores appears in both: maximality of each ACS
+    wins over disjointness of the list. `find_core`, `split_distinct_acs`
+    and `pf_eigen` are public so that `perfbench/tracer.py` times each.
+
+    Without a core the adjacency is nilpotent: lambda1 is exactly 0, the
+    vector uniform, and there is no support to check.
+    """
+    adjacency = net.adjacency
+    names = net.fields
+    neighbors = [np.nonzero(row)[0].tolist() for row in adjacency]
+    cores = find_core(adjacency, neighbors)
+    reach = [_descendants(neighbors, comp) for comp in cores]
+    acs_list = split_distinct_acs(adjacency, names, cores, reach)
+
+    core = frozenset(names[i] for comp in cores for i in comp)
+    periphery = frozenset(names[i] for i in set().union(*reach)) - core
     if core:
-        support = {
-            net.fields[i]
-            for i in np.nonzero(pf_vector > PF_SUPPORT_RTOL * pf_vector.max())[0]
-        }
-        dominant_nodes = acs_list[0].nodes if acs_list else frozenset()
-        consistent = pf_lambda > LAMBDA_POSITIVE_TOL and support <= dominant_nodes
+        pf_lambda, pf_vector = pf_eigen(adjacency)
+        support = {names[i] for i in np.nonzero(pf_vector > PF_SUPPORT_RTOL * pf_vector.max())[0]}
+        consistent = pf_lambda > LAMBDA_POSITIVE_TOL and support <= acs_list[0].nodes
+    else:
+        pf_lambda, pf_vector = 0.0, np.full(len(names), 1.0 / max(len(names), 1))
+        consistent = True
     return AcsDecomposition(
         year=net.year,
-        fields=net.fields,
+        fields=names,
         core=core,
         periphery=periphery,
-        outside=outside,
-        acs_list=acs_list,
+        outside=frozenset(names) - core - periphery,
+        acs_list=tuple(acs_list),
         lambda1=pf_lambda,
         pf_vector=pf_vector,
         pf_support_consistent=consistent,

@@ -72,7 +72,11 @@ def bh_reject(pvalues: Sequence[float] | np.ndarray, q: float) -> np.ndarray:
 
 
 def bh_fdr(pvalues: Sequence[tuple[Hashable, float]], q: float) -> set[Hashable]:
-    """Benjamini-Hochberg step-up selection over (key, p-value) pairs (see bh_reject)."""
+    """Benjamini-Hochberg step-up selection over (key, p-value) pairs (see bh_reject).
+
+    Nothing in the pipeline calls it; it stays while `perfbench/tracer.py`
+    names it as a span.
+    """
     items = list(pvalues)
     return {items[i][0] for i in bh_reject([p for _key, p in items], q)}
 

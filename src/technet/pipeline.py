@@ -151,11 +151,14 @@ class RunConfig:
         return list(range(self.year_min, self.year_max + 1))
 
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     """Plain key = value configuration file; '#' starts a comment line.
 
     Each key is a RunConfig field and its value is cast to that field's type;
-    a bool field is true for 1, true or yes.
+    a bool field takes 1, true or yes, or 0, false or no, in any case.
     """
     cfg = RunConfig()
     types = get_type_hints(RunConfig)
@@ -170,8 +173,8 @@ def load_run_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         kind = types[key]
         try:
-            setattr(cfg, key, value.lower() in ("1", "true", "yes") if kind is bool else kind(value))
-        except ValueError:
+            setattr(cfg, key, _BOOL_WORDS[value.lower()] if kind is bool else kind(value))
+        except (KeyError, ValueError):
             raise ConfigError(f"bad value for {key!r}: {value!r}") from None
     return cfg
 

@@ -2,11 +2,12 @@
 
 Every oracle here is implemented by a different route than the package code
 it checks: explicit walk enumeration instead of matrix algebra, boolean matrix
-powers instead of Tarjan, Taylor-series matrix exponentials instead of RK4,
-the quadratic step-up definition instead of the sort-scan, brute-force
-composition enumeration instead of polynomial convolution, a row-by-row peel
-and a full-matrix fixed point instead of the degree-class BiCM fit, and a plain
-per-pair replicate loop instead of the shared-draw walk over year pairs.
+powers instead of Tarjan and core grouping, Taylor-series matrix exponentials
+instead of RK4, the quadratic step-up definition instead of the sort-scan,
+brute-force composition enumeration instead of polynomial convolution, a
+row-by-row peel and a full-matrix fixed point instead of the degree-class BiCM
+fit, and a plain per-pair replicate loop instead of the shared-draw walk over
+year pairs.
 """
 
 from __future__ import annotations
@@ -100,6 +101,25 @@ def reachable_bool_powers(adjacency: np.ndarray, sources: set[int]) -> set[int]:
             break
         reached |= new
     return set(np.nonzero(reached)[0].tolist())
+
+
+def acs_groups_bool_powers(adjacency: np.ndarray) -> set[tuple[frozenset[int], frozenset[int]]]:
+    """Distinct ACSs as (core, periphery) index sets, via boolean powers.
+
+    Cycle nodes linked by a directed path in either direction share an ACS
+    (two nodes of one cycle core reach each other); each ACS also holds every
+    non-cycle node that its cycle nodes reach.
+    """
+    on_cycle = cycle_nodes_bool_powers(adjacency)
+    reach = {v: reachable_bool_powers(adjacency, {v}) for v in on_cycle}
+    groups: list[set[int]] = []
+    for v in sorted(on_cycle):
+        linked = [g for g in groups if any(u in reach[v] or v in reach[u] for u in g)]
+        groups = [g for g in groups if g not in linked] + [{v}.union(*linked)]
+    return {
+        (frozenset(g), frozenset(set().union(*(reach[v] for v in g)) - on_cycle))
+        for g in groups
+    }
 
 
 def bh_stepup_bruteforce(pvalues: list[float], q: float) -> set[int]:

@@ -12,10 +12,10 @@ import time
 
 import numpy as np
 
-from technet.acs import decompose, pf_eigen
+from technet.acs import decompose
 from technet.assist import assist_matrix
 from technet.dynamics import estimate_growth_rate, simulate_linear
-from technet.fdr import bh_fdr
+from technet.fdr import bh_reject
 from technet.nullmodel import fit_bicm, sample_null_matrix
 from technet.pipeline import RunConfig, run_pipeline
 from technet.rca import PresenceMatrix
@@ -53,7 +53,7 @@ def test_criterion_1_spectral_combinatorial_equivalence():
     for _ in range(1000):
         adj = random_digraph(rng, n_max=12, density_range=(0.05, 0.5))
         net = net_from_edges(adj.shape[0], zip(*np.nonzero(adj)))
-        lam, _ = pf_eigen(net)
+        lam = decompose(net).lambda1
         if (lam > 1e-8) != has_cycle_bool_powers(adj):
             failures += 1
     elapsed = time.time() - start
@@ -119,8 +119,8 @@ def test_criterion_3_dynamics_oracles():
         gap = lam_true - max((e.real for e in others), default=-1.0)
         if gap < 0.3:
             continue
-        lam, _ = pf_eigen(net)
         d = decompose(net)
+        lam = d.lambda1
         traj = simulate_linear(net, np.ones(adj.shape[0]), t_end=30.0, dt=5e-3)
         rates = estimate_growth_rate(traj, window=5.0)
         acs_idx = [i for i, f in enumerate(net.fields) if f in d.acs_nodes]
@@ -361,7 +361,7 @@ def test_criterion_9_bh_equals_stepup_bruteforce():
             p = np.ones(m)
             p[: m // 3] = rng.random(m // 3) * 0.01
         q = float(rng.uniform(0.01, 0.3))
-        got = bh_fdr(list(enumerate(p.tolist())), q)
+        got = set(bh_reject(p, q).tolist())
         expected = bh_stepup_bruteforce(p.tolist(), q)
         if got != expected:
             mismatches += 1

@@ -1,31 +1,33 @@
 import numpy as np
 import pytest
 
+from technet import acs
 from technet.acs import (
     decompose,
     decomposition_from_text,
     decomposition_summary_line,
     decomposition_to_text,
-    find_core,
-    find_periphery,
-    pf_eigen,
-    split_distinct_acs,
 )
 
 from drivers import net_from_edges, random_digraph, random_single_acs
-from oracles import cycle_nodes_bool_powers, has_cycle_bool_powers, reachable_bool_powers
+from oracles import (
+    acs_groups_bool_powers,
+    cycle_nodes_bool_powers,
+    has_cycle_bool_powers,
+    reachable_bool_powers,
+)
 
 
 class TestFindCore:
     def test_acyclic_chain_has_empty_core(self):
-        assert find_core(net_from_edges(3, [(0, 1), (1, 2)])) == frozenset()
+        assert decompose(net_from_edges(3, [(0, 1), (1, 2)])).core == frozenset()
 
     def test_two_cycle_with_pendant(self):
         net = net_from_edges(3, [(0, 1), (1, 0), (1, 2)])
-        assert find_core(net) == {"N00", "N01"}
+        assert decompose(net).core == {"N00", "N01"}
 
     def test_self_loop_counts_as_cycle(self):
-        assert find_core(net_from_edges(2, [(0, 0)])) == {"N00"}
+        assert decompose(net_from_edges(2, [(0, 0)])).core == {"N00"}
 
     def test_matches_bool_power_oracle_on_random_graphs(self):
         rng = np.random.default_rng(21)
@@ -33,25 +35,24 @@ class TestFindCore:
             adj = random_digraph(rng, n_max=10)
             net = net_from_edges(adj.shape[0], zip(*np.nonzero(adj)))
             expect = {net.fields[i] for i in cycle_nodes_bool_powers(adj)}
-            assert find_core(net) == expect
+            assert decompose(net).core == expect
 
 
 class TestFindPeriphery:
     def test_empty_core_empty_periphery(self):
-        net = net_from_edges(3, [(0, 1), (1, 2)])
-        assert find_periphery(net, frozenset()) == frozenset()
+        d = decompose(net_from_edges(3, [(0, 1), (1, 2)]))
+        assert d.core == frozenset()
+        assert d.periphery == frozenset()
 
     def test_two_cycle_tail(self):
         net = net_from_edges(4, [(0, 1), (1, 0), (1, 2), (2, 3)])
-        core = find_core(net)
-        assert find_periphery(net, core) == {"N02", "N03"}
+        assert decompose(net).periphery == {"N02", "N03"}
 
     def test_node_feeding_into_core_stays_outside(self):
         net = net_from_edges(3, [(0, 1), (1, 0), (2, 0)])
-        core = find_core(net)
         d = decompose(net)
         assert "N02" in d.outside
-        assert find_periphery(net, core) == frozenset()
+        assert d.periphery == frozenset()
 
     def test_matches_reachability_oracle(self):
         rng = np.random.default_rng(22)
@@ -63,29 +64,52 @@ class TestFindPeriphery:
                 net.fields[i]
                 for i in reachable_bool_powers(adj, core_idx) - core_idx
             }
-            assert find_periphery(net, find_core(net)) == expect
+            assert decompose(net).periphery == expect
 
 
 class TestDistinctAcs:
     def test_one_cycle_one_acs(self):
         net = net_from_edges(3, [(0, 1), (1, 0), (1, 2)])
-        acs_list = split_distinct_acs(net, find_core(net), find_periphery(net, find_core(net)))
+        acs_list = decompose(net).acs_list
         assert len(acs_list) == 1
         assert acs_list[0].core == {"N00", "N01"}
         assert acs_list[0].periphery == {"N02"}
 
     def test_two_disjoint_cycles_two_acs(self):
         net = net_from_edges(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
-        core = find_core(net)
-        acs_list = split_distinct_acs(net, core, find_periphery(net, core))
-        assert len(acs_list) == 2
+        assert len(decompose(net).acs_list) == 2
 
     def test_path_joined_cycles_merge(self):
         net = net_from_edges(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 3)])
-        core = find_core(net)
-        acs_list = split_distinct_acs(net, core, find_periphery(net, core))
+        acs_list = decompose(net).acs_list
         assert len(acs_list) == 1
         assert acs_list[0].core == {"N00", "N01", "N03", "N04"}
+
+    def test_core_reaching_two_cores_joins_all_three(self):
+        # the two downstream cycles share no path; each joins the upstream one
+        edges = [(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4), (0, 2), (0, 4)]
+        acs_list = decompose(net_from_edges(6, edges)).acs_list
+        assert len(acs_list) == 1
+        assert acs_list[0].core == {"N00", "N01", "N02", "N03", "N04", "N05"}
+
+    def test_periphery_fed_by_two_cores_is_in_both_acs(self):
+        net = net_from_edges(5, [(0, 1), (1, 0), (2, 3), (3, 2), (1, 4), (3, 4)])
+        d = decompose(net)
+        cores = {frozenset({"N00", "N01"}), frozenset({"N02", "N03"})}
+        assert {a.core for a in d.acs_list} == cores
+        assert [a.periphery for a in d.acs_list] == [frozenset({"N04"})] * 2
+        assert d.periphery == {"N04"}
+
+    def test_matches_grouping_oracle_on_random_graphs(self):
+        rng = np.random.default_rng(29)
+        for _ in range(150):
+            adj = random_digraph(rng, n_max=12, density_range=(0.03, 0.3))
+            net = net_from_edges(adj.shape[0], zip(*np.nonzero(adj)))
+            expect = {
+                (frozenset(net.fields[i] for i in core), frozenset(net.fields[i] for i in peri))
+                for core, peri in acs_groups_bool_powers(adj)
+            }
+            assert {(a.core, a.periphery) for a in decompose(net).acs_list} == expect
 
     def test_dominant_ordering_prefers_larger_lambda_then_size(self):
         # 2-cycle (lambda 1) vs 3-clique-like denser core (lambda > 1)
@@ -103,15 +127,14 @@ class TestDistinctAcs:
 
 class TestPfEigen:
     def test_empty_network_zero(self):
-        lam, vec = pf_eigen(net_from_edges(4, []))
-        assert lam == 0.0
-        assert np.isclose(vec.sum(), 1.0)
+        d = decompose(net_from_edges(4, []))
+        assert d.lambda1 == 0.0
+        assert np.isclose(d.pf_vector.sum(), 1.0)
 
     def test_directed_cycles_have_unit_eigenvalue(self):
         for n in (1, 2, 3, 5, 8):
             edges = [(i, (i + 1) % n) for i in range(n)] if n > 1 else [(0, 0)]
-            lam, _ = pf_eigen(net_from_edges(n, edges))
-            assert abs(lam - 1.0) < 1e-9
+            assert abs(decompose(net_from_edges(n, edges)).lambda1 - 1.0) < 1e-9
 
     def test_matches_dense_eigensolver_oracle(self):
         rng = np.random.default_rng(23)
@@ -119,7 +142,7 @@ class TestPfEigen:
         while checked < 60:
             adj = random_digraph(rng, n_max=9, density_range=(0.1, 0.6))
             net = net_from_edges(adj.shape[0], zip(*np.nonzero(adj)))
-            lam, _ = pf_eigen(net)
+            lam = decompose(net).lambda1
             eigs = np.linalg.eigvals(adj.astype(float))
             lam_oracle = max(0.0, float(np.max(eigs.real)))
             assert abs(lam - lam_oracle) < 1e-8
@@ -131,19 +154,18 @@ class TestPfEigen:
         # all-zero matrix (0/0 at the normalisation) before the bracket closed
         for n in range(2, 61):
             path = [(i, i + 1) for i in range(n - 1)]
-            lam, vec = pf_eigen(net_from_edges(n, path))
-            assert lam == 0.0 and np.isclose(vec.sum(), 1.0)
             d = decompose(net_from_edges(n, path))
-            assert d.lambda1 == 0.0 and not d.core and d.pf_support_consistent
+            assert d.lambda1 == 0.0 and np.isclose(d.pf_vector.sum(), 1.0)
+            assert not d.core and d.pf_support_consistent
             # a 2-cycle at either end of the path makes it cyclic again
             for cycle in ((1, 0), (n - 1, n - 2)):
-                lam, _ = pf_eigen(net_from_edges(n, path + [cycle]))
+                lam = decompose(net_from_edges(n, path + [cycle])).lambda1
                 assert abs(lam - 1.0) < 1e-9
 
     def test_cycle_with_chord_against_oracle(self):
         # 3-cycle plus chord: characteristic polynomial root via dense solver
         net = net_from_edges(3, [(0, 1), (1, 2), (2, 0), (1, 0)])
-        lam, _ = pf_eigen(net)
+        lam = decompose(net).lambda1
         oracle = float(np.max(np.linalg.eigvals(net.adjacency.astype(float)).real))
         assert abs(lam - oracle) < 1e-10
 
@@ -189,7 +211,7 @@ class TestDecompose:
         for _ in range(150):
             adj = random_digraph(rng, n_max=10)
             net = net_from_edges(adj.shape[0], zip(*np.nonzero(adj)))
-            lam, _ = pf_eigen(net)
+            lam = decompose(net).lambda1
             assert (lam > 1e-8) == has_cycle_bool_powers(adj)
 
     def test_pf_support_inside_acs(self):
@@ -234,6 +256,24 @@ class TestDecompose:
             assert pd.core == expected_core
             assert pd.periphery == expected_peri
             assert abs(d.lambda1 - pd.lambda1) < 1e-9
+
+
+def test_one_scc_pass_per_decompose(monkeypatch):
+    calls = []
+
+    def counted(neighbors):
+        calls.append(len(neighbors))
+        return tarjan(neighbors)
+
+    tarjan = acs._tarjan_sccs
+    monkeypatch.setattr(acs, "_tarjan_sccs", counted)
+    acyclic = net_from_edges(4, [(0, 1), (1, 2), (0, 3)])
+    one_acs = net_from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    two_acs = net_from_edges(6, [(0, 1), (1, 0), (2, 3), (3, 2), (1, 4), (3, 5)])
+    for net, n_acs in ((acyclic, 0), (one_acs, 1), (two_acs, 2)):
+        calls.clear()
+        assert len(decompose(net).acs_list) == n_acs
+        assert calls == [len(net.fields)]
 
 
 def test_labels_round_trip_and_summary():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from technet.acs import pf_eigen
+from technet.acs import decompose
 from technet.dynamics import (
     BlowupError,
     WindowError,
@@ -85,7 +85,7 @@ class TestGrowthRate:
     def test_cycle_rate_approaches_lambda1(self):
         # 3-cycle with a periphery node: all ACS rates match the eigenvalue
         net = net_from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-        lam, _ = pf_eigen(net)
+        lam = decompose(net).lambda1
         traj = simulate_linear(net, np.ones(4), t_end=30.0, dt=5e-3)
         rates = estimate_growth_rate(traj, window=5.0)
         assert np.abs(rates.rates - lam).max() < 1e-3
@@ -117,7 +117,7 @@ class TestGrowthRate:
 
     def test_asymptotic_alignment_with_pf_vector(self):
         net = net_from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-        lam, pf = pf_eigen(net)
+        pf = decompose(net).pf_vector
         traj = simulate_linear(net, np.ones(4), t_end=40.0)
         y = traj.activities[-1]
         cos = y @ pf / (np.linalg.norm(y) * np.linalg.norm(pf))

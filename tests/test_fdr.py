@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from technet.fdr import bh_fdr, build_adjacency, network_from_text, network_to_text
+from technet.fdr import bh_fdr, bh_reject, build_adjacency, network_from_text, network_to_text
 from technet.nullmodel import PvalueMatrix
 
 from oracles import bh_stepup_bruteforce
@@ -24,25 +24,30 @@ def make_pvalue_matrix(exceed_counts, n_replicates, source_active=None, year=199
 
 
 class TestBhFdr:
+    """Benjamini-Hochberg step-up selection as `bh_reject` makes it."""
+
     def test_all_ones_rejects_nothing(self):
-        assert bh_fdr([(i, 1.0) for i in range(6)], 0.05) == set()
+        assert set(bh_reject([1.0] * 6, 0.05).tolist()) == set()
+
+    def test_bh_fdr_keeps_the_keys_of_bh_reject(self):
+        pairs = [("a", 0.001), ("b", 0.5), ("c", 0.02), ("d", 0.04)]
+        kept = bh_reject([p for _key, p in pairs], 0.05)
+        assert bh_fdr(pairs, 0.05) == {pairs[i][0] for i in kept} == {"a", "c"}
 
     def test_hand_example_all_four_significant(self):
-        pvals = [("a", 0.001), ("b", 0.02), ("c", 0.03), ("d", 0.04)]
-        assert bh_fdr(pvals, 0.05) == {"a", "b", "c", "d"}
+        assert set(bh_reject([0.001, 0.02, 0.03, 0.04], 0.05).tolist()) == {0, 1, 2, 3}
 
     def test_q_bounds(self):
         with pytest.raises(ValueError):
-            bh_fdr([("a", 0.5)], 0.0)
+            bh_reject([0.5], 0.0)
         with pytest.raises(ValueError):
-            bh_fdr([("a", 0.5)], 1.0)
+            bh_reject([0.5], 1.0)
         with pytest.raises(ValueError):
-            bh_fdr([], 0.05)
+            bh_reject([], 0.05)
 
     def test_tie_groups_are_all_or_nothing(self):
         # four ties at 0.04 with m=4, q=0.05: 0.04 <= 4*0.05/4 at the last rank
-        pvals = [(i, 0.04) for i in range(4)]
-        assert bh_fdr(pvals, 0.05) == {0, 1, 2, 3}
+        assert set(bh_reject([0.04] * 4, 0.05).tolist()) == {0, 1, 2, 3}
 
     def test_matches_quadratic_stepup_oracle(self):
         rng = np.random.default_rng(12)
@@ -57,15 +62,15 @@ class TestBhFdr:
                 p = np.concatenate([rng.random(m // 2 + 1) * 0.02,
                                     rng.random(m - m // 2 - 1)])[:m]
             q = float(rng.uniform(0.01, 0.3))
-            got = bh_fdr(list(enumerate(p.tolist())), q)
+            got = set(bh_reject(p, q).tolist())
             assert got == bh_stepup_bruteforce(p.tolist(), q)
 
     def test_monotone_in_q(self):
         rng = np.random.default_rng(13)
-        p = list(enumerate(rng.random(40).tolist()))
+        p = rng.random(40)
         previous: set = set()
         for q in (0.01, 0.05, 0.1, 0.2, 0.4):
-            current = bh_fdr(p, q)
+            current = set(bh_reject(p, q).tolist())
             assert previous <= current
             previous = current
 

@@ -96,6 +96,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_run_config(path)
 
+    def test_config_file_bools_take_only_yes_or_no_words(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        for word, expect in [("1", True), ("TRUE", True), ("Yes", True),
+                             ("0", False), ("false", False), ("no", False), ("NO", False)]:
+            path.write_text(f"include_diagonal = {not expect}\ninclude_diagonal = {word}\n")
+            assert load_run_config(path).include_diagonal is expect, word
+        for word in ("ture", "on"):
+            path.write_text(f"include_diagonal = {word}\n")
+            with pytest.raises(ConfigError) as raised:
+                load_run_config(path)
+            assert str(raised.value) == f"bad value for 'include_diagonal': '{word}'"
+
     def test_config_file_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("no_such_key = 1\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from technet.acs import find_core
+from technet.acs import decompose
 from technet.synth import (
     SynthConfig,
     SynthConfigError,
@@ -115,10 +115,8 @@ class TestGeneration:
         from drivers import net_from_edges
 
         truth = net_from_edges(2, [(0, 1)])
-        assert find_core(truth) == frozenset()
+        assert decompose(truth).core == frozenset()
         nonempty_cores = 0
         for net, _ in yearly_networks(cfg, n_replicates=150, null_seed=77):
-            from technet.acs import decompose
-
             nonempty_cores += bool(decompose(net).core)
         assert nonempty_cores <= 2

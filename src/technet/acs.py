@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from . import artifacts
 from .fdr import TechnologyNetwork
@@ -73,6 +75,11 @@ class AcsDecomposition:
         return self.core | self.periphery
 
     @property
+    def summary_row(self) -> tuple[int, float, int, int, int]:
+        """Year, lambda1, core size, periphery size, ACS size."""
+        return self.year, self.lambda1, len(self.core), len(self.periphery), len(self.acs_nodes)
+
+    @property
     def dominant(self) -> Acs | None:
         return self.acs_list[0] if self.acs_list else None
 
@@ -84,110 +91,47 @@ class AcsDecomposition:
         return "outside"
 
 
-def _tarjan_sccs(neighbors: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; recursion would overflow on long subclass-level paths."""
-    n = len(neighbors)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    node_stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        node_stack.append(root)
-        on_stack[root] = True
-        call_stack: list[tuple[int, int]] = [(root, 0)]
-        while call_stack:
-            v, pos = call_stack[-1]
-            advanced = False
-            while pos < len(neighbors[v]):
-                w = neighbors[v][pos]
-                pos += 1
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    node_stack.append(w)
-                    on_stack[w] = True
-                    call_stack[-1] = (v, pos)
-                    call_stack.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            call_stack.pop()
-            if call_stack:
-                parent = call_stack[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = node_stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                sccs.append(component)
-    return sccs
-
-
-def _descendants(neighbors: list[list[int]], sources: list[int]) -> set[int]:
-    """The sources and every node reachable from them."""
-    seen = set(sources)
-    frontier = list(sources)
-    while frontier:
-        for w in neighbors[frontier.pop()]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
-
-
-def find_core(adjacency: np.ndarray, neighbors: list[list[int]]) -> list[list[int]]:
-    """The cycle cores, each sorted: SCCs of size >= 2 or with a self-loop (one SCC pass)."""
-    return [sorted(c) for c in _tarjan_sccs(neighbors) if len(c) >= 2 or adjacency[c[0], c[0]]]
+def find_core(graph: csr_matrix) -> list[np.ndarray]:
+    """The cycle cores in index order: SCCs of size >= 2 or with a self-loop (one SCC pass)."""
+    n_sccs, scc = connected_components(graph, connection="strong")
+    cyclic = np.bincount(scc, minlength=n_sccs) >= 2
+    cyclic[scc[graph.diagonal() != 0]] = True
+    return [np.flatnonzero(scc == c) for c in np.flatnonzero(cyclic)]
 
 
 def split_distinct_acs(
-    adjacency: np.ndarray, names: Sequence[str], cores: list[list[int]], reach: list[set[int]]
+    graph: csr_matrix, names: Sequence[str], cores: list[np.ndarray]
 ) -> list[Acs]:
     """Group the cores joined by a directed path in either direction into ACSs.
 
-    `reach[a]` is everything core a reaches. An SCC is reached as a whole, so
-    one node of it stands for all. Each ACS keeps the periphery its cores reach;
-    the list runs from the largest core eigenvalue down, then the larger core,
-    then the smallest field code.
+    One search from one node of each core finds what the core reaches: an SCC
+    is reached as a whole, so one node stands for all. Each ACS keeps the
+    periphery its cores reach; the list runs from the largest core eigenvalue
+    down, then the larger core, then the smallest field code.
     """
-    group = list(range(len(cores)))
-    for a in range(len(cores)):
-        for b in range(a + 1, len(cores)):
-            if group[a] != group[b] and (cores[b][0] in reach[a] or cores[a][0] in reach[b]):
-                old = group[b]
-                group = [group[a] if g == old else g for g in group]
-    groups: dict[int, list[int]] = {}
-    for a, g in enumerate(group):
-        groups.setdefault(g, []).append(a)
+    n = graph.shape[0]
+    reach = np.zeros((len(cores), n), dtype=bool)
+    for a, comp in enumerate(cores):
+        reach[a, breadth_first_order(graph, comp[0], return_predecessors=False)] = True
+    core_reach = reach[:, [comp[0] for comp in cores]]
+    n_groups, group = connected_components(csr_matrix(core_reach), directed=False)
+    outside_cores = np.ones(n, dtype=bool)
+    outside_cores[[i for comp in cores for i in comp]] = False
 
-    core_idx = {i for comp in cores for i in comp}
     acs_list = []
-    for members in groups.values():
-        idx = sorted(i for a in members for i in cores[a])
-        reached = set().union(*(reach[a] for a in members))
-        lam, _ = pf_eigen(adjacency[np.ix_(idx, idx)])
-        periphery = frozenset(names[i] for i in reached - core_idx)
+    for g in range(n_groups):
+        members = np.flatnonzero(group == g)
+        idx = np.sort(np.concatenate([cores[a] for a in members]))
+        reached = np.flatnonzero(reach[members].any(axis=0) & outside_cores)
+        lam, _ = pf_eigen(graph[idx][:, idx])
+        periphery = frozenset(names[i] for i in reached)
         acs_list.append(Acs(frozenset(names[i] for i in idx), periphery, core_lambda1=lam))
     acs_list.sort(key=lambda a: (-a.core_lambda1, -len(a.core), min(a.core)))
     return acs_list
 
 
 def pf_eigen(
-    adjacency: np.ndarray, tol: float = 1e-10, max_squarings: int = 60
+    graph: csr_matrix, tol: float = 1e-10, max_squarings: int = 60
 ) -> tuple[float, np.ndarray]:
     """Leading eigenvalue and receiver-side eigenvector of a cyclic adjacency.
 
@@ -206,9 +150,9 @@ def pf_eigen(
     from its limit, and on non-normal matrices the quotient error is only
     first order in the eigenpair residual.)
     """
-    n = adjacency.shape[0]
+    n = graph.shape[0]
     start = np.full(n, 1.0 / n)
-    shifted = adjacency.T.astype(np.float64) + np.eye(n)
+    shifted = graph.toarray().T.astype(np.float64) + np.eye(n)
 
     power = shifted / shifted.max()
     width = np.inf
@@ -233,10 +177,11 @@ def pf_eigen(
 def decompose(net: TechnologyNetwork) -> AcsDecomposition:
     """Full combinatorial + spectral decomposition of one year's network.
 
-    One SCC pass finds the cycle cores (`find_core`). One search from each
-    core finds what it reaches, and the periphery is everything reached
-    outside the core. Cores joined by a directed path in either direction
-    form one distinct ACS (`split_distinct_acs`). A periphery node catalysed
+    One strong-components pass finds the cycle cores (`find_core`). One
+    search from each core finds what it reaches, and the periphery is
+    everything reached outside the cores. Cores joined by a directed path in
+    either direction form one distinct ACS (`split_distinct_acs`), found as
+    the components of the cores' reach relation. A periphery node catalysed
     by two path-disconnected cores appears in both: maximality of each ACS
     wins over disjointness of the list. `find_core`, `split_distinct_acs`
     and `pf_eigen` are public so that `perfbench/tracer.py` times each.
@@ -244,17 +189,13 @@ def decompose(net: TechnologyNetwork) -> AcsDecomposition:
     Without a core the adjacency is nilpotent: lambda1 is exactly 0, the
     vector uniform, and there is no support to check.
     """
-    adjacency = net.adjacency
     names = net.fields
-    neighbors = [np.nonzero(row)[0].tolist() for row in adjacency]
-    cores = find_core(adjacency, neighbors)
-    reach = [_descendants(neighbors, comp) for comp in cores]
-    acs_list = split_distinct_acs(adjacency, names, cores, reach)
-
-    core = frozenset(names[i] for comp in cores for i in comp)
-    periphery = frozenset(names[i] for i in set().union(*reach)) - core
+    graph = csr_matrix(net.adjacency)
+    acs_list = split_distinct_acs(graph, names, find_core(graph))
+    core = frozenset().union(*(a.core for a in acs_list))
+    periphery = frozenset().union(*(a.periphery for a in acs_list))
     if core:
-        pf_lambda, pf_vector = pf_eigen(adjacency)
+        pf_lambda, pf_vector = pf_eigen(graph)
         support = {names[i] for i in np.nonzero(pf_vector > PF_SUPPORT_RTOL * pf_vector.max())[0]}
         consistent = pf_lambda > LAMBDA_POSITIVE_TOL and support <= acs_list[0].nodes
     else:
@@ -276,14 +217,6 @@ def decompose(net: TechnologyNetwork) -> AcsDecomposition:
 def decomposition_to_text(d: AcsDecomposition) -> str:
     """Year-keyed 'year,field,label' rows, label in {core, periphery, outside}, field order."""
     return artifacts.year_rows_to_text(d.year, ((code, d.label_of(code)) for code in d.fields))
-
-
-def decomposition_summary_line(d: AcsDecomposition) -> str:
-    """One summary row: year, lambda1, core size, periphery size, ACS size."""
-    return (
-        f"{d.year},{d.lambda1!r},{len(d.core)},{len(d.periphery)},"
-        f"{len(d.core) + len(d.periphery)}"
-    )
 
 
 def decomposition_from_text(

@@ -5,7 +5,9 @@ tagged rows whose tag is the year, and `scatter` places them on a dense array
 over given index tuples. Labelled dense matrices hold B_ and P_: an optional
 `# key=value ...` meta line, a `field,f1,...,fn` header, then one row per
 field in header order. The assist sidecar's tagged rows share the row reader.
-Each reader raises the ValueError subclass its caller passes.
+Each reader raises the ValueError subclass its caller passes. Output tables
+that no stage reads back (summaries, stats, dynamics) are rows of Python
+scalars written by `rows_to_text` under its one cell rule.
 """
 
 from __future__ import annotations
@@ -15,8 +17,19 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
 def rows_to_text(rows: Iterable[Iterable]) -> str:
-    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+    """Comma-joined rows of Python scalars: None empty, bools true/false, floats by repr."""
+    return "".join(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def tagged_rows(text: str, widths: Mapping[str, int], error=ValueError) -> dict[str, list]:

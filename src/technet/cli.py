@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .dynamics import estimate_growth_rate, simulate_linear, trajectory_to_text
 from .hierarchy import HierarchyError
 from .ingest import IngestError
@@ -190,11 +191,9 @@ def _cmd_dynamics(args) -> int:
         (out_dir / f"trajectory_{args.year}.csv").write_text(trajectory_to_text(traj))
         if args.window is not None:
             rates = estimate_growth_rate(traj, args.window)
-            lines = ["field,rate,sub_exponential"]
-            for fi, code in enumerate(rates.fields):
-                flag = "true" if rates.sub_exponential[fi] else "false"
-                lines.append(f"{code},{float(rates.rates[fi])!r},{flag}")
-            (out_dir / f"growth_{args.year}.csv").write_text("\n".join(lines) + "\n")
+            rows = zip(rates.fields, rates.rates.tolist(), rates.sub_exponential.tolist())
+            table = [("field", "rate", "sub_exponential"), *rows]
+            (out_dir / f"growth_{args.year}.csv").write_text(artifacts.rows_to_text(table))
     except Exception as exc:  # noqa: BLE001
         raise PipelineError("dynamics", args.year, exc) from exc
     print(f"stage dynamics complete in {paths.root}")

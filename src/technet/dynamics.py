@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .fdr import TechnologyNetwork
 
 OVERFLOW_LIMIT = 1e300
@@ -139,8 +140,8 @@ def estimate_growth_rate(
 
 def trajectory_to_text(traj: Trajectory) -> str:
     """Export 't,field,y' rows on the sampling grid."""
-    lines = []
-    for ti, t in enumerate(traj.times.tolist()):
-        for fi, code in enumerate(traj.fields):
-            lines.append(f"{t!r},{code},{float(traj.activities[ti, fi])!r}")
-    return "\n".join(lines) + "\n"
+    return artifacts.rows_to_text(
+        (t, code, y)
+        for t, ys in zip(traj.times.tolist(), traj.activities.tolist())
+        for code, y in zip(traj.fields, ys)
+    )

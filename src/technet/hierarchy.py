@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import artifacts
+
 LEVELS = ("section", "class", "subclass")
 
 
@@ -108,7 +110,7 @@ class CodeHierarchy:
         return self.ancestor_at(code, 0)
 
 
-def parse_hierarchy(text: str, delimiter: str = ",") -> CodeHierarchy:
+def parse_hierarchy(text: str) -> CodeHierarchy:
     """Parse a hierarchy file: header row, then one (code, parent) pair per line."""
     pairs: list[tuple[str, str | None]] = []
     lines = text.splitlines()
@@ -117,24 +119,15 @@ def parse_hierarchy(text: str, delimiter: str = ",") -> CodeHierarchy:
     for raw in lines[1:]:
         if not raw.strip():
             continue
-        cells = raw.split(delimiter)
-        if len(cells) < 1:
-            raise HierarchyError(f"malformed hierarchy line: {raw!r}")
-        code = cells[0]
-        par = cells[1] if len(cells) > 1 else None
-        pairs.append((code, par))
+        cells = raw.split(",")
+        pairs.append((cells[0], cells[1] if len(cells) > 1 else None))
     return CodeHierarchy.from_pairs(pairs)
 
 
-def hierarchy_to_text(h: CodeHierarchy, delimiter: str = ",") -> str:
-    lines = ["code" + delimiter + "parent"]
-    for code in sorted(h.parent, key=lambda c: (h.depth[c], c)):
-        lines.append(code + delimiter + (h.parent[code] or ""))
-    return "\n".join(lines) + "\n"
+def hierarchy_to_text(h: CodeHierarchy) -> str:
+    codes = sorted(h.parent, key=lambda c: (h.depth[c], c))
+    return artifacts.rows_to_text([("code", "parent"), *((c, h.parent[c]) for c in codes)])
 
 
-def region_table_to_text(table: dict[str, str], delimiter: str = ",") -> str:
-    lines = ["region_id" + delimiter + "country"]
-    for region in sorted(table):
-        lines.append(region + delimiter + table[region])
-    return "\n".join(lines) + "\n"
+def region_table_to_text(table: dict[str, str]) -> str:
+    return artifacts.rows_to_text([("region_id", "country"), *sorted(table.items())])

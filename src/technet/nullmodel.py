@@ -228,6 +228,11 @@ def _check_pairs(pairs: Sequence[NullPair]) -> None:
             raise ValueError("a pair's two years must differ: null draws are keyed by (year, k)")
         if b_emp.base_year != params_t.year:
             raise ValueError("empirical matrix and base-year parameters are of different years")
+        if b_emp.lag != params_t_lag.year - params_t.year:
+            raise ValueError(
+                f"empirical matrix of lag {b_emp.lag} paired with null years "
+                f"{params_t.year} and {params_t_lag.year}"
+            )
         for params in (params_t, params_t_lag):
             if params.regions != b_emp.regions or params.fields != b_emp.fields:
                 raise ValueError("null parameters and empirical matrix differ in index sets")
@@ -305,6 +310,8 @@ def pvalues_from_text(text: str, *, year: int | None = None) -> PvalueMatrix:
         raise ValueError(f"p-value matrix text lacks {exc.args[0]!r} in its meta line") from None
     if year is not None and base_year != year:
         raise ValueError(f"p-value matrix of base year {base_year} where {year} is expected")
+    if n_replicates < 1 or counts.min(initial=0) < 0 or counts.max(initial=0) > n_replicates:
+        raise ValueError(f"p-value counts outside [0, {n_replicates}] or no replicates")
     inactive = set(meta.get("inactive_sources", "").split("|"))
     return PvalueMatrix(
         base_year=base_year,

@@ -36,19 +36,14 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 from typing import Iterator, get_type_hints
 
 import numpy as np
 
 from . import __version__, artifacts
-from .acs import (
-    decompose,
-    decomposition_from_text,
-    decomposition_summary_line,
-    decomposition_to_text,
-)
+from .acs import decompose, decomposition_from_text, decomposition_to_text
 from .assist import assist_from_text, assist_matrix, assist_sidecar_text, assist_to_text
 from .fdr import SIGNIFICANCE_BASES, build_adjacency, network_from_text, network_to_text
 from .hierarchy import CodeHierarchy, parse_hierarchy
@@ -141,6 +136,8 @@ class RunConfig:
             raise ConfigError(f"significance_basis must be one of {SIGNIFICANCE_BASES}")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be nonnegative")
+        if not self.delimiter:
+            raise ConfigError("delimiter must not be empty")
 
     @property
     def base_years(self) -> list[int]:
@@ -375,8 +372,8 @@ def stage_nulls(cfg: RunConfig, paths: RunPaths, workers: int = 1) -> None:
         paths.pvalues(year).write_text(pvalues_to_text(pvalues_from_counts(b_emp, totals[i], k)))
         if cfg.dump_null_summaries:
             rows = enumerate(row for chunk_rows in summaries for row in chunk_rows[i])
-            lines = ["replicate,mean,max"] + [f"{r},{mean!r},{top!r}" for r, (mean, top) in rows]
-            paths.null_summary(year).write_text("\n".join(lines) + "\n")
+            table = [("replicate", "mean", "max"), *((r, *row) for r, row in rows)]
+            paths.null_summary(year).write_text(artifacts.rows_to_text(table))
 
 
 def stage_filter(cfg: RunConfig, paths: RunPaths) -> None:
@@ -391,70 +388,51 @@ def stage_filter(cfg: RunConfig, paths: RunPaths) -> None:
 
 def stage_acs(cfg: RunConfig, paths: RunPaths) -> None:
     fields = paths.read_fields()
-    summary = ["year,lambda1,core_size,periphery_size,acs_size"]
+    summary = [("year", "lambda1", "core_size", "periphery_size", "acs_size")]
     for year in cfg.base_years:
         d = decompose(network_from_text(paths.network(year).read_text(), fields, year=year))
         paths.labels(year).write_text(decomposition_to_text(d))
-        summary.append(decomposition_summary_line(d))
-    paths.acs_summary().write_text("\n".join(summary) + "\n")
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        summary.append(d.summary_row)
+    paths.acs_summary().write_text(artifacts.rows_to_text(summary))
 
 
 def stage_stats(cfg: RunConfig, paths: RunPaths) -> None:
     hierarchy = _load_hierarchy(cfg)
     fields = paths.read_fields()
 
-    fitness_lines = ["year,subset,metric,value"]
-    variety_lines = ["year,metric,value"]
-    mixing_lines = ["year,within,between"]
-    occupancy_lines = [
-        "year,section,size,n_in_acs,acs_fraction,share_of_acs,share_of_outside"
-    ]
+    tables = {
+        "fitness": [("year", "subset", "metric", "value")],
+        "variety": [("year", "metric", "value")],
+        "mixing": [("year", "within", "between")],
+        "occupancy": [
+            ("year", "section", "size", "n_in_acs", "acs_fraction", "share_of_acs",
+             "share_of_outside"),
+        ],
+    }
     for year in cfg.base_years:
         net = network_from_text(paths.network(year).read_text(), fields, year=year)
         labels = decomposition_from_text(paths.labels(year).read_text(), fields, year=year)
         fitness = field_counts_from_text(paths.field_counts(year).read_text(), fields, year=year)
         for row in subset_fitness(labels, fitness):
             for metric in ("n_fields", "total", "average", "fitness_share", "node_share"):
-                fitness_lines.append(
-                    f"{year},{row.subset},{metric},{_fmt(getattr(row, metric))}"
-                )
+                tables["fitness"].append((year, row.subset, metric, getattr(row, metric)))
         sections, counts, sizes = acs_section_counts(labels, hierarchy)
         result = variety_llr(counts, sizes, sections=sections, year=year)
-        variety_lines.append(f"{year},applicable,{_fmt(result.applicable)}")
-        variety_lines.append(f"{year},llr,{_fmt(result.llr)}")
-        variety_lines.append(f"{year},df,{result.df}")
-        variety_lines.append(f"{year},critical_value,{_fmt(result.critical_value)}")
-        variety_lines.append(f"{year},significant,{_fmt(result.significant)}")
-        variety_lines.append(f"{year},clamped,{_fmt(result.clamped)}")
+        for metric in ("applicable", "llr", "df", "critical_value", "significant", "clamped"):
+            tables["variety"].append((year, metric, getattr(result, metric)))
         for section, count, omega in zip(sections, counts, result.omega):
-            variety_lines.append(f"{year},count_{section},{count}")
-            variety_lines.append(f"{year},omega_{section},{_fmt(omega)}")
+            tables["variety"].append((year, f"count_{section}", count))
+            tables["variety"].append((year, f"omega_{section}", omega))
         mix = section_mixing(net, hierarchy)
-        mixing_lines.append(f"{year},{mix.within},{mix.between}")
+        tables["mixing"].append((year, mix.within, mix.between))
         for occ in section_occupancy(labels, hierarchy):
-            occupancy_lines.append(
-                f"{year},{occ.section},{occ.size},{occ.n_in_acs},"
-                f"{_fmt(occ.acs_fraction)},{_fmt(occ.share_of_acs)},"
-                f"{_fmt(occ.share_of_outside)}"
-            )
+            tables["occupancy"].append((year, *astuple(occ)))
         grid, bounds = ordered_adjacency_text(net, hierarchy)
         paths.stats(f"adjacency_{year}.csv").write_text(grid)
         paths.stats(f"adjacency_{year}.sections.csv").write_text(bounds)
 
-    paths.stats("fitness.csv").write_text("\n".join(fitness_lines) + "\n")
-    paths.stats("variety.csv").write_text("\n".join(variety_lines) + "\n")
-    paths.stats("mixing.csv").write_text("\n".join(mixing_lines) + "\n")
-    paths.stats("occupancy.csv").write_text("\n".join(occupancy_lines) + "\n")
+    for name, rows in tables.items():
+        paths.stats(f"{name}.csv").write_text(artifacts.rows_to_text(rows))
 
 
 STAGES = (

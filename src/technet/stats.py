@@ -374,17 +374,13 @@ def ordered_adjacency_text(net: TechnologyNetwork, hierarchy: CodeHierarchy) -> 
     order = sorted(range(len(net.fields)), key=lambda i: net.fields[i])
     codes = [net.fields[i] for i in order]
     grid = net.adjacency[np.ix_(order, order)]
-    lines = ["field," + ",".join(codes)]
-    for row_i, code in enumerate(codes):
-        lines.append(code + "," + ",".join(str(int(v)) for v in grid[row_i].tolist()))
-
-    bounds: list[str] = ["section,start,end"]
+    bounds = [("section", "start", "end")]
     start = 0
     for i in range(1, len(codes) + 1):
         if i == len(codes) or hierarchy.section_of(codes[i]) != hierarchy.section_of(codes[start]):
-            bounds.append(f"{hierarchy.section_of(codes[start])},{start},{i}")
+            bounds.append((hierarchy.section_of(codes[start]), start, i))
             start = i
-    return "\n".join(lines) + "\n", "\n".join(bounds) + "\n"
+    return artifacts.dense_to_text(codes, grid), artifacts.rows_to_text(bounds)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hierarchy import CodeHierarchy
+from . import artifacts
+from .hierarchy import CodeHierarchy, hierarchy_to_text, region_table_to_text
 
 
 class SynthConfigError(ValueError):
@@ -136,11 +137,6 @@ def generate_events(cfg: SynthConfig) -> SynthResult:
                     lines.append(f"{family},{year},{regions[ri]},{codes[fi]}")
         prev = presence
 
-    from .hierarchy import hierarchy_to_text, region_table_to_text
-
-    truth_lines = ["source,target,beta"] + [
-        f"{src},{dst},{beta!r}" for src, dst, beta in cfg.catalytic_pairs
-    ]
     echo = json.dumps(
         {
             "n_regions": cfg.n_regions,
@@ -161,7 +157,9 @@ def generate_events(cfg: SynthConfig) -> SynthResult:
         events_text="\n".join(lines) + "\n",
         hierarchy_text=hierarchy_to_text(synth_hierarchy(cfg.n_fields, cfg.n_sections)),
         regions_text=region_table_to_text({r: "SYN" for r in regions}),
-        truth_edges_text="\n".join(truth_lines) + "\n",
+        truth_edges_text=artifacts.rows_to_text(
+            [("source", "target", "beta"), *cfg.catalytic_pairs]
+        ),
         config_echo=echo + "\n",
         presence_history=history,
     )

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from technet import acs
-from technet.acs import (
-    decompose,
-    decomposition_from_text,
-    decomposition_summary_line,
-    decomposition_to_text,
-)
+from technet import acs, artifacts
+from technet.acs import decompose, decomposition_from_text, decomposition_to_text
 
 from drivers import net_from_edges, random_digraph, random_single_acs
 from oracles import (
@@ -16,6 +11,14 @@ from oracles import (
     has_cycle_bool_powers,
     reachable_bool_powers,
 )
+
+# sparse graphs of up to 40 nodes: few cores, long periphery chains
+SPARSE40 = {"n_max": 40, "density_range": (0.01, 0.06)}
+
+
+def with_sparse40(small):
+    """Run an oracle check on `random_digraph(rng, **small)` graphs, then on SPARSE40 ones."""
+    return pytest.mark.parametrize("graphs", [small, SPARSE40], ids=["small", "sparse40"])
 
 
 class TestFindCore:
@@ -29,10 +32,11 @@ class TestFindCore:
     def test_self_loop_counts_as_cycle(self):
         assert decompose(net_from_edges(2, [(0, 0)])).core == {"N00"}
 
-    def test_matches_bool_power_oracle_on_random_graphs(self):
+    @with_sparse40({"n_max": 10})
+    def test_matches_bool_power_oracle_on_random_graphs(self, graphs):
         rng = np.random.default_rng(21)
         for _ in range(120):
-            adj = random_digraph(rng, n_max=10)
+            adj = random_digraph(rng, **graphs)
             net = net_from_edges(adj.shape[0], zip(*np.nonzero(adj)))
             expect = {net.fields[i] for i in cycle_nodes_bool_powers(adj)}
             assert decompose(net).core == expect
@@ -54,10 +58,11 @@ class TestFindPeriphery:
         assert "N02" in d.outside
         assert d.periphery == frozenset()
 
-    def test_matches_reachability_oracle(self):
+    @with_sparse40({"n_max": 10})
+    def test_matches_reachability_oracle(self, graphs):
         rng = np.random.default_rng(22)
         for _ in range(100):
-            adj = random_digraph(rng, n_max=10)
+            adj = random_digraph(rng, **graphs)
             net = net_from_edges(adj.shape[0], zip(*np.nonzero(adj)))
             core_idx = cycle_nodes_bool_powers(adj)
             expect = {
@@ -100,10 +105,11 @@ class TestDistinctAcs:
         assert [a.periphery for a in d.acs_list] == [frozenset({"N04"})] * 2
         assert d.periphery == {"N04"}
 
-    def test_matches_grouping_oracle_on_random_graphs(self):
+    @with_sparse40({"n_max": 12, "density_range": (0.03, 0.3)})
+    def test_matches_grouping_oracle_on_random_graphs(self, graphs):
         rng = np.random.default_rng(29)
         for _ in range(150):
-            adj = random_digraph(rng, n_max=12, density_range=(0.03, 0.3))
+            adj = random_digraph(rng, **graphs)
             net = net_from_edges(adj.shape[0], zip(*np.nonzero(adj)))
             expect = {
                 (frozenset(net.fields[i] for i in core), frozenset(net.fields[i] for i in peri))
@@ -261,12 +267,13 @@ class TestDecompose:
 def test_one_scc_pass_per_decompose(monkeypatch):
     calls = []
 
-    def counted(neighbors):
-        calls.append(len(neighbors))
-        return tarjan(neighbors)
+    def counted(graph, *args, **kwargs):
+        if kwargs.get("connection") == "strong":
+            calls.append(graph.shape[0])
+        return components(graph, *args, **kwargs)
 
-    tarjan = acs._tarjan_sccs
-    monkeypatch.setattr(acs, "_tarjan_sccs", counted)
+    components = acs.connected_components
+    monkeypatch.setattr(acs, "connected_components", counted)
     acyclic = net_from_edges(4, [(0, 1), (1, 2), (0, 3)])
     one_acs = net_from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
     two_acs = net_from_edges(6, [(0, 1), (1, 0), (2, 3), (3, 2), (1, 4), (3, 5)])
@@ -283,7 +290,7 @@ def test_labels_round_trip_and_summary():
     assert labels == {
         "N00": "core", "N01": "core", "N02": "periphery", "N03": "outside"
     }
-    line = decomposition_summary_line(d)
-    year, lam, core, peri, acs = line.split(",")
-    assert (int(core), int(peri), int(acs)) == (2, 1, 3)
+    line = artifacts.rows_to_text([d.summary_row])
+    year, lam, core, peri, acs_size = line.rstrip("\n").split(",")
+    assert (int(core), int(peri), int(acs_size)) == (2, 1, 3)
     assert abs(float(lam) - 1.0) < 1e-9

@@ -1,5 +1,7 @@
 """Artifact readers reject truncated and malformed text with their stage's ValueError."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,18 @@ def other_meta_year(text):
     return text.replace(f"base_year={YEAR}", f"base_year={YEAR + 1}", 1)
 
 
+def no_replicates(text):
+    return re.sub(r"replicates=\d+", "replicates=0", text, count=1)
+
+
+def count_above_replicates(text):
+    return _tamper_last_line(text, lambda line: line.rsplit(",", 1)[0] + ",999")
+
+
+def negative_count(text):
+    return _tamper_last_line(text, lambda line: line.rsplit(",", 1)[0] + ",-5")
+
+
 CASES = {
     "missing_last_row": (missing_last_row, ("labels", *DENSE)),
     "out_of_order_row": (out_of_order_row, ("labels", *DENSE)),
@@ -140,6 +154,9 @@ CASES = {
     "second_year": (second_year, ("occurrence", "presence", "network", "field_counts", "labels")),
     "unknown_key": (unknown_key, tuple(READERS)),
     "other_meta_year": (other_meta_year, ("pvalues",)),
+    "no_replicates": (no_replicates, ("pvalues",)),
+    "count_above_replicates": (count_above_replicates, ("pvalues",)),
+    "negative_count": (negative_count, ("pvalues",)),
 }
 
 

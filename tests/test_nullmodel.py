@@ -324,8 +324,9 @@ class TestEmpiricalPvalues:
 
     def test_inconsistent_pairs_are_rejected(self):
         rng = np.random.default_rng(41)
-        m_a, m_b = (
-            make_m((rng.random((6, 4)) < 0.5).astype(np.uint8), year=y) for y in (1998, 1999)
+        m_a, m_b, m_c = (
+            make_m((rng.random((6, 4)) < 0.5).astype(np.uint8), year=y)
+            for y in (1998, 1999, 2000)
         )
         b_emp = assist_matrix(m_a, m_b)
         fit_a, fit_b = fit_bicm(m_a), fit_bicm(m_b)
@@ -333,6 +334,8 @@ class TestEmpiricalPvalues:
             exceedance_counts([(b_emp, fit_a, fit_b), (b_emp, fit_a, fit_bicm(m_b))], range(2), 0)
         with pytest.raises(ValueError):  # empirical matrix of another base year
             exceedance_counts([(b_emp, fit_b, fit_a)], range(2), 0)
+        with pytest.raises(ValueError):  # lag-1 empirical matrix against lag-2 nulls
+            exceedance_counts([(b_emp, fit_a, fit_bicm(m_c))], range(2), 0)
 
     def test_null_calibration_is_conservative(self):
         # p-values of null-drawn "empirical" matrices dominate the uniform law

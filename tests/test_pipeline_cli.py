@@ -71,6 +71,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             run_pipeline(run_config(synth_inputs, tmp_path / "b", n_replicates=0))
 
+    def test_empty_delimiter_rejected(self, synth_inputs, tmp_path):
+        with pytest.raises(ConfigError):
+            run_pipeline(run_config(synth_inputs, tmp_path / "r", delimiter=""))
+        assert main(["ingest", "--run-dir", str(tmp_path / "s"),
+                     "--events", str(synth_inputs / "events.csv"),
+                     "--hierarchy", str(synth_inputs / "hierarchy.csv"),
+                     "--delimiter", ""]) == 1
+
     def test_config_file_parsing(self, tmp_path):
         text = "\n".join([
             "# comment",
@@ -543,6 +551,16 @@ class TestCli:
         assert (filter_cfg.fdr_q, filter_cfg.include_diagonal) == (cfg.fdr_q, cfg.include_diagonal)
         assert (staged / "dynamics" / "trajectory_1993.csv").is_file()
         assert (staged / "dynamics" / "growth_1993.csv").is_file()
+
+    def test_nulls_of_another_lag_than_assist_fail(self, synth_inputs, tmp_path):
+        run = str(tmp_path / "r")
+        assert main(["ingest", "--run-dir", run, "--events", str(synth_inputs / "events.csv"),
+                     "--hierarchy", str(synth_inputs / "hierarchy.csv"),
+                     "--year-min", "1991", "--year-max", "1996"]) == 0
+        assert main(["rca", "--run-dir", run]) == 0
+        assert main(["assist", "--run-dir", run, "--lag", "1"]) == 0
+        assert main(["nulls", "--run-dir", run, "--lag", "2", "--replicates", "5"]) == 2
+        assert list((tmp_path / "r" / "pvalues").iterdir()) == []
 
     def test_pipeline_subcommand_with_config_file(self, synth_inputs, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -31,6 +31,10 @@ from .fdr import TechnologyNetwork
 
 LAMBDA_POSITIVE_TOL = 1e-8
 PF_SUPPORT_RTOL = 1e-9
+# pf_eigen stops once the Collatz-Wielandt bracket is this narrow, and gives
+# up after this many squarings of the shifted matrix.
+PF_BRACKET_TOL = 1e-10
+PF_MAX_SQUARINGS = 60
 
 
 class PfConvergenceError(RuntimeError):
@@ -130,9 +134,7 @@ def split_distinct_acs(
     return acs_list
 
 
-def pf_eigen(
-    graph: csr_matrix, tol: float = 1e-10, max_squarings: int = 60
-) -> tuple[float, np.ndarray]:
+def pf_eigen(graph: csr_matrix) -> tuple[float, np.ndarray]:
     """Leading eigenvalue and receiver-side eigenvector of a cyclic adjacency.
 
     The caller handles the acyclic (nilpotent) case, whose eigenvalue is 0
@@ -144,7 +146,8 @@ def pf_eigen(
 
     Convergence uses the Collatz-Wielandt bracket: for a nonnegative matrix A
     and positive vector v, min_i (Av)_i / v_i and max_i (Av)_i / v_i enclose
-    the leading eigenvalue, so a bracket of width tol certifies the result.
+    the leading eigenvalue, so a bracket of width PF_BRACKET_TOL certifies the
+    result.
     (Stopping on stalled Rayleigh quotients is unsound here: on nilpotent
     matrices the quotient can repeat exactly at consecutive powers while far
     from its limit, and on non-normal matrices the quotient error is only
@@ -156,7 +159,7 @@ def pf_eigen(
 
     power = shifted / shifted.max()
     width = np.inf
-    for step in range(max_squarings):
+    for step in range(PF_MAX_SQUARINGS):
         if step > 0:
             power = power @ power
             power /= power.max()
@@ -168,10 +171,10 @@ def pf_eigen(
         positive = vec > 0.0
         ratios = applied[positive] / vec[positive]
         width = float(ratios.max() - ratios.min())
-        if width <= tol:
+        if width <= PF_BRACKET_TOL:
             rho = float(vec @ applied / (vec @ vec))
             return max(rho - 1.0, 0.0), vec
-    raise PfConvergenceError(max_squarings, width)
+    raise PfConvergenceError(PF_MAX_SQUARINGS, width)
 
 
 def decompose(net: TechnologyNetwork) -> AcsDecomposition:

@@ -9,9 +9,18 @@ degree-matching fixed point.
 Replicate k of year y is one presence matrix drawn from an RNG substream keyed
 by (y, k). Replicate k of the pair (y, y + lag) pairs the draws (y, k) and
 (y + lag, k), so the one draw of a year serves both pairs that use it, and
-parallel evaluation in any order gives bit-identical results. Exceedance counts
-are integers and sum associatively, which keeps the chunked reduction
-order-insensitive.
+parallel evaluation in any order gives bit-identical results. Each draw is
+turned once into a hit list (`assist._hit_list`), which serves it as the base
+year of one pair and the later year of another, and the replicate's assist
+values come from the same hit-list join as the empirical ones, with no BLAS
+call.
+
+A null value counts as an exceedance when it reaches the empirical value less
+a relative tolerance of R * TIE_RTOL_PER_REGION (4 * R * eps for R regions).
+Two summation orders of one exact value differ by less than that, so an exact
+tie counts whatever order either side was summed in; near-ties resolve toward
+the upper tail, the conservative side. Exceedance counts are integers and sum
+associatively, which keeps the chunked reduction order-insensitive.
 """
 
 from __future__ import annotations
@@ -22,8 +31,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import artifacts
-from .assist import AssistMatrix, _assist_values, _base_operands, _lag_operand
+from .assist import AssistMatrix, HitList, _assist_from_hits, _hit_list
 from .rca import PresenceMatrix
+
+
+# Relative tie tolerance per region. An assist value is (1/u_i) times a sum of
+# at most R terms 1/d_r, each rounded once, so two summation orders of one
+# exact value differ by at most about (R + 2) * eps relative; 4 * R * eps
+# covers that with room to spare for R >= 1.
+TIE_RTOL_PER_REGION = 4 * float(np.finfo(np.float64).eps)
 
 
 class BicmFitError(RuntimeError):
@@ -159,10 +175,10 @@ def replicate_rng(master_seed: int, year: int, replicate: int) -> np.random.Gene
     return np.random.default_rng(seq)
 
 
-def _prepared_draw(params: BicmParameters, master_seed: int, replicate: int) -> tuple:
-    """Draw (year, k) with both of its GEMM operands, for use as a base or a lag year."""
-    m = sample_null_matrix(params, replicate_rng(master_seed, params.year, replicate))
-    return _base_operands(m), _lag_operand(m)
+def _prepared_draw(params: BicmParameters, master_seed: int, replicate: int) -> HitList:
+    """Draw (year, k) as a hit list, which serves it as a base or a later year."""
+    rng = replicate_rng(master_seed, params.year, replicate)
+    return _hit_list(sample_null_matrix(params, rng))
 
 
 def null_assist_replicate(
@@ -170,7 +186,7 @@ def null_assist_replicate(
     params_t_lag: BicmParameters,
     master_seed: int,
     replicate: int,
-    draws: dict[int, tuple] | None = None,
+    draws: dict[int, HitList] | None = None,
 ) -> AssistMatrix:
     """Assist matrix of null replicate k of one pair: the (year, k) draws of both years.
 
@@ -185,16 +201,9 @@ def null_assist_replicate(
     for params in (params_t, params_t_lag):
         if params.year not in draws:
             draws[params.year] = _prepared_draw(params, master_seed, replicate)
-    (base, inv_u, u), _ = draws[params_t.year]
-    _, (lag, d) = draws[params_t_lag.year]
-    return AssistMatrix(
-        base_year=params_t.year,
-        lag=params_t_lag.year - params_t.year,
-        regions=params_t.regions,
-        fields=params_t.fields,
-        values=_assist_values(base, inv_u, lag),
-        diversification=d,
-        ubiquity=u,
+    return _assist_from_hits(
+        params_t.year, params_t_lag.year, params_t.regions, params_t.fields,
+        draws[params_t.year], draws[params_t_lag.year],
     )
 
 
@@ -240,23 +249,33 @@ def _check_pairs(pairs: Sequence[NullPair]) -> None:
                 raise ValueError(f"two null parameter sets for year {params.year}")
 
 
+def exceedance_threshold(b_emp: AssistMatrix) -> np.ndarray:
+    """The least null value that counts as an exceedance of each empirical cell.
+
+    A null value within R * TIE_RTOL_PER_REGION of the empirical one, relative,
+    is a tie: it may be the same exact value reached in another summation
+    order. Ties count toward the upper tail, the conservative choice.
+    """
+    return b_emp.values * (1.0 - TIE_RTOL_PER_REGION * len(b_emp.regions))
+
+
 def exceedance_counts(
     pairs: Sequence[NullPair],
     replicates: Iterable[int],
     master_seed: int,
     summaries: Sequence[list[tuple[float, float]]] | None = None,
 ) -> list[np.ndarray]:
-    """Count, per pair and cell, the null replicates in `replicates` with value >= empirical.
+    """Count, per pair and cell, the null replicates in `replicates` reaching the empirical value.
 
     Each pair is (b_emp, params_t, params_t_lag). Replicate k of a pair is the
     assist matrix of the (year, k) draws of its two years, so one draw of a
     year serves every pair that uses the year: a chain of consecutive pairs
     costs one draw per (year, k), not two. For each k the pairs are walked in
     order and a draw is dropped after the last pair that uses it: with pairs
-    in base-year order, at most lag + 1 draws are alive. Ties count toward
-    the upper tail, the conservative choice: a null value equal to the
-    empirical one raises the p-value. If `summaries` holds one list per pair,
-    each replicate's (mean, max) is appended to its pair's list.
+    in base-year order, at most lag + 1 draws are alive. A replicate counts
+    where its value is at least `exceedance_threshold(b_emp)`, so an exact tie
+    counts whatever order its terms were summed in. If `summaries` holds one
+    list per pair, each replicate's (mean, max) is appended to its pair's list.
     """
     _check_pairs(pairs)
     retire: list[list[int]] = [[] for _ in pairs]  # years whose last use is pair i
@@ -266,12 +285,13 @@ def exceedance_counts(
     for year, i in last_use.items():
         retire[i].append(year)
 
+    thresholds = [exceedance_threshold(b_emp) for b_emp, _t, _l in pairs]
     counts = [np.zeros(b_emp.values.shape, dtype=np.int64) for b_emp, _t, _l in pairs]
     for k in replicates:
-        draws: dict[int, tuple] = {}
-        for i, (b_emp, params_t, params_t_lag) in enumerate(pairs):
+        draws: dict[int, HitList] = {}
+        for i, (_b, params_t, params_t_lag) in enumerate(pairs):
             values = null_assist_replicate(params_t, params_t_lag, master_seed, k, draws).values
-            counts[i] += values >= b_emp.values
+            counts[i] += values >= thresholds[i]
             if summaries is not None:
                 summaries[i].append((float(values.mean()), float(values.max())))
             for year in retire[i]:

@@ -23,9 +23,13 @@ decomposed once, at acs: the stats stage reads the field counts and labels.
 Null replicates run on a bounded thread pool; the null matrix of year y,
 replicate k, is drawn once from an RNG substream keyed by (y, k) and serves
 both year pairs that use y, and the reduction sums integer count matrices, so
-any worker count gives byte-identical artifacts. The manifest records the
-effective config, versions, seed, and a checksum per artifact; it carries no
-timestamps or worker counts, so identical runs produce identical manifests.
+any worker count gives byte-identical artifacts. Assist values, empirical and
+null, come from a hit-list join that sums in region order without BLAS, and
+null values that tie the empirical ones up to summation order count as
+exceedances, so `pvalues/` does not depend on the BLAS thread count either.
+The manifest records the effective config, versions, seed, and a checksum per
+artifact; it carries no timestamps or worker counts, so identical runs produce
+identical manifests.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ powers instead of Tarjan and core grouping, Taylor-series matrix exponentials
 instead of RK4, the quadratic step-up definition instead of the sort-scan,
 brute-force composition enumeration instead of polynomial convolution, a
 row-by-row peel and a full-matrix fixed point instead of the degree-class BiCM
-fit, and a plain per-pair replicate loop instead of the shared-draw walk over
-year pairs.
+fit, and a plain per-pair replicate loop over dense GEMMs instead of the
+shared-draw walk over year pairs and its hit-list join.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from technet.assist import assist_matrix
-from technet.rca import PresenceMatrix
+from technet.nullmodel import TIE_RTOL_PER_REGION
 
 
 def walk_assist_exact(m1: np.ndarray, m2: np.ndarray) -> list[list[Fraction]]:
@@ -259,21 +258,23 @@ def pvalue_text_by_loop(
 
     Replicate k draws the base matrix from the (base year, k) stream and the
     later matrix from the (later year, k) stream, each as uniforms < p over the
-    whole matrix. The null assist values come from `assist_matrix` itself:
-    a null value can tie the empirical one exactly, and which side of the tie
-    it lands on depends on the summation order, so only the draws and the
-    counting take an independent route here.
+    whole matrix. Its assist values come from one dense BLAS product,
+    (base^T @ (later / d)) / u, and a value counts where it reaches the
+    empirical one less the package's relative tie tolerance.
     """
     counts = np.zeros(b_emp.values.shape, dtype=np.int64)
+    threshold = b_emp.values * (1.0 - TIE_RTOL_PER_REGION * len(b_emp.regions))
     for k in range(n_replicates):
         draws = []
         for year, p in ((b_emp.base_year, p_base), (lag_year, p_lag)):
             rng = np.random.default_rng(
                 np.random.SeedSequence(master_seed, spawn_key=(year, k))
             )
-            presence = (rng.random(p.shape) < p).astype(np.uint8)
-            draws.append(PresenceMatrix(year, b_emp.regions, b_emp.fields, presence))
-        counts += assist_matrix(*draws).values >= b_emp.values
+            draws.append((rng.random(p.shape) < p).astype(np.float64))
+        base, later = draws
+        d = np.maximum(later.sum(axis=1, keepdims=True), 1.0)  # a row of d = 0 is all zero
+        u = np.maximum(base.sum(axis=0), 1.0)
+        counts += (base.T @ (later / d)) / u[:, None] >= threshold
     inactive = "|".join(f for f, u in zip(b_emp.fields, b_emp.ubiquity) if u == 0)
     lines = [
         f"# base_year={b_emp.base_year} replicates={n_replicates} inactive_sources={inactive}",

@@ -175,6 +175,15 @@ class TestPfEigen:
         oracle = float(np.max(np.linalg.eigvals(net.adjacency.astype(float)).real))
         assert abs(lam - oracle) < 1e-10
 
+    def test_unclosed_bracket_reports_the_squarings(self, monkeypatch):
+        # the chord keeps the uniform start off the eigenvector, so one
+        # squaring leaves the bracket open
+        monkeypatch.setattr(acs, "PF_MAX_SQUARINGS", 1)
+        with pytest.raises(acs.PfConvergenceError) as err:
+            decompose(net_from_edges(3, [(0, 1), (1, 2), (2, 0), (1, 0)]))
+        assert err.value.squarings == 1
+        assert err.value.bracket_width > acs.PF_BRACKET_TOL
+
 
 class TestDecompose:
     def test_empty_network(self):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from technet.assist import (
     diversification,
     ubiquity,
 )
+from technet.nullmodel import TIE_RTOL_PER_REGION
 from technet.rca import PresenceMatrix
 
 from oracles import walk_assist_exact
@@ -114,6 +117,26 @@ class TestAssistMatrix:
         perm = rng.permutation(5)
         shuffled = assist_matrix(make_m(m1[perm]), make_m(m2[perm], year=1999))
         assert np.allclose(base.values, shuffled.values, atol=1e-15)
+
+    @pytest.mark.parametrize("density", [0.05, 0.3, 0.8])
+    def test_join_is_within_the_tie_tolerance_of_exact_walks(self, density):
+        # sparse to dense cases, each with an empty region row and an empty
+        # field column in both years, and one all-empty base year
+        rng = np.random.default_rng(int(density * 100))
+        n_regions, n_fields = 40, 9
+        tol = Fraction(TIE_RTOL_PER_REGION * n_regions)
+        for case in range(5):
+            m1, m2 = ((rng.random((n_regions, n_fields)) < density).astype(np.uint8) for _ in "ab")
+            for m in (m1, m2):
+                m[rng.integers(n_regions)] = 0
+                m[:, rng.integers(n_fields)] = 0
+            if case == 0:
+                m1[:] = 0
+            b = assist_matrix(make_m(m1), make_m(m2, year=1999))
+            exact = walk_assist_exact(m1, m2)
+            for i in range(n_fields):
+                for j in range(n_fields):
+                    assert abs(Fraction(b.values[i, j]) - exact[i][j]) <= tol * exact[i][j]
 
 
 def test_serialization_round_trip():

@@ -9,6 +9,7 @@ from technet.nullmodel import (
     BicmFitError,
     BicmParameters,
     exceedance_counts,
+    exceedance_threshold,
     fit_bicm,
     null_assist_replicate,
     pvalues_from_counts,
@@ -296,7 +297,8 @@ class TestEmpiricalPvalues:
         chunked = [sum(parts) for parts in zip(*(exceedance_counts(pairs, c, 8) for c in chunks))]
         for pair, counts, rows, part_sum in zip(pairs, walked, summaries, chunked):
             nulls = [null_assist_replicate(*pair[1:], 8, k).values for k in range(30)]
-            expected = sum((v >= pair[0].values).astype(np.int64) for v in nulls)
+            threshold = exceedance_threshold(pair[0])
+            expected = sum((v >= threshold).astype(np.int64) for v in nulls)
             assert np.array_equal(counts, expected)
             assert rows == [(float(v.mean()), float(v.max())) for v in nulls]
             assert np.array_equal(counts, part_sum)
@@ -362,13 +364,35 @@ class TestEmpiricalPvalues:
         assert again.n_replicates == pv.n_replicates
 
 
+class TestTieRule:
+    def test_region_permuted_replicate_ties_every_cell(self):
+        # every null draw is the empirical matrix with its regions permuted
+        # (link probabilities of 0 and 1), so every null value equals its
+        # empirical value exactly but sums its terms in another order
+        rng = np.random.default_rng(50)
+        ms = [make_m((rng.random((300, 30)) < 0.1).astype(np.uint8), year=y) for y in (1998, 1999)]
+        perm = rng.permutation(300)
+        x, y = np.full(300, np.nan), np.full(30, np.nan)
+        fixed = [
+            BicmParameters(m.year, m.regions, m.fields, x, y, m.presence[perm] * 1.0, 0.0)
+            for m in ms
+        ]
+        b_emp = assist_matrix(*ms)
+        null = null_assist_replicate(*fixed, master_seed=0, replicate=0).values
+        assert np.allclose(null, b_emp.values, rtol=1e-13, atol=0)
+        assert (null < b_emp.values).any()  # some exact ties land below in float
+        (counts,) = exceedance_counts([(b_emp, *fixed)], range(3), 0)
+        assert (counts == 3).all()
+
+
 class TestPinnedNullBytes:
     # sha256 of the P_<year>.csv text for this fixed pair, derived from the
     # plain replicate loop of oracles.pvalue_text_by_loop (replicate k draws
     # year 1998 from the (1998, k) stream and year 1999 from the (1999, k)
-    # stream); any change to sampling, the assist GEMM or the reduction that
-    # moves a single count changes it.
-    GOLDEN_SHA256 = "e6b4fa44adba7cbf61082b09267947904941c59f554e409c19878fd296297d2f"
+    # stream, and dense GEMM values counted under the tie rule); any change to
+    # sampling, the assist kernel, the tie rule or the reduction that moves a
+    # single count changes it.
+    GOLDEN_SHA256 = "7d0dc7f7c2b531ffea84e942d638d8c47f0555d2b12b6b30e0f2e7b483e0813c"
 
     def _pair(self):
         rng = np.random.default_rng(2024)

@@ -1,6 +1,11 @@
 import argparse
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -331,7 +336,9 @@ ACS_STATS_SHA256 = {
 
 # sha256 of every occurrence/, presence/, assist/, pvalues/ and network/
 # artifact of the same run, recorded before their text moved to one artifact
-# module; that move kept every byte.
+# module; that move kept every byte. P_1991 and P_1995 changed once when null
+# values tying the empirical ones up to summation order began to count as
+# exceedances: 5 count cells rose, none fell, and no network changed.
 INTERMEDIATE_SHA256 = {
     "occurrence/F_1991.csv": "c48bb792a2ba1262aa0f05358f635ff6df31e7a6b8abd3a1ec025b4dbad80bea",
     "occurrence/F_1992.csv": "bcf09c462e68e715a66a7b304becb2e8f29ccb89d5a99647ebd3e59e0f4e8bf0",
@@ -361,11 +368,11 @@ INTERMEDIATE_SHA256 = {
     "assist/B_1994.sidecar.csv": "d2a92f924f0d5f0122866b82acb5c03cba291633e3fe6007c4f8e254390a7e53",
     "assist/B_1995.csv": "4ae7444179eabbe60e443fac7e584da04a5026edbf55fa61288a06360a5f22a9",
     "assist/B_1995.sidecar.csv": "33f6944538520fc4f3e05561a97c9224efc236d358b5db7c8058e6e32ff10c35",
-    "pvalues/P_1991.csv": "1e037a62f472d50f36fba7510ccac13c8c531fa394d642ca16eb9a457f6def7d",
+    "pvalues/P_1991.csv": "99b0de7b7f6dbdad796ff3882d247e0c99573c61d3ec056043b2eb2c318f92d0",
     "pvalues/P_1992.csv": "3355f578f839110dec375f14e1ed6387f8c96001ffe442ed3044cbac30b2dd42",
     "pvalues/P_1993.csv": "75ef358b29bcfdf4d86718937b36312c32d2751c21cdd93e6ac7b126390903cf",
     "pvalues/P_1994.csv": "fe73bb0bb96f458c52d863c0d44ea87b0c4bb6bf5f17a4c0c0e3d4079594beab",
-    "pvalues/P_1995.csv": "8c17fe3ea556d1738ded0130d12de98a6ab326e7a34c1d825435cc24e25ea3b1",
+    "pvalues/P_1995.csv": "e85291b53357739947f15483f337b30cec9873a9ae47558d47e60b5c07ac2eab",
     "network/C_1991.csv": "a21555db5501de7038c3cd205715608c225dcec54a878827339a7c08bc11bfa2",
     "network/C_1992.csv": "0aafb4ddc15ef7984721dcdfe41cc750e673ddecfc41781486b5b2ce0016736e",
     "network/C_1993.csv": "7203e10a38b7724c7b435967bffe2ce22d9409bc16da67a3c0647614efe857a4",
@@ -561,6 +568,31 @@ class TestCli:
         assert main(["assist", "--run-dir", run, "--lag", "1"]) == 0
         assert main(["nulls", "--run-dir", run, "--lag", "2", "--replicates", "5"]) == 2
         assert list((tmp_path / "r" / "pvalues").iterdir()) == []
+
+    def test_pvalues_do_not_depend_on_blas_threads(self, synth_inputs, tmp_path):
+        # the nulls stage of the 50 x 10 fixture in two child processes, with
+        # one and with two OpenBLAS threads
+        run = tmp_path / "r"
+        assert main(["ingest", "--run-dir", str(run), "--events", str(synth_inputs / "events.csv"),
+                     "--hierarchy", str(synth_inputs / "hierarchy.csv"),
+                     "--year-min", "1991", "--year-max", "1996"]) == 0
+        assert main(["rca", "--run-dir", str(run)]) == 0
+        assert main(["assist", "--run-dir", str(run)]) == 0
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        pvalues = []
+        for threads in ("1", "2"):
+            copy = tmp_path / f"blas{threads}"
+            shutil.copytree(run, copy)
+            env = {k: v for k, v in os.environ.items() if k != "TECHNET_WORKERS"}
+            env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            subprocess.run(
+                [sys.executable, "-m", "technet.cli", "nulls", "--run-dir", str(copy),
+                 "--replicates", "25", "--seed", "6", "--workers", "2"],
+                env=env, check=True, timeout=120,
+            )
+            pvalues.append(_dir_bytes(copy / "pvalues"))
+        assert len(pvalues[0]) == 5 and pvalues[0] == pvalues[1]
 
     def test_pipeline_subcommand_with_config_file(self, synth_inputs, tmp_path):
         cfg_file = tmp_path / "run.cfg"

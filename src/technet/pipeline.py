@@ -421,7 +421,7 @@ def stage_stats(cfg: RunConfig, paths: RunPaths) -> None:
             for metric in ("n_fields", "total", "average", "fitness_share", "node_share"):
                 tables["fitness"].append((year, row.subset, metric, getattr(row, metric)))
         sections, counts, sizes = acs_section_counts(labels, hierarchy)
-        result = variety_llr(counts, sizes, sections=sections, year=year)
+        result = variety_llr(counts, sizes)
         for metric in ("applicable", "llr", "df", "critical_value", "significant", "clamped"):
             tables["variety"].append((year, metric, getattr(result, metric)))
         for section, count, omega in zip(sections, counts, result.omega):

@@ -6,8 +6,11 @@ two codes adds one to each field. The variety test asks whether ACS occupancy
 across sections is compatible with unbiased sampling without replacement; the
 alternative is the multivariate Fisher noncentral hypergeometric family, whose
 normalizer is the coefficient of z^n in the product over sections of
-(1 + omega_k z)^(size_k). All likelihood work happens on log coefficients so
-clamped odds cannot overflow.
+(1 + omega_k z)^(size_k). The normalizer is computed by exponential tilting
+(Liao & Rosen 2001, Am. Stat. 55:366): the odds are tilted until the expected
+draw count is n, and the coefficient is read from a linear-space convolution
+of binomial pmfs at their mean, so it stays finite at clamp-scale odds and
+600 fields.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import gammaincinv, gammaln
+from scipy.optimize import brentq, minimize
+from scipy.special import expit, gammaincinv, gammaln
 
 from . import artifacts
 from .fdr import TechnologyNetwork
@@ -111,9 +114,6 @@ def subset_fitness(
 # Section variety: Fisher noncentral hypergeometric likelihood-ratio test
 # ---------------------------------------------------------------------------
 
-_NEG_INF = -np.inf
-_FAST_RANGE = 600.0  # safe dynamic range for linear-space convolution
-
 
 def _log_binomial_poly(size: int, log_omega: float, max_degree: int) -> np.ndarray:
     """Log coefficients of (1 + omega z)^size, truncated at max_degree."""
@@ -121,46 +121,33 @@ def _log_binomial_poly(size: int, log_omega: float, max_degree: int) -> np.ndarr
     return gammaln(size + 1) - gammaln(xs + 1) - gammaln(size - xs + 1) + xs * log_omega
 
 
-def _log_polymul(la: np.ndarray, lb: np.ndarray, max_degree: int) -> np.ndarray:
-    """Convolution of log-coefficient arrays, truncated at max_degree."""
-    la = la[: max_degree + 1]
-    lb = lb[: max_degree + 1]
-    out_len = min(len(la) + len(lb) - 1, max_degree + 1)
-    finite_a = la[np.isfinite(la)]
-    finite_b = lb[np.isfinite(lb)]
-    if finite_a.size == 0 or finite_b.size == 0:
-        return np.full(out_len, _NEG_INF)
-    sa, sb = finite_a.max(), finite_b.max()
-    if (sa - finite_a.min()) < _FAST_RANGE and (sb - finite_b.min()) < _FAST_RANGE:
-        conv = np.convolve(np.exp(la - sa), np.exp(lb - sb))[:out_len]
-        with np.errstate(divide="ignore"):
-            return np.where(conv > 0.0, np.log(conv) + sa + sb, _NEG_INF)
-    # wide dynamic range: per-output-degree max shift
-    mx = np.full(out_len, _NEG_INF)
-    for i in range(len(la)):
-        if la[i] == _NEG_INF or i >= out_len:
-            continue
-        end = min(i + len(lb), out_len)
-        np.maximum(mx[i:end], la[i] + lb[: end - i], out=mx[i:end])
-    mx_safe = np.where(np.isfinite(mx), mx, 0.0)
-    acc = np.zeros(out_len)
-    for i in range(len(la)):
-        if la[i] == _NEG_INF or i >= out_len:
-            continue
-        end = min(i + len(lb), out_len)
-        acc[i:end] += np.exp(la[i] + lb[: end - i] - mx_safe[i:end])
-    with np.errstate(divide="ignore"):
-        return np.where(acc > 0.0, mx_safe + np.log(acc), _NEG_INF)
-
-
 def log_fnch_normalizer(sizes: Sequence[int], log_omega: Sequence[float], n: int) -> float:
-    """Log of the coefficient of z^n in prod_k (1 + omega_k z)^(size_k)."""
-    poly = np.zeros(1)
-    for size, lo in zip(sizes, log_omega):
-        poly = _log_polymul(poly, _log_binomial_poly(int(size), float(lo), n), n)
-    if n >= len(poly):
-        return _NEG_INF
-    return float(poly[n])
+    """Log of the coefficient of z^n in prod_k (1 + omega_k z)^(size_k).
+
+    Exponential tilting (Liao & Rosen 2001): for any t, the coefficient is
+    P(S = n) e^(-nt) prod_k (1 + e^(lo_k + t))^size_k, where S sums independent
+    Binomial(size_k, expit(lo_k + t)). The t with E[S] = n puts n at the bulk
+    of S, so the linear-space convolution of the binomial pmfs reads P(S = n)
+    without underflow whatever the spread of the odds.
+    """
+    sizes_arr = np.asarray(sizes, dtype=np.int64)
+    keep = sizes_arr > 0
+    sizes_arr, lo = sizes_arr[keep], np.asarray(log_omega, dtype=np.float64)[keep]
+    total = int(sizes_arr.sum())
+    if n == 0:
+        return 0.0
+    if n == total:
+        return float(sizes_arr @ lo)
+    if n > total:
+        return -np.inf
+    # outside this bracket E[S] is within e^-1 of 0 or of total, so it spans n
+    reach = np.log(total) + 1.0
+    t = brentq(lambda t: sizes_arr @ expit(lo + t) - n, -lo.max() - reach, reach - lo.min())
+    log_scale = sizes_arr * np.logaddexp(0.0, lo + t)
+    pmf = np.ones(1)
+    for size, tilted, scale in zip(sizes_arr, lo + t, log_scale):
+        pmf = np.convolve(pmf, np.exp(_log_binomial_poly(size, tilted, n) - scale))[: n + 1]
+    return float(np.log(pmf[n]) - n * t + log_scale.sum())
 
 
 def fnch_loglik(
@@ -187,13 +174,7 @@ class FnchFit:
     clamped: bool
 
 
-def fit_noncentral_weights(
-    counts: Sequence[int],
-    sizes: Sequence[int],
-    n: int | None = None,
-    *,
-    tol: float = 1e-8,
-) -> FnchFit:
+def fit_noncentral_weights(counts: Sequence[int], sizes: Sequence[int]) -> FnchFit:
     """Maximum-likelihood odds of the noncentral hypergeometric alternative.
 
     The first section's odds are fixed to 1 (the likelihood only identifies
@@ -208,12 +189,7 @@ def fit_noncentral_weights(
     for c, s in zip(counts, sizes):
         if s < 0 or not 0 <= c <= s:
             raise StatsError(f"infeasible count {c} for section size {s}")
-    total = sum(counts)
-    if n is None:
-        n = total
-    elif n != total:
-        raise StatsError(f"counts sum to {total}, expected draw count {n}")
-
+    n = sum(counts)
     k = len(sizes)
     if k == 1 or n == 0 or n == sum(sizes):
         # no free parameters, or a degenerate composition: the likelihood is
@@ -232,7 +208,7 @@ def fit_noncentral_weights(
         x0=np.zeros(k - 1),
         method="L-BFGS-B",
         bounds=[(lo_bound, hi_bound)] * (k - 1),
-        options={"ftol": tol * 1e-4, "gtol": 1e-9, "maxiter": 1000},
+        options={"ftol": 1e-12, "gtol": 1e-9, "maxiter": 1000},
     )
     theta = np.concatenate(([0.0], res.x))
     clamped = bool(np.any(res.x <= lo_bound + 1e-9) or np.any(res.x >= hi_bound - 1e-9))
@@ -241,10 +217,6 @@ def fit_noncentral_weights(
 
 @dataclass(frozen=True)
 class VarietyTestResult:
-    year: int | None
-    sections: tuple[str, ...]
-    counts: tuple[int, ...]
-    sizes: tuple[int, ...]
     omega: tuple[float, ...]
     llr: float
     df: int
@@ -254,14 +226,7 @@ class VarietyTestResult:
     clamped: bool
 
 
-def variety_llr(
-    counts: Sequence[int],
-    sizes: Sequence[int],
-    n: int | None = None,
-    *,
-    sections: Sequence[str] | None = None,
-    year: int | None = None,
-) -> VarietyTestResult:
+def variety_llr(counts: Sequence[int], sizes: Sequence[int]) -> VarietyTestResult:
     """Log-likelihood ratio test of biased vs unbiased section occupancy.
 
     G = 2[l(omega_hat) - l(1)], asymptotically chi-square with one degree of
@@ -270,23 +235,14 @@ def variety_llr(
     """
     counts = [int(c) for c in counts]
     sizes = [int(s) for s in sizes]
-    if sections is None:
-        sections = tuple(f"S{i}" for i in range(len(sizes)))
     df = len(sizes) - 1
     # 2 * gammaincinv(df / 2, 0.95) is the chi-square 95% quantile, the value
     # scipy.stats.chi2.ppf computes, without importing scipy.stats
     critical = (
         CHI2_DF7_CRITICAL_5PCT if df == VARIETY_DF else float(2.0 * gammaincinv(df / 2, 0.95))
     )
-    total = sum(counts)
-    if n is None:
-        n = total
-    if n == 0:
+    if sum(counts) == 0:
         return VarietyTestResult(
-            year=year,
-            sections=tuple(sections),
-            counts=tuple(counts),
-            sizes=tuple(sizes),
             omega=(1.0,) * len(sizes),
             llr=float("nan"),
             df=df,
@@ -295,14 +251,10 @@ def variety_llr(
             applicable=False,
             clamped=False,
         )
-    fit = fit_noncentral_weights(counts, sizes, n)
+    fit = fit_noncentral_weights(counts, sizes)
     loglik_null = fnch_loglik(counts, sizes, np.zeros(len(sizes)))
     g = max(2.0 * (fit.loglik - loglik_null), 0.0)
     return VarietyTestResult(
-        year=year,
-        sections=tuple(sections),
-        counts=tuple(counts),
-        sizes=tuple(sizes),
         omega=fit.omega,
         llr=g,
         df=df,

@@ -176,6 +176,27 @@ def fnch_normalizer_bruteforce(sizes: list[int], omegas: list[float], n: int) ->
     return total
 
 
+def log_fnch_normalizer_logspace(sizes: list[int], log_omegas: list[float], n: int) -> float:
+    """Log of the coefficient of z^n in prod_k (1 + omega_k z)^size_k, all in logs.
+
+    Multiplies the factors one by one as log-coefficient arrays, truncated at
+    degree n, and adds products with np.logaddexp, so no intermediate value
+    can underflow or overflow at any scale of sizes or odds.
+    """
+    poly = np.zeros(1)
+    for size, lo in zip(sizes, log_omegas):
+        factor = [
+            math.lgamma(size + 1) - math.lgamma(x + 1) - math.lgamma(size - x + 1) + x * lo
+            for x in range(min(size, n) + 1)
+        ]
+        out = np.full(min(len(poly) + len(factor) - 1, n + 1), -np.inf)
+        for x, log_c in enumerate(factor):
+            end = min(x + len(poly), len(out))
+            out[x:end] = np.logaddexp(out[x:end], poly[: end - x] + log_c)
+        poly = out
+    return float(poly[n]) if n < len(poly) else -math.inf
+
+
 def fnch_loglik_bruteforce(counts: list[int], sizes: list[int], omegas: list[float]) -> float:
     n = sum(counts)
     num = 1.0

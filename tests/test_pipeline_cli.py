@@ -311,6 +311,10 @@ class TestRunPipeline:
 # (year, k): the run's pvalues/ equal the replicate-loop oracle (see
 # test_pvalues_equal_the_replicate_loop_oracle), and the acs and stats stages
 # of the commit before that change give these same bytes on the new networks.
+# stats/variety.csv changed once, when the FNCH normalizer moved to exponential
+# tilting: 4 of its 50 data rows differ from the two-path log convolution's, in
+# the last digits only (1992 llr by 7e-15 relative; omega_B of 1991, 1992 and
+# 1995 by under 1e-7 relative), and no applicable, significant or clamped cell.
 ACS_STATS_SHA256 = {
     "acs/labels_1991.csv": "f956a4b2e15fae8b044df10a01d22f779b813fe2fdb582a9b185f42b1f8a438d",
     "acs/labels_1992.csv": "e2eb6d39d647ef652f6b9af53e6d8f890c9f903e1f31c869c6dd242a9bbcba74",
@@ -331,7 +335,7 @@ ACS_STATS_SHA256 = {
     "stats/fitness.csv": "339a80d50d1a5ba3fa3c6a1f24d8e5083d802ae3ed9b941e0cb7a286200773eb",
     "stats/mixing.csv": "4a8763c28e7af107f2e55090e0698e8033e731d67101bceeebb1326221fc5b99",
     "stats/occupancy.csv": "b2943b49f0da037b9dc043d9ed9566f62c83c49fb85acfe4715f77cab28dc1cf",
-    "stats/variety.csv": "d625223f11c72c79e5feb24407f044b18c63b965aeffe118ecf45ed68d352a17",
+    "stats/variety.csv": "5d368f5529b82eafc37d3a5c7a2b6a1dae7fbf91cf5f9fc4e35b6b149bac0b9a",
 }
 
 # sha256 of every occurrence/, presence/, assist/, pvalues/ and network/

@@ -8,6 +8,7 @@ from technet.hierarchy import CodeHierarchy
 from technet.ingest import EventRecord
 from technet.stats import (
     CHI2_DF7_CRITICAL_5PCT,
+    ODDS_CLAMP,
     StatsError,
     acs_section_counts,
     family_field_counts,
@@ -22,7 +23,11 @@ from technet.stats import (
 )
 
 from drivers import net_from_edges
-from oracles import fnch_loglik_bruteforce, fnch_normalizer_bruteforce
+from oracles import (
+    fnch_loglik_bruteforce,
+    fnch_normalizer_bruteforce,
+    log_fnch_normalizer_logspace,
+)
 
 TWO_SECTIONS = CodeHierarchy.from_pairs(
     [("A", None), ("H", None),
@@ -148,7 +153,7 @@ class TestFnchLikelihood:
             assert abs(base - rescaled) < 1e-9
 
     def test_wide_dynamic_range_path(self):
-        # clamp-scale odds push the convolution onto the exact log-space path
+        # clamp-scale odds: coefficients of the factors span hundreds of e-folds
         sizes = [30, 30, 30, 31]
         lo = np.log([1e6, 1e-6, 1.0, 1e6])
         n = 60
@@ -156,6 +161,20 @@ class TestFnchLikelihood:
         assert np.isfinite(ln)
         # dominant term: all 60 draws from the two omega=1e6 sections
         assert ln >= 60 * math.log(1e6)
+
+    def test_normalizer_matches_logspace_oracle_at_600_fields(self):
+        # subclass scale, 8 sections of 75; n up to one short of all 600
+        sizes = [75] * 8
+        clamp = math.log(ODDS_CLAMP[1])
+        rng = np.random.default_rng(600)
+        log_omegas = [rng.uniform(-3.0, 3.0, 8) for _ in range(50)]
+        log_omegas += [rng.choice([-clamp, clamp], 8) for _ in range(3)]
+        log_omegas.append(np.concatenate((rng.uniform(-3.0, 3.0, 4), [clamp, -clamp] * 2)))
+        for lo in log_omegas:
+            for n in (1, 40, 300, 595, 599):
+                oracle = log_fnch_normalizer_logspace(sizes, lo.tolist(), n)
+                mine = log_fnch_normalizer(sizes, lo, n)
+                assert abs(mine - oracle) <= 1e-10 * abs(oracle), (lo.tolist(), n)
 
 
 class TestFitNoncentralWeights:
@@ -184,8 +203,6 @@ class TestFitNoncentralWeights:
         with pytest.raises(StatsError):
             fit_noncentral_weights([5], [4])
         with pytest.raises(StatsError):
-            fit_noncentral_weights([1, 1], [4, 4], n=5)
-        with pytest.raises(StatsError):
             fit_noncentral_weights([], [])
 
 
@@ -209,6 +226,26 @@ class TestVarietyLlr:
         brute = fnch_loglik_bruteforce([12, 0, 0, 0, 0, 0, 0, 0], [15] * 8, list(res.omega))
         null = fnch_loglik_bruteforce([12, 0, 0, 0, 0, 0, 0, 0], [15] * 8, [1.0] * 8)
         assert res.llr <= 2 * (brute - null) + 1e-6  # fitted odds at least as good
+
+    @pytest.mark.parametrize(
+        "counts, exact_llr",
+        [
+            # 1980: three full sections of 75 and five at 74; the supremum puts
+            # the 5 absent fields among the 375 of the five short sections
+            ((75, 74, 74, 75, 74, 74, 74, 75),
+             2 * math.log(math.comb(600, 5) / math.comb(375, 5))),
+            # 1983: seven full sections and one at 74; the absent field is in
+            # the short section with likelihood 1, against 1/8 under the null
+            ((74, 75, 75, 75, 75, 75, 75, 75), 2 * math.log(8)),
+        ],
+        ids=["1980", "1983"],
+    )
+    def test_subclass_boundary_composition_matches_closed_form(self, counts, exact_llr):
+        # the supremum lies at infinite odds ratios; the bounded fit stops just short
+        res = variety_llr(list(counts), [75] * 8)
+        assert math.isfinite(res.llr)
+        assert not res.significant
+        assert abs(res.llr - exact_llr) <= 2e-3
 
     def test_empty_acs_not_applicable(self):
         res = variety_llr([0, 0], [5, 5])

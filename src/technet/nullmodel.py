@@ -211,19 +211,22 @@ def null_assist_replicate(
 class PvalueMatrix:
     """Upper-tail link p-values against the null ensemble.
 
-    pvalues holds the add-one form (1 + exceedances) / (K + 1): never zero,
-    always a multiple of 1/(K+1). exceed_counts keeps the raw exceedance
-    counts so downstream significance filtering can also use the plain
-    percentile form counts/K. source_active marks fields with positive base
-    ubiquity; rows of structurally zero assist values are never testable.
+    exceed_counts holds the raw exceedance counts, so downstream significance
+    filtering can use the add-one `pvalues` or the plain percentile form
+    counts/K. source_active marks fields with positive base ubiquity; rows of
+    structurally zero assist values are never testable.
     """
 
     base_year: int
     fields: tuple[str, ...]
     n_replicates: int
-    pvalues: np.ndarray
     exceed_counts: np.ndarray
     source_active: np.ndarray
+
+    @property
+    def pvalues(self) -> np.ndarray:
+        """The add-one form (1 + exceedances) / (K + 1): never zero, a multiple of 1/(K+1)."""
+        return (1.0 + self.exceed_counts) / (self.n_replicates + 1.0)
 
 
 NullPair = tuple[AssistMatrix, BicmParameters, BicmParameters]
@@ -303,12 +306,10 @@ def pvalues_from_counts(b_emp: AssistMatrix, counts: np.ndarray, n_replicates: i
     """The add-one p-value matrix of one pair's exceedance counts over K replicates."""
     if n_replicates < 1:
         raise ValueError("empty null ensemble: n_replicates must be >= 1")
-    pv = (1.0 + counts) / (n_replicates + 1.0)
     return PvalueMatrix(
         base_year=b_emp.base_year,
         fields=b_emp.fields,
         n_replicates=n_replicates,
-        pvalues=pv,
         exceed_counts=counts.copy(),
         source_active=b_emp.ubiquity > 0,
     )
@@ -337,7 +338,6 @@ def pvalues_from_text(text: str, *, year: int | None = None) -> PvalueMatrix:
         base_year=base_year,
         fields=fields,
         n_replicates=n_replicates,
-        pvalues=(1.0 + counts) / (n_replicates + 1.0),
         exceed_counts=counts,
         source_active=np.array([f not in inactive for f in fields], dtype=bool),
     )

@@ -422,7 +422,7 @@ def stage_stats(cfg: RunConfig, paths: RunPaths) -> None:
                 tables["fitness"].append((year, row.subset, metric, getattr(row, metric)))
         sections, counts, sizes = acs_section_counts(labels, hierarchy)
         result = variety_llr(counts, sizes)
-        for metric in ("applicable", "llr", "df", "critical_value", "significant", "clamped"):
+        for metric in ("applicable", "llr", "df", "critical_value", "significant", "boundary"):
             tables["variety"].append((year, metric, getattr(result, metric)))
         for section, count, omega in zip(sections, counts, result.omega):
             tables["variety"].append((year, f"count_{section}", count))

@@ -9,8 +9,9 @@ normalizer is the coefficient of z^n in the product over sections of
 (1 + omega_k z)^(size_k). The normalizer is computed by exponential tilting
 (Liao & Rosen 2001, Am. Stat. 55:366): the odds are tilted until the expected
 draw count is n, and the coefficient is read from a linear-space convolution
-of binomial pmfs at their mean, so it stays finite at clamp-scale odds and
-600 fields.
+of binomial pmfs at their mean, so it stays finite at any spread of odds and
+600 fields. Full and empty sections are fitted in their limit, on the reduced
+problem of the free sections, so their odds are reported as absent.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .ingest import EventRecord
 
 CHI2_DF7_CRITICAL_5PCT = 14.07
 VARIETY_DF = 7
-ODDS_CLAMP = (1e-6, 1e6)
 
 
 class StatsError(ValueError):
@@ -169,61 +169,60 @@ def fnch_loglik(
 
 @dataclass(frozen=True)
 class FnchFit:
-    omega: tuple[float, ...]
+    omega: tuple[float | None, ...]
     loglik: float
-    clamped: bool
+    boundary: bool
 
 
 def fit_noncentral_weights(counts: Sequence[int], sizes: Sequence[int]) -> FnchFit:
     """Maximum-likelihood odds of the noncentral hypergeometric alternative.
 
-    The first section's odds are fixed to 1 (the likelihood only identifies
-    ratios); the remaining log-odds are optimized within the clamp bounds.
-    Boundary compositions (a count of 0 or a full section) push odds onto a
-    clamp, which is flagged rather than an error.
+    A section is free when 0 < count < size. On a boundary composition, where
+    some section is full or empty, the supremum is the limit of those odds at
+    infinity or 0, and equals the likelihood of the free sections alone with
+    the full sections' draws removed: an exponential family's MLE exists
+    exactly inside its convex support (Barndorff-Nielsen 1978). So the fit
+    runs on the free sections, with the first one's odds fixed to 1 (the
+    likelihood only identifies ratios), and its MLE is finite. The other
+    sections' odds are not identified and are None. With fewer than two free
+    sections nothing is fitted and the supremum log-likelihood is 0.
     """
-    counts = [int(c) for c in counts]
-    sizes = [int(s) for s in sizes]
-    if len(counts) != len(sizes) or not counts:
+    counts = np.asarray(counts, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if counts.shape != sizes.shape or counts.ndim != 1 or not counts.size:
         raise StatsError("counts and sizes must be equal-length and nonempty")
     for c, s in zip(counts, sizes):
-        if s < 0 or not 0 <= c <= s:
+        if not 0 <= c <= s:
             raise StatsError(f"infeasible count {c} for section size {s}")
-    n = sum(counts)
-    k = len(sizes)
-    if k == 1 or n == 0 or n == sum(sizes):
-        # no free parameters, or a degenerate composition: the likelihood is
-        # flat in omega, so the null odds are already maximal
-        lo = np.zeros(k)
-        return FnchFit(omega=(1.0,) * k, loglik=fnch_loglik(counts, sizes, lo), clamped=False)
+    free = (counts > 0) & (counts < sizes)
+    free_counts, free_sizes = counts[free], sizes[free]
+    theta, loglik = np.zeros(1), 0.0
+    if free.sum() > 1:
 
-    lo_bound, hi_bound = np.log(ODDS_CLAMP[0]), np.log(ODDS_CLAMP[1])
+        def negloglik(theta_rest: np.ndarray) -> float:
+            return -fnch_loglik(free_counts, free_sizes, np.concatenate(([0.0], theta_rest)))
 
-    def negloglik(theta_free: np.ndarray) -> float:
-        lo = np.concatenate(([0.0], theta_free))
-        return -fnch_loglik(counts, sizes, lo)
-
-    res = minimize(
-        negloglik,
-        x0=np.zeros(k - 1),
-        method="L-BFGS-B",
-        bounds=[(lo_bound, hi_bound)] * (k - 1),
-        options={"ftol": 1e-12, "gtol": 1e-9, "maxiter": 1000},
-    )
-    theta = np.concatenate(([0.0], res.x))
-    clamped = bool(np.any(res.x <= lo_bound + 1e-9) or np.any(res.x >= hi_bound - 1e-9))
-    return FnchFit(omega=tuple(np.exp(theta).tolist()), loglik=-float(res.fun), clamped=clamped)
+        res = minimize(
+            negloglik,
+            x0=np.zeros(free.sum() - 1),
+            method="L-BFGS-B",
+            options={"ftol": 1e-12, "gtol": 1e-9, "maxiter": 1000},
+        )
+        theta, loglik = np.concatenate(([0.0], res.x)), -float(res.fun)
+    odds = iter(np.exp(theta).tolist())
+    omega = tuple(next(odds) if f else None for f in free)
+    return FnchFit(omega=omega, loglik=loglik, boundary=not free.all())
 
 
 @dataclass(frozen=True)
 class VarietyTestResult:
-    omega: tuple[float, ...]
+    omega: tuple[float | None, ...]
     llr: float
     df: int
     critical_value: float
     significant: bool
     applicable: bool
-    clamped: bool
+    boundary: bool
 
 
 def variety_llr(counts: Sequence[int], sizes: Sequence[int]) -> VarietyTestResult:
@@ -231,37 +230,29 @@ def variety_llr(counts: Sequence[int], sizes: Sequence[int]) -> VarietyTestResul
 
     G = 2[l(omega_hat) - l(1)], asymptotically chi-square with one degree of
     freedom fewer than the section count; at 8 sections df = 7 and the 5%
-    critical value is 14.07. An empty ACS yields a not-applicable marker.
+    critical value is 14.07. `boundary` flags a full or empty section, where
+    the fitted odds lie at the edge of the parameter space. An empty ACS
+    yields a not-applicable marker.
     """
-    counts = [int(c) for c in counts]
-    sizes = [int(s) for s in sizes]
     df = len(sizes) - 1
     # 2 * gammaincinv(df / 2, 0.95) is the chi-square 95% quantile, the value
     # scipy.stats.chi2.ppf computes, without importing scipy.stats
     critical = (
         CHI2_DF7_CRITICAL_5PCT if df == VARIETY_DF else float(2.0 * gammaincinv(df / 2, 0.95))
     )
-    if sum(counts) == 0:
-        return VarietyTestResult(
-            omega=(1.0,) * len(sizes),
-            llr=float("nan"),
-            df=df,
-            critical_value=critical,
-            significant=False,
-            applicable=False,
-            clamped=False,
-        )
     fit = fit_noncentral_weights(counts, sizes)
-    loglik_null = fnch_loglik(counts, sizes, np.zeros(len(sizes)))
-    g = max(2.0 * (fit.loglik - loglik_null), 0.0)
+    applicable = bool(sum(counts) > 0)
+    g = float("nan")
+    if applicable:
+        g = max(2.0 * (fit.loglik - fnch_loglik(counts, sizes, np.zeros(len(sizes)))), 0.0)
     return VarietyTestResult(
         omega=fit.omega,
         llr=g,
         df=df,
         critical_value=critical,
-        significant=g > critical,
-        applicable=True,
-        clamped=fit.clamped,
+        significant=applicable and g > critical,
+        applicable=applicable,
+        boundary=fit.boundary,
     )
 
 

@@ -17,7 +17,6 @@ def make_pvalue_matrix(exceed_counts, n_replicates, source_active=None, year=199
         base_year=year,
         fields=fields,
         n_replicates=n_replicates,
-        pvalues=(1.0 + counts) / (n_replicates + 1.0),
         exceed_counts=counts,
         source_active=np.asarray(source_active, dtype=bool),
     )

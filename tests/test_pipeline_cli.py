@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from oracles import pvalue_text_by_loop
-from technet import nullmodel, pipeline
+from technet import artifacts, nullmodel, pipeline
 from technet.assist import assist_from_text
 from technet.cli import _config, build_parser, main
+from technet.hierarchy import hierarchy_to_text
 from technet.nullmodel import BicmFitError, fit_bicm
 from technet.pipeline import (
     ConfigError,
@@ -23,7 +25,14 @@ from technet.pipeline import (
     resolve_workers,
     run_pipeline,
 )
-from technet.synth import SynthConfig, generate_events, planted_cycle_pairs, synth_field_codes
+from technet.stats import field_counts_to_text
+from technet.synth import (
+    SynthConfig,
+    generate_events,
+    planted_cycle_pairs,
+    synth_field_codes,
+    synth_hierarchy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +324,13 @@ class TestRunPipeline:
 # tilting: 4 of its 50 data rows differ from the two-path log convolution's, in
 # the last digits only (1992 llr by 7e-15 relative; omega_B of 1991, 1992 and
 # 1995 by under 1e-7 relative), and no applicable, significant or clamped cell.
+# It changed again when boundary compositions were fitted on their reduced
+# problem: the clamped rows became boundary rows (true in 1993 and 1994, whose
+# section B is empty); those two years' omega_B cells became empty and their
+# llr rose from 4.969803299590999 to 4.969813299575999, within 2e-15 of the
+# closed form 2 ln[C(10, 3) / C(5, 3)]. In the interior years, fitted without
+# bounds, omega_B of 1991, 1992 and 1995 moved by under 3e-8 relative and the
+# 1992 llr by 5e-15 relative. No applicable or significant cell changed.
 ACS_STATS_SHA256 = {
     "acs/labels_1991.csv": "f956a4b2e15fae8b044df10a01d22f779b813fe2fdb582a9b185f42b1f8a438d",
     "acs/labels_1992.csv": "e2eb6d39d647ef652f6b9af53e6d8f890c9f903e1f31c869c6dd242a9bbcba74",
@@ -335,7 +351,7 @@ ACS_STATS_SHA256 = {
     "stats/fitness.csv": "339a80d50d1a5ba3fa3c6a1f24d8e5083d802ae3ed9b941e0cb7a286200773eb",
     "stats/mixing.csv": "4a8763c28e7af107f2e55090e0698e8033e731d67101bceeebb1326221fc5b99",
     "stats/occupancy.csv": "b2943b49f0da037b9dc043d9ed9566f62c83c49fb85acfe4715f77cab28dc1cf",
-    "stats/variety.csv": "5d368f5529b82eafc37d3a5c7a2b6a1dae7fbf91cf5f9fc4e35b6b149bac0b9a",
+    "stats/variety.csv": "415d6622dfb60ec464fa1276edcd9f0da040c3727c128399a025e833dd94f76f",
 }
 
 # sha256 of every occurrence/, presence/, assist/, pvalues/ and network/
@@ -460,6 +476,52 @@ class TestStatsInputs:
             for p in sorted((out / sub).iterdir())
         }
         assert digests == {**INTERMEDIATE_SHA256, **ACS_STATS_SHA256}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stats_stage_at_600_fields_writes_finite_variety_rows(self, tmp_path):
+        # a hand-written run directory of 8 sections of 75 fields: per year,
+        # the ACS holds the first count of each section's fields
+        compositions = {
+            1980: (75, 74, 74, 75, 74, 74, 74, 75),
+            1981: (60, 50, 40, 30, 20, 10, 5, 1),
+            1982: (0, 75, 40, 33, 75, 75, 70, 75),
+            1983: (74, 75, 75, 75, 75, 75, 75, 75),
+        }
+        hierarchy = tmp_path / "hierarchy.csv"
+        hierarchy.write_text(hierarchy_to_text(synth_hierarchy(600, 8)))
+        cfg = RunConfig(hierarchy_path=str(hierarchy), out_dir=str(tmp_path / "run"),
+                        year_min=1980, year_max=1984)
+        paths = RunPaths(cfg.out_dir)
+        paths.ensure()
+        codes = synth_field_codes(600, 8)
+        paths.fields_file().write_text("\n".join(codes) + "\n")
+        for year, counts in compositions.items():
+            in_acs = dict(zip("ABCDEFGH", counts))
+            labels = [(code, "core" if int(code[1:]) <= in_acs[code[0]] else "outside")
+                      for code in codes]
+            paths.labels(year).write_text(artifacts.year_rows_to_text(year, labels))
+            paths.field_counts(year).write_text(
+                field_counts_to_text(year, {code: 1 + i % 7 for i, code in enumerate(codes)})
+            )
+            paths.network(year).write_text("")
+        pipeline.stage_stats(cfg, paths)
+
+        rows = [line.split(",") for line in paths.stats("variety.csv").read_text().splitlines()]
+        cells = {(int(year), metric): value for year, metric, value in rows[1:]}
+        assert sorted({year for year, _metric in cells}) == cfg.base_years == list(compositions)
+        for (year, metric), value in cells.items():
+            if metric == "llr":
+                assert math.isfinite(float(value)), (year, value)
+            elif metric.startswith("omega_"):
+                assert value == "" or math.isfinite(float(value)), (year, metric, value)
+        boundary = {year: cells[year, "boundary"] for year in compositions}
+        assert boundary == {1980: "true", 1981: "false", 1982: "true", 1983: "true"}
+        exact_1980 = 2 * math.log(math.comb(600, 5) / math.comb(375, 5))
+        assert abs(float(cells[1980, "llr"]) - exact_1980) <= 1e-9
+        assert abs(float(cells[1983, "llr"]) - 2 * math.log(8)) <= 1e-9
+        assert [cells[1982, f"omega_{s}"] == "" for s in "ABCDEFGH"] == [
+            True, True, False, False, True, True, False, True
+        ]
 
     @pytest.mark.parametrize(
         "tamper, cause",

@@ -8,7 +8,6 @@ from technet.hierarchy import CodeHierarchy
 from technet.ingest import EventRecord
 from technet.stats import (
     CHI2_DF7_CRITICAL_5PCT,
-    ODDS_CLAMP,
     StatsError,
     acs_section_counts,
     family_field_counts,
@@ -153,7 +152,7 @@ class TestFnchLikelihood:
             assert abs(base - rescaled) < 1e-9
 
     def test_wide_dynamic_range_path(self):
-        # clamp-scale odds: coefficients of the factors span hundreds of e-folds
+        # odds of 1e6 and 1e-6: coefficients of the factors span hundreds of e-folds
         sizes = [30, 30, 30, 31]
         lo = np.log([1e6, 1e-6, 1.0, 1e6])
         n = 60
@@ -165,11 +164,11 @@ class TestFnchLikelihood:
     def test_normalizer_matches_logspace_oracle_at_600_fields(self):
         # subclass scale, 8 sections of 75; n up to one short of all 600
         sizes = [75] * 8
-        clamp = math.log(ODDS_CLAMP[1])
+        wide = math.log(1e6)
         rng = np.random.default_rng(600)
         log_omegas = [rng.uniform(-3.0, 3.0, 8) for _ in range(50)]
-        log_omegas += [rng.choice([-clamp, clamp], 8) for _ in range(3)]
-        log_omegas.append(np.concatenate((rng.uniform(-3.0, 3.0, 4), [clamp, -clamp] * 2)))
+        log_omegas += [rng.choice([-wide, wide], 8) for _ in range(3)]
+        log_omegas.append(np.concatenate((rng.uniform(-3.0, 3.0, 4), [wide, -wide] * 2)))
         for lo in log_omegas:
             for n in (1, 40, 300, 595, 599):
                 oracle = log_fnch_normalizer_logspace(sizes, lo.tolist(), n)
@@ -181,14 +180,30 @@ class TestFitNoncentralWeights:
     def test_proportional_counts_give_unit_odds(self):
         fit = fit_noncentral_weights([5, 5, 5, 5], [10, 10, 10, 10])
         assert np.allclose(fit.omega, 1.0, atol=1e-4)
-        assert not fit.clamped
+        assert not fit.boundary
 
-    def test_two_section_boundary_toy_hits_clamp(self):
-        # counts (2, 0) of sizes (2, 2): the odds ratio diverges and the fit
-        # lands on the clamp; enumerable normalizer keeps this exact
+    def test_two_section_boundary_toy_is_exact(self):
+        # counts (2, 0) of sizes (2, 2): both sections are on the boundary, so
+        # nothing is fitted; the supremum puts both draws in the full section
         fit = fit_noncentral_weights([2, 0], [2, 2])
-        assert fit.clamped
-        assert fit.omega[0] / fit.omega[1] >= 1e6 * 0.999
+        assert fit.boundary
+        assert fit.omega == (None, None)
+        assert fit.loglik == 0.0
+        res = variety_llr([2, 0], [2, 2])
+        assert res.boundary
+        assert abs(res.llr - 2 * math.log(6)) <= 1e-12  # null puts 1/C(4, 2) on it
+
+    def test_boundary_sections_are_dropped_from_the_fit(self):
+        # an empty and a full section among free ones: the free sections' odds
+        # are the MLE of the reduced problem, relative to the first free one
+        counts, sizes = [0, 3, 6, 1, 4], [5, 6, 6, 4, 7]
+        fit = fit_noncentral_weights(counts, sizes)
+        reduced = fit_noncentral_weights([3, 1, 4], [6, 4, 7])
+        assert fit.boundary and not reduced.boundary
+        assert fit.omega[0] is None and fit.omega[2] is None and fit.omega[1] == 1.0
+        assert (fit.omega[1], *fit.omega[3:]) == reduced.omega
+        assert fit.loglik == reduced.loglik
+        assert fit.loglik >= fnch_loglik([3, 1, 4], [6, 4, 7], np.zeros(3))
 
     def test_mle_beats_null_likelihood(self):
         rng = np.random.default_rng(44)
@@ -223,34 +238,64 @@ class TestVarietyLlr:
         res = variety_llr([12, 0, 0, 0, 0, 0, 0, 0], [15] * 8)
         assert res.llr > 14.07
         assert res.significant
-        brute = fnch_loglik_bruteforce([12, 0, 0, 0, 0, 0, 0, 0], [15] * 8, list(res.omega))
+        # as the other odds go to 0 the composition becomes certain: the
+        # supremum log-likelihood is 0
         null = fnch_loglik_bruteforce([12, 0, 0, 0, 0, 0, 0, 0], [15] * 8, [1.0] * 8)
-        assert res.llr <= 2 * (brute - null) + 1e-6  # fitted odds at least as good
+        assert abs(res.llr + 2 * null) <= 1e-9
 
     @pytest.mark.parametrize(
-        "counts, exact_llr",
+        "counts, size, exact_llr",
         [
             # 1980: three full sections of 75 and five at 74; the supremum puts
             # the 5 absent fields among the 375 of the five short sections
-            ((75, 74, 74, 75, 74, 74, 74, 75),
+            ((75, 74, 74, 75, 74, 74, 74, 75), 75,
              2 * math.log(math.comb(600, 5) / math.comb(375, 5))),
             # 1983: seven full sections and one at 74; the absent field is in
             # the short section with likelihood 1, against 1/8 under the null
-            ((74, 75, 75, 75, 75, 75, 75, 75), 2 * math.log(8)),
+            ((74, 75, 75, 75, 75, 75, 75, 75), 75, 2 * math.log(8)),
+            # the same at class scale: seven full sections of 15 and H at 14
+            ((15, 15, 15, 15, 15, 15, 15, 14), 15, 2 * math.log(8)),
+            # all 3 ACS fields in A: certain once the other odds go to 0
+            ((3, 0, 0, 0, 0, 0, 0, 0), 15, 2 * math.log(math.comb(120, 3) / math.comb(15, 3))),
         ],
-        ids=["1980", "1983"],
+        ids=["1980", "1983", "seven-full-classes", "one-occupied-class"],
     )
-    def test_subclass_boundary_composition_matches_closed_form(self, counts, exact_llr):
-        # the supremum lies at infinite odds ratios; the bounded fit stops just short
-        res = variety_llr(list(counts), [75] * 8)
-        assert math.isfinite(res.llr)
+    def test_subclass_boundary_composition_matches_closed_form(self, counts, size, exact_llr):
+        # the supremum lies at infinite odds ratios, where the likelihood is
+        # that of the free sections alone; a lone free section has odds 1
+        res = variety_llr(list(counts), [size] * 8)
+        assert res.boundary
         assert not res.significant
-        assert abs(res.llr - exact_llr) <= 2e-3
+        assert abs(res.llr - exact_llr) <= 1e-9
+        assert [w is None for w in res.omega] == [c in (0, size) for c in counts]
+        # the free sections are equally filled, so their odds stay at 1
+        assert all(abs(w - 1.0) <= 1e-9 for w in res.omega if w is not None)
+
+    def test_section_order_does_not_change_the_test(self):
+        rng = np.random.default_rng(46)
+        sizes = [15, 12, 15, 9, 15, 14, 15, 11]
+        compositions = [
+            [15, 3, 0, 9, 7, 0, 2, 11],
+            [4, 5, 6, 2, 3, 4, 5, 1],
+            [15, 12, 15, 9, 15, 14, 15, 10],
+        ]
+        for counts in compositions:
+            res = variety_llr(counts, sizes)
+            for _ in range(3):
+                order = rng.permutation(8)
+                permuted = variety_llr([counts[i] for i in order], [sizes[i] for i in order])
+                assert abs(permuted.llr - res.llr) <= 1e-9
+                assert permuted.boundary == res.boundary
+                assert [permuted.omega[j] is None for j in range(8)] == [
+                    res.omega[i] is None for i in order
+                ]
 
     def test_empty_acs_not_applicable(self):
         res = variety_llr([0, 0], [5, 5])
         assert not res.applicable
         assert not res.significant
+        assert math.isnan(res.llr)
+        assert res.boundary and res.omega == (None, None)
 
 
 class TestSectionStats:

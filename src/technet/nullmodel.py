@@ -15,6 +15,19 @@ year of one pair and the later year of another, and the replicate's assist
 values come from the same hit-list join as the empirical ones, with no BLAS
 call.
 
+A draw of R x F cells reads the little-endian bytes of ceil(R * F / 8) raw
+64-bit outputs of its stream, one byte c per cell in flat-index order. With
+lo = min(floor(256 p), 255) the cell's byte threshold, fixed per fit, the cell
+is present when c < lo and absent when c > lo. Only a boundary cell, with
+c == lo, draws a double v from the same stream, in flat-index order after the
+bytes, and is present when v < 256 p - lo. This is U = (c + v) / 256 < p with
+U uniform on [0, 1), so the draw is exact in distribution up to the 2^-53
+grid of v, an error below 2^-61 per cell. It holds at p = 0 (lo = 0, fraction 0) and p = 1
+(lo = 255, fraction 1) without a branch. A cell is a boundary cell with
+probability 1/256 whatever p is, so a draw consumes R * F bytes plus 8 bytes
+per boundary cell, about 1.03 * R * F bytes, where one double per cell
+consumed 8 * R * F.
+
 A null value counts as an exceedance when it reaches the empirical value less
 a relative tolerance of R * TIE_RTOL_PER_REGION (4 * R * eps for R regions).
 Two summation orders of one exact value differ by less than that, so an exact
@@ -25,7 +38,7 @@ associatively, which keeps the chunked reduction order-insensitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,7 +71,9 @@ class BicmParameters:
     link_probability is the complete cell-probability matrix, including rows
     and columns forced to 0 (empty) or 1 (saturated) before the interior fit.
     The x, y multipliers are NaN on forced rows/columns; they are diagnostics,
-    not needed for sampling.
+    not needed for sampling. byte_floor is each cell's uint8 threshold
+    min(floor(256 p), 255), computed once here on the constructing thread, so
+    draws share it.
     """
 
     year: int
@@ -68,6 +83,11 @@ class BicmParameters:
     y: np.ndarray
     link_probability: np.ndarray
     residual: float
+    byte_floor: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        floor = np.minimum(np.floor(256.0 * self.link_probability), 255.0).astype(np.uint8)
+        object.__setattr__(self, "byte_floor", floor)
 
 
 def _degree_residual(p: np.ndarray, d: np.ndarray, u: np.ndarray) -> float:
@@ -161,9 +181,19 @@ def fit_bicm(m: PresenceMatrix, tol: float = 1e-8, max_iter: int = 10_000) -> Bi
 
 
 def sample_null_matrix(params: BicmParameters, rng: np.random.Generator) -> PresenceMatrix:
-    """Draw one presence matrix with independent Bernoulli cells."""
-    uniforms = rng.random(params.link_probability.shape)
-    presence = (uniforms < params.link_probability).view(np.uint8)
+    """Draw one presence matrix with independent Bernoulli cells.
+
+    Each cell reads one random byte and compares it with its byte threshold;
+    only the boundary cells, whose byte equals it, draw a double (see the
+    module docstring).
+    """
+    p, lo = params.link_probability.ravel(), params.byte_floor.ravel()
+    raw = rng.bit_generator.random_raw(-(-p.size // 8)).astype("<u8", copy=False)
+    byte = raw.view(np.uint8)[: p.size]
+    presence = byte < lo
+    boundary = np.flatnonzero(byte == lo)
+    presence[boundary] = rng.random(boundary.size) < 256.0 * p[boundary] - lo[boundary]
+    presence = presence.view(np.uint8).reshape(params.link_probability.shape)
     return PresenceMatrix(
         year=params.year, regions=params.regions, fields=params.fields, presence=presence
     )
@@ -233,8 +263,23 @@ NullPair = tuple[AssistMatrix, BicmParameters, BicmParameters]
 
 
 def _check_pairs(pairs: Sequence[NullPair]) -> None:
-    """Reject pairs whose draws could not be shared: one parameter set per year."""
+    """Reject pairs whose draws could not be shared: one parameter set per year.
+
+    Index tuples are compared by identity first, and each distinct pair of
+    tuple objects item by item at most once: the fits of a run share one
+    region tuple, while each empirical matrix brings its own.
+    """
     fits: dict[int, BicmParameters] = {}
+    equal: set[tuple[int, int]] = set()  # ids of tuple pairs found equal; all stay alive
+
+    def same(a: tuple[str, ...], b: tuple[str, ...]) -> bool:
+        if a is b or (id(a), id(b)) in equal:
+            return True
+        if a != b:
+            return False
+        equal.add((id(a), id(b)))
+        return True
+
     for b_emp, params_t, params_t_lag in pairs:
         if params_t.year == params_t_lag.year:
             raise ValueError("a pair's two years must differ: null draws are keyed by (year, k)")
@@ -246,7 +291,7 @@ def _check_pairs(pairs: Sequence[NullPair]) -> None:
                 f"{params_t.year} and {params_t_lag.year}"
             )
         for params in (params_t, params_t_lag):
-            if params.regions != b_emp.regions or params.fields != b_emp.fields:
+            if not (same(params.regions, b_emp.regions) and same(params.fields, b_emp.fields)):
                 raise ValueError("null parameters and empirical matrix differ in index sets")
             if fits.setdefault(params.year, params) is not params:
                 raise ValueError(f"two null parameter sets for year {params.year}")

@@ -342,16 +342,20 @@ def stage_assist(cfg: RunConfig, paths: RunPaths) -> None:
 def stage_nulls(cfg: RunConfig, paths: RunPaths, workers: int = 1) -> None:
     """Null replicates of all year pairs, in 8 contiguous chunks of K per worker.
 
-    This thread first fits the BiCM of every year that some pair uses. Fits
+    This thread first fits the BiCM of every year that some pair uses, which
+    also fixes each cell's byte threshold for every draw of that year. Fits
     stay on this thread: arrays allocated on pool threads stay in those
     threads' malloc arenas, which later stages cannot reuse, and raise the
     peak RSS. Each pool task walks every year pair for its chunk of
-    replicates, drawing each (year, k) matrix once, and returns one count
-    matrix per pair. With one chunk per worker, a worker that shares its CPU
-    with another process held the whole stage back, while the other worker
-    idled after its chunk; 8 chunks per worker let the faster one take more.
-    This thread adds each task's counts into the totals in submission order
-    and drops them, so only a few tasks' counts are held at once.
+    replicates, drawing each (year, k) matrix once (one random byte per cell,
+    and a double only for the 1-in-256 boundary cells), and returns one count
+    matrix per pair. The pool is of threads, so tasks overlap only where
+    NumPy releases the interpreter lock. With one chunk per worker, a worker
+    that shares its CPU with another process held the whole stage back, while
+    the other worker idled after its chunk; 8 chunks per worker let the
+    faster one take more. This thread adds each task's counts into the totals
+    in submission order and drops them, so only a few tasks' counts are held
+    at once.
     """
     fits = {year: fit_bicm(m) for year, m in _pair_presence(cfg, paths)}
     pairs = []

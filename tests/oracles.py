@@ -6,8 +6,9 @@ powers instead of Tarjan and core grouping, Taylor-series matrix exponentials
 instead of RK4, the quadratic step-up definition instead of the sort-scan,
 brute-force composition enumeration instead of polynomial convolution, a
 row-by-row peel and a full-matrix fixed point instead of the degree-class BiCM
-fit, and a plain per-pair replicate loop over dense GEMMs instead of the
-shared-draw walk over year pairs and its hit-list join.
+fit, and a plain per-pair replicate loop, drawing cell by cell, over dense
+GEMMs instead of the vectorized byte-threshold sampler, the shared-draw walk
+over year pairs and its hit-list join.
 """
 
 from __future__ import annotations
@@ -271,6 +272,32 @@ def bicm_fit_full_matrix(
     return p, x, y
 
 
+def stream_bytes(rng: np.random.Generator, n: int) -> bytes:
+    """The first n bytes of rng's raw 64-bit outputs, each written little-endian."""
+    raw = rng.bit_generator.random_raw(math.ceil(n / 8))
+    return b"".join(int(word).to_bytes(8, "little") for word in raw)[:n]
+
+
+def bernoulli_draw_by_loop(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One Bernoulli matrix by a plain loop: cell i is present when (c_i + v_i) / 256 < p_i.
+
+    c_i is byte i of `stream_bytes`. v_i is a uniform double drawn, after all
+    the bytes and in cell order, only for the boundary cells, where the byte
+    alone cannot decide: c_i is the byte threshold min(floor(256 p_i), 255).
+    The comparison is exact rational.
+    """
+    stream = stream_bytes(rng, p.size)
+    draw = np.zeros(p.shape)
+    for i, prob in enumerate(p.flat):
+        c = stream[i]
+        scaled = 256 * Fraction(float(prob))
+        if c == min(math.floor(scaled), 255):
+            draw.flat[i] = c + Fraction(rng.random()) < scaled
+        else:
+            draw.flat[i] = c < scaled
+    return draw
+
+
 def pvalue_text_by_loop(
     b_emp, p_base: np.ndarray, p_lag: np.ndarray, lag_year: int,
     n_replicates: int, master_seed: int,
@@ -278,9 +305,9 @@ def pvalue_text_by_loop(
     """P_<year>.csv text of one pair, from a plain loop over the replicates.
 
     Replicate k draws the base matrix from the (base year, k) stream and the
-    later matrix from the (later year, k) stream, each as uniforms < p over the
-    whole matrix. Its assist values come from one dense BLAS product,
-    (base^T @ (later / d)) / u, and a value counts where it reaches the
+    later matrix from the (later year, k) stream, cell by cell in flat order
+    (`bernoulli_draw_by_loop`). Its assist values come from one dense BLAS
+    product, (base^T @ (later / d)) / u, and a value counts where it reaches the
     empirical one less the package's relative tie tolerance.
     """
     counts = np.zeros(b_emp.values.shape, dtype=np.int64)
@@ -291,7 +318,7 @@ def pvalue_text_by_loop(
             rng = np.random.default_rng(
                 np.random.SeedSequence(master_seed, spawn_key=(year, k))
             )
-            draws.append((rng.random(p.shape) < p).astype(np.float64))
+            draws.append(bernoulli_draw_by_loop(p, rng))
         base, later = draws
         d = np.maximum(later.sum(axis=1, keepdims=True), 1.0)  # a row of d = 0 is all zero
         u = np.maximum(base.sum(axis=0), 1.0)

@@ -3,7 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracles import bicm_fit_full_matrix, pvalue_text_by_loop
+from oracles import (
+    bernoulli_draw_by_loop,
+    bicm_fit_full_matrix,
+    pvalue_text_by_loop,
+    stream_bytes,
+)
 from technet.assist import AssistMatrix, assist_matrix
 from technet.nullmodel import (
     BicmFitError,
@@ -15,6 +20,7 @@ from technet.nullmodel import (
     pvalues_from_counts,
     pvalues_from_text,
     pvalues_to_text,
+    replicate_rng,
     sample_null_matrix,
 )
 from technet.rca import PresenceMatrix
@@ -97,21 +103,76 @@ class TestFitBicm:
         assert err.value.iterations == 2 and err.value.residual > 1e-8
 
 
+def make_params(p):
+    """Year-1998 parameters that draw from the link probabilities p as given."""
+    p = np.asarray(p, dtype=np.float64)
+    regions = tuple(f"r{i}" for i in range(p.shape[0]))
+    fields = tuple(f"f{i}" for i in range(p.shape[1]))
+    return BicmParameters(
+        1998, regions, fields, np.ones(p.shape[0]), np.ones(p.shape[1]), p, 0.0
+    )
+
+
 class TestSampling:
     def test_extreme_probabilities(self):
+        # p = 0 and p = 1 have the boundary bytes 0 and 255, hit once in 256
+        # cells; the fractions 0 and 1 decide those without a branch
+        p = np.zeros((64, 64))
+        p[:, ::2] = 1.0
+        params = make_params(p)
         rng = np.random.default_rng(0)
-        zero = BicmParameters(
-            year=1998, regions=("r0",), fields=("f0", "f1"),
-            x=np.zeros(1), y=np.zeros(2),
-            link_probability=np.zeros((1, 2)), residual=0.0,
-        )
-        assert sample_null_matrix(zero, rng).presence.sum() == 0
-        full = BicmParameters(
-            year=1998, regions=("r0",), fields=("f0", "f1"),
-            x=np.ones(1), y=np.ones(2),
-            link_probability=np.ones((1, 2)), residual=0.0,
-        )
-        assert sample_null_matrix(full, rng).presence.sum() == 2
+        for _ in range(50):
+            assert np.array_equal(sample_null_matrix(params, rng).presence, p)
+
+    def test_dyadic_probability_is_decided_by_the_byte(self):
+        # p = j / 256 has byte threshold j and fraction 0: present iff c < j
+        j = np.arange(257)
+        p = np.tile(j / 256, (40, 1))
+        params = make_params(p)
+        assert np.array_equal(params.byte_floor, np.minimum(np.tile(j, (40, 1)), 255))
+        for seed in range(5):
+            drawn = sample_null_matrix(params, np.random.default_rng(seed)).presence
+            byte = np.frombuffer(stream_bytes(np.random.default_rng(seed), p.size), np.uint8)
+            byte = byte.reshape(p.shape)
+            assert np.array_equal(drawn, byte < np.tile(j, (40, 1)))
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_one_ulp_from_a_dyadic_probability(self, side):
+        # one ulp below j / 256 the threshold is j - 1 and the boundary fraction
+        # is 1 - 256 ulp; one ulp above it is j with fraction 256 ulp. Either
+        # way the cell is present iff c < j, but for a 2^-44 chance per
+        # boundary cell.
+        j = np.arange(1, 257) if side < 0 else np.arange(0, 256)
+        p = np.tile(np.nextafter(j / 256, side), (40, 1))
+        params = make_params(p)
+        floor = j - 1 if side < 0 else j
+        assert np.array_equal(params.byte_floor, np.tile(floor, (40, 1)))
+        for seed in range(5):
+            drawn = sample_null_matrix(params, np.random.default_rng(seed)).presence
+            byte = np.frombuffer(stream_bytes(np.random.default_rng(seed), p.size), np.uint8)
+            byte = byte.reshape(p.shape)
+            assert np.array_equal(drawn, byte < np.tile(j, (40, 1)))
+
+    def test_cell_frequencies_within_z_bound(self):
+        # one column per p, 40,000 cells each; below 1/256 (1/512, 3/1024) a
+        # cell is present only on its boundary byte, by the double's draw
+        ps = np.array([1 / 512, 3 / 1024, 1 / 256 + 1 / 1024, 0.04, 0.1, 1 / 3, 0.5, 0.9,
+                       255.5 / 256, 1 - 1 / 1024])
+        params = make_params(np.tile(ps, (1000, 1)))
+        rng = np.random.default_rng(23)
+        n = 40 * 1000
+        hits = sum(sample_null_matrix(params, rng).presence.sum(axis=0) for _ in range(40))
+        z = (hits / n - ps) / np.sqrt(ps * (1 - ps) / n)
+        assert np.abs(z).max() < 4.0
+
+    def test_draw_matches_the_cell_loop_and_its_pinned_hash(self):
+        # the stream of (seed 5, year 1998, k 3) read by the loop oracle; the
+        # hash pins the draw, so any change to how the stream is read shows
+        p = np.linspace(0.0, 1.0, 40 * 12).reshape(40, 12)
+        drawn = sample_null_matrix(make_params(p), replicate_rng(5, 1998, 3)).presence
+        assert np.array_equal(drawn, bernoulli_draw_by_loop(p, replicate_rng(5, 1998, 3)))
+        digest = hashlib.sha256(drawn.tobytes()).hexdigest()
+        assert digest == "d8fa7329141500a4c62ad7962e57b17ba07ed65e7a5e82ea0ec23708b993b594"
 
     def test_cell_frequency_matches_probability(self):
         pres = (np.random.default_rng(5).random((6, 5)) < 0.4).astype(np.uint8)
@@ -338,6 +399,10 @@ class TestEmpiricalPvalues:
             exceedance_counts([(b_emp, fit_b, fit_a)], range(2), 0)
         with pytest.raises(ValueError):  # lag-1 empirical matrix against lag-2 nulls
             exceedance_counts([(b_emp, fit_a, fit_bicm(m_c))], range(2), 0)
+        # other region names in the later fit, after the base fit's equal ones
+        renamed = PresenceMatrix(1999, tuple(r + "x" for r in m_b.regions), m_b.fields, m_b.presence)
+        with pytest.raises(ValueError, match="index sets"):
+            exceedance_counts([(b_emp, fit_a, fit_bicm(renamed))], range(2), 0)
 
     def test_null_calibration_is_conservative(self):
         # p-values of null-drawn "empirical" matrices dominate the uniform law
@@ -389,10 +454,10 @@ class TestPinnedNullBytes:
     # sha256 of the P_<year>.csv text for this fixed pair, derived from the
     # plain replicate loop of oracles.pvalue_text_by_loop (replicate k draws
     # year 1998 from the (1998, k) stream and year 1999 from the (1999, k)
-    # stream, and dense GEMM values counted under the tie rule); any change to
+    # stream cell by cell, and dense GEMM values counted under the tie rule); any change to
     # sampling, the assist kernel, the tie rule or the reduction that moves a
     # single count changes it.
-    GOLDEN_SHA256 = "7d0dc7f7c2b531ffea84e942d638d8c47f0555d2b12b6b30e0f2e7b483e0813c"
+    GOLDEN_SHA256 = "972e5f8b452fdb1bba82bece465a940908b6b037f93b6d5a5a28bd76ef1f9e92"
 
     def _pair(self):
         rng = np.random.default_rng(2024)

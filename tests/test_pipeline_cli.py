@@ -331,34 +331,45 @@ class TestRunPipeline:
 # closed form 2 ln[C(10, 3) / C(5, 3)]. In the interior years, fitted without
 # bounds, omega_B of 1991, 1992 and 1995 moved by under 3e-8 relative and the
 # 1992 llr by 5e-15 relative. No applicable or significant cell changed.
+# Every acs/ and stats/ file but labels_1993-1995 and the sections tables
+# changed when the null draw became a byte threshold per cell, because the
+# networks did (see INTERMEDIATE_SHA256): the filter, acs and stats stages of
+# the commit before that change give these same bytes from the new P_ files.
+# The 1991 ACS (core 3, periphery 1) became empty and the 1992 periphery lost
+# one field, so the 1991 variety row is no longer applicable.
 ACS_STATS_SHA256 = {
-    "acs/labels_1991.csv": "f956a4b2e15fae8b044df10a01d22f779b813fe2fdb582a9b185f42b1f8a438d",
-    "acs/labels_1992.csv": "e2eb6d39d647ef652f6b9af53e6d8f890c9f903e1f31c869c6dd242a9bbcba74",
+    "acs/labels_1991.csv": "bcf53e923e6a22d6980db7a6a0e0e647ae8997a9d69e55746fa8af1ba7a73a9c",
+    "acs/labels_1992.csv": "019f6af27b1895b54501033b9192bde016b6de5ad0f6c355f62c2abfdd2db826",
     "acs/labels_1993.csv": "6d2f8215e2f8704ec61d42e5f60259a7e63f4cdf5356dab5f5939b560526bf2a",
     "acs/labels_1994.csv": "360d65a03946cae23f814bd57077bc03555fcf11e35379b5d831bc18db958435",
     "acs/labels_1995.csv": "7e9cc581ebd5f764789e22f2e12726a114f08175764cb640463e94a634e6b572",
-    "acs/summary.csv": "8240cf51b0fb0a9551f0b5c346ef7b7d134d0b758bacce5a31bf28b13536ecd8",
-    "stats/adjacency_1991.csv": "f43529cc79a7d9c09a96caa0e47868d628632a3a78f7c8334d6db5695b41627e",
+    "acs/summary.csv": "b4b5413d169b1e92a181961ccf3979f85c7f35428540ae2171b04dc9be728251",
+    "stats/adjacency_1991.csv": "c9aadc2e47148a6af64699c11b955350de87bdbf0ede88c012dfb39f01130918",
     "stats/adjacency_1991.sections.csv": "b2ab5d5eeaa67338639bc943313c7c7a07d19a971a34d6d321d2ce75d7236ea0",
-    "stats/adjacency_1992.csv": "ba7707d5edbd83dfc35a457945224c098d1d0802a5540ad5bba2f7cf59327b96",
+    "stats/adjacency_1992.csv": "49248346af66853538732a68075990f0d5f655d092c49d7f03050928026ac546",
     "stats/adjacency_1992.sections.csv": "b2ab5d5eeaa67338639bc943313c7c7a07d19a971a34d6d321d2ce75d7236ea0",
-    "stats/adjacency_1993.csv": "703d375d1fd73b5f1187bd76ff26e31ac4c9551bae5fa28e253ef7dc91a26ce6",
+    "stats/adjacency_1993.csv": "d5a94359ee05ed4a2c6d3a452daf2d9d7abd74767b9fb65816e39357a594e060",
     "stats/adjacency_1993.sections.csv": "b2ab5d5eeaa67338639bc943313c7c7a07d19a971a34d6d321d2ce75d7236ea0",
-    "stats/adjacency_1994.csv": "53db9a27f13cbed4c00b52a985f441795687499f57548f0c89f458976b19894c",
+    "stats/adjacency_1994.csv": "0ae8a495ad89db7008c23ca630ce4649c244e96897feecaaccbfc5454be9ecff",
     "stats/adjacency_1994.sections.csv": "b2ab5d5eeaa67338639bc943313c7c7a07d19a971a34d6d321d2ce75d7236ea0",
-    "stats/adjacency_1995.csv": "92d1835265e671aa8c2ae0d3e02bbc7ae8f2a197fa847841bc8b96d0418847a4",
+    "stats/adjacency_1995.csv": "0cefa592a12f78e5d544e26243e049364d14efb2691db6a590eb7c4cd03e5eba",
     "stats/adjacency_1995.sections.csv": "b2ab5d5eeaa67338639bc943313c7c7a07d19a971a34d6d321d2ce75d7236ea0",
-    "stats/fitness.csv": "339a80d50d1a5ba3fa3c6a1f24d8e5083d802ae3ed9b941e0cb7a286200773eb",
-    "stats/mixing.csv": "4a8763c28e7af107f2e55090e0698e8033e731d67101bceeebb1326221fc5b99",
-    "stats/occupancy.csv": "b2943b49f0da037b9dc043d9ed9566f62c83c49fb85acfe4715f77cab28dc1cf",
-    "stats/variety.csv": "415d6622dfb60ec464fa1276edcd9f0da040c3727c128399a025e833dd94f76f",
+    "stats/fitness.csv": "1280800f7e697f463b6899bda83e1e5ebdae84573b78880a6673f165a623ff2c",
+    "stats/mixing.csv": "d2859cc8bc7f25b3bdea696e3ece3659be254df05f55fc40e05e8a89f7b9bf5c",
+    "stats/occupancy.csv": "19bd51f40f578180ed1e418a68b8a402715b379a4fc3307c738d52415074123f",
+    "stats/variety.csv": "f1f7da74da5d3386cfa67640ef3e44dc2cd910727afd0150ac0b5b9fc71340ea",
 }
 
 # sha256 of every occurrence/, presence/, assist/, pvalues/ and network/
 # artifact of the same run, recorded before their text moved to one artifact
 # module; that move kept every byte. P_1991 and P_1995 changed once when null
 # values tying the empirical ones up to summation order began to count as
-# exceedances: 5 count cells rose, none fell, and no network changed.
+# exceedances: 5 count cells rose, none fell, and no network changed. Every
+# P_ and C_ changed when the null draw became a byte threshold per cell, as
+# the streams are read differently: 169 of the 500 count cells moved (by at
+# most 11 of K = 25), and the five networks went from 28 to 27 links, with
+# 11 links lost and 10 gained. The new P_ files equal the replicate-loop
+# oracle's, which draws cell by cell (test_pvalues_equal_the_replicate_loop_oracle).
 INTERMEDIATE_SHA256 = {
     "occurrence/F_1991.csv": "c48bb792a2ba1262aa0f05358f635ff6df31e7a6b8abd3a1ec025b4dbad80bea",
     "occurrence/F_1992.csv": "bcf09c462e68e715a66a7b304becb2e8f29ccb89d5a99647ebd3e59e0f4e8bf0",
@@ -388,16 +399,16 @@ INTERMEDIATE_SHA256 = {
     "assist/B_1994.sidecar.csv": "d2a92f924f0d5f0122866b82acb5c03cba291633e3fe6007c4f8e254390a7e53",
     "assist/B_1995.csv": "4ae7444179eabbe60e443fac7e584da04a5026edbf55fa61288a06360a5f22a9",
     "assist/B_1995.sidecar.csv": "33f6944538520fc4f3e05561a97c9224efc236d358b5db7c8058e6e32ff10c35",
-    "pvalues/P_1991.csv": "99b0de7b7f6dbdad796ff3882d247e0c99573c61d3ec056043b2eb2c318f92d0",
-    "pvalues/P_1992.csv": "3355f578f839110dec375f14e1ed6387f8c96001ffe442ed3044cbac30b2dd42",
-    "pvalues/P_1993.csv": "75ef358b29bcfdf4d86718937b36312c32d2751c21cdd93e6ac7b126390903cf",
-    "pvalues/P_1994.csv": "fe73bb0bb96f458c52d863c0d44ea87b0c4bb6bf5f17a4c0c0e3d4079594beab",
-    "pvalues/P_1995.csv": "e85291b53357739947f15483f337b30cec9873a9ae47558d47e60b5c07ac2eab",
-    "network/C_1991.csv": "a21555db5501de7038c3cd205715608c225dcec54a878827339a7c08bc11bfa2",
-    "network/C_1992.csv": "0aafb4ddc15ef7984721dcdfe41cc750e673ddecfc41781486b5b2ce0016736e",
-    "network/C_1993.csv": "7203e10a38b7724c7b435967bffe2ce22d9409bc16da67a3c0647614efe857a4",
-    "network/C_1994.csv": "671a7c37ce4067d0ceb0dfc4a0176ff190dd084fc5bfb14b6d3845d5e59e167f",
-    "network/C_1995.csv": "3ffbdd83800f9578a453c730d49d01a7d6d31f6398c9b3907d9aa2d95c23ed9f",
+    "pvalues/P_1991.csv": "7ef13a46e8cc9ef5cf16775546c363deddf7a7c52f4ff95584b643e506f518fa",
+    "pvalues/P_1992.csv": "361ee12c6e1823157e4034de47ea3948d2740dde6d66a5e34963a1579d99d6ae",
+    "pvalues/P_1993.csv": "05d79f874bb49b66587caa65b8c308727c80482b76ae8c8046a44d518b6bd0b8",
+    "pvalues/P_1994.csv": "c556a74ff9e5eafaa28b1e59c1ebfe47ffc0f332c9327e787296da7c6236e8f2",
+    "pvalues/P_1995.csv": "e7d24ed06507778f2b5091f85f5556e068532830e13bed87488522ebaa6ce07c",
+    "network/C_1991.csv": "5f26acbc0c6042b85ade7c62b3de71d7a7e8ee46e502de818ed5fd2803eb503e",
+    "network/C_1992.csv": "4a980fd294167b2713dca6fff8df792d4c7b0fe2a464c7a2b39884ecc14fa976",
+    "network/C_1993.csv": "e7ecd1a126af522d2515c9b8e8c1bf9bea927af9ad8847ae76623889d72a1abc",
+    "network/C_1994.csv": "73265114585d063121eae4ff435a47417f4c12fa77501f7f65bbf0be817b9030",
+    "network/C_1995.csv": "e6f64ce6389aa940056367a9eb5e7e09d600a70edf410d3f9ac8b843025f2a9c",
 }
 
 

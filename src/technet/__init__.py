@@ -10,7 +10,7 @@ statistics.
 __version__ = "0.1.0"
 
 from .acs import AcsDecomposition, decompose
-from .assist import AssistMatrix, assist_matrix, diversification, ubiquity
+from .assist import AssistMatrix, HitList, assist_matrix
 from .dynamics import estimate_growth_rate, simulate_linear
 from .fdr import TechnologyNetwork, build_adjacency
 from .hierarchy import CodeHierarchy
@@ -45,6 +45,7 @@ __all__ = [
     "BicmParameters",
     "CodeHierarchy",
     "EventRecord",
+    "HitList",
     "OccurrenceMatrix",
     "PresenceMatrix",
     "PvalueMatrix",
@@ -56,7 +57,6 @@ __all__ = [
     "build_adjacency",
     "build_occurrence_matrix",
     "decompose",
-    "diversification",
     "estimate_growth_rate",
     "exceedance_counts",
     "fit_bicm",
@@ -70,6 +70,5 @@ __all__ = [
     "section_occupancy",
     "simulate_linear",
     "subset_fitness",
-    "ubiquity",
     "variety_llr",
 ]

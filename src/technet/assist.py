@@ -6,16 +6,20 @@ i and discounted by each region's later diversification: the two-step
 transition probability of a walk field(t) -> region -> field(t+lag).
 
 Each presence matrix, empirical or null, is first turned into a hit list: its
-1-cells in region-major order, with u, 1/u, d and 1/d from bincounts. The
-values are then a join of the two years' hit lists on shared regions, summed
-by one weighted bincount in ascending region order. The join's cost grows with
-the square of the density, and it beats a dense BLAS product below about 4-6%;
-see `_assist_values` for the cost model and measurements.
+1-cells in region-major order, with u, 1/u, d and 1/d from bincounts. An
+empirical matrix gives its cells by one scan of its presence array; a null
+draw is produced as its cells (`nullmodel.sample_null_matrix`) and is never a
+dense matrix. The values are then a join of the two years' hit lists on
+shared regions, summed by one weighted bincount in ascending region order.
+The join's cost grows with the square of the density, and it beats a dense
+BLAS product below about 4-6%; see `_assist_values` for the cost model and
+measurements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,16 +47,6 @@ class AssistMatrix:
             raise AssistError("assist matrix must be square over the field set")
 
 
-def diversification(m: PresenceMatrix) -> np.ndarray:
-    """Number of fields each region presents (row sums)."""
-    return m.presence.sum(axis=1).astype(np.int64)
-
-
-def ubiquity(m: PresenceMatrix) -> np.ndarray:
-    """Number of regions presenting each field (column sums)."""
-    return m.presence.sum(axis=0).astype(np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class HitList:
     """One presence matrix as assist-join operands, for either role in a pair.
@@ -76,11 +70,9 @@ def _inverse(counts: np.ndarray) -> np.ndarray:
     return np.divide(1.0, counts, out=np.zeros(counts.shape), where=counts > 0)
 
 
-def _hit_list(m: PresenceMatrix) -> HitList:
-    """The 1-cells of a presence matrix and its degree vectors, from bincounts."""
-    n_regions, n_fields = m.presence.shape
-    # a bool view scans about 4x faster than the uint8 array
-    hits = np.flatnonzero(m.presence.view(bool))
+def _hit_list(hits: np.ndarray, shape: tuple[int, int]) -> HitList:
+    """The hit list of the 1-cells at ascending flat indices `hits` of an R x F matrix."""
+    n_regions, n_fields = shape
     regions = hits // n_fields
     fields = hits - regions * n_fields
     d = np.bincount(regions, minlength=n_regions)
@@ -141,9 +133,10 @@ def assist_matrix(m_t: PresenceMatrix, m_t_lag: PresenceMatrix) -> AssistMatrix:
     """
     if m_t.regions != m_t_lag.regions or m_t.fields != m_t_lag.fields:
         raise AssistError("presence matrices must share region and field index sets")
-    return _assist_from_hits(
-        m_t.year, m_t_lag.year, m_t.regions, m_t.fields, _hit_list(m_t), _hit_list(m_t_lag)
-    )
+    # a bool view scans about 4x faster than the uint8 array
+    base, lag = (_hit_list(np.flatnonzero(m.presence.view(bool)), m.presence.shape)
+                 for m in (m_t, m_t_lag))
+    return _assist_from_hits(m_t.year, m_t_lag.year, m_t.regions, m_t.fields, base, lag)
 
 
 def assist_to_text(a: AssistMatrix) -> str:
@@ -160,19 +153,33 @@ def assist_sidecar_text(a: AssistMatrix) -> str:
     ])
 
 
-def assist_from_text(text: str, sidecar: str) -> AssistMatrix:
-    _meta, fields, values = artifacts.dense_from_text(text, float, AssistError)
+def assist_from_text(
+    text: str, sidecar: str, *, regions: Sequence[str], fields: Sequence[str], year: int
+) -> AssistMatrix:
+    """The assist matrix of base year `year` over `regions` and `fields`, in order.
+
+    Given tuples, the result holds those same tuple objects, so every matrix
+    read against one run index shares them.
+    """
+    regions, fields = tuple(regions), tuple(fields)
+    _meta, header, values = artifacts.dense_from_text(text, float, AssistError)
+    if header != fields:
+        raise AssistError("assist matrix header is not the run's fields in order")
     rows = artifacts.tagged_rows(sidecar, {"base_year": 1, "lag": 1, "d": 2, "u": 2}, AssistError)
     try:
         [[base_year]], [[lag]] = rows["base_year"], rows["lag"]
     except ValueError:
         raise AssistError("sidecar needs one base_year and one lag row") from None
+    if int(base_year) != year:
+        raise AssistError(f"assist matrix of base year {base_year} where {year} is expected")
+    if [region for region, _d in rows["d"]] != list(regions):
+        raise AssistError("sidecar diversification rows are not the run's regions in order")
     if [code for code, _u in rows["u"]] != list(fields):
         raise AssistError("sidecar ubiquity rows are not over the matrix fields in order")
     return AssistMatrix(
-        base_year=int(base_year),
+        base_year=year,
         lag=int(lag),
-        regions=tuple(region for region, _d in rows["d"]),
+        regions=regions,
         fields=fields,
         values=values,
         diversification=np.array([int(d) for _r, d in rows["d"]], dtype=np.int64),

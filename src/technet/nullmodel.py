@@ -7,26 +7,27 @@ probability p_ri = x_r y_i / (1 + x_r y_i); the multipliers x, y solve the
 degree-matching fixed point.
 
 Replicate k of year y is one presence matrix drawn from an RNG substream keyed
-by (y, k). Replicate k of the pair (y, y + lag) pairs the draws (y, k) and
-(y + lag, k), so the one draw of a year serves both pairs that use it, and
-parallel evaluation in any order gives bit-identical results. Each draw is
-turned once into a hit list (`assist._hit_list`), which serves it as the base
-year of one pair and the later year of another, and the replicate's assist
-values come from the same hit-list join as the empirical ones, with no BLAS
-call.
+by (y, k). The null walk takes one fit per year, keyed by year, and replicate k
+of the pair (y, y + lag) pairs the draws (y, k) and (y + lag, k), so the one
+draw of a year serves both pairs that use it, and parallel evaluation in any
+order gives bit-identical results. A draw is produced as a hit list
+(`assist.HitList`), never as a dense matrix: it serves as the base year of one
+pair and the later year of another, and the replicate's assist values come
+from the same hit-list join as the empirical ones, with no BLAS call.
 
 A draw of R x F cells reads the little-endian bytes of ceil(R * F / 8) raw
 64-bit outputs of its stream, one byte c per cell in flat-index order. With
 lo = min(floor(256 p), 255) the cell's byte threshold, fixed per fit, the cell
 is present when c < lo and absent when c > lo. Only a boundary cell, with
 c == lo, draws a double v from the same stream, in flat-index order after the
-bytes, and is present when v < 256 p - lo. This is U = (c + v) / 256 < p with
-U uniform on [0, 1), so the draw is exact in distribution up to the 2^-53
-grid of v, an error below 2^-61 per cell. It holds at p = 0 (lo = 0, fraction 0) and p = 1
-(lo = 255, fraction 1) without a branch. A cell is a boundary cell with
-probability 1/256 whatever p is, so a draw consumes R * F bytes plus 8 bytes
-per boundary cell, about 1.03 * R * F bytes, where one double per cell
-consumed 8 * R * F.
+bytes, and is present when v < 256 p - lo. One scan for c <= lo finds every
+candidate cell in flat order, and the non-boundary ones are kept outright.
+This is U = (c + v) / 256 < p with U uniform on [0, 1), so the draw is exact
+in distribution up to the 2^-53 grid of v, an error below 2^-61 per cell. It
+holds at p = 0 (lo = 0, fraction 0) and p = 1 (lo = 255, fraction 1) without
+a branch. A cell is a boundary cell with probability 1/256 whatever p is, so
+a draw consumes R * F bytes plus 8 bytes per boundary cell, about
+1.03 * R * F bytes, where one double per cell consumed 8 * R * F.
 
 A null value counts as an exceedance when it reaches the empirical value less
 a relative tolerance of R * TIE_RTOL_PER_REGION (4 * R * eps for R regions).
@@ -39,7 +40,7 @@ associatively, which keeps the chunked reduction order-insensitive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -180,8 +181,8 @@ def fit_bicm(m: PresenceMatrix, tol: float = 1e-8, max_iter: int = 10_000) -> Bi
     )
 
 
-def sample_null_matrix(params: BicmParameters, rng: np.random.Generator) -> PresenceMatrix:
-    """Draw one presence matrix with independent Bernoulli cells.
+def sample_null_matrix(params: BicmParameters, rng: np.random.Generator) -> HitList:
+    """Draw one presence matrix with independent Bernoulli cells, as its hit list.
 
     Each cell reads one random byte and compares it with its byte threshold;
     only the boundary cells, whose byte equals it, draw a double (see the
@@ -190,25 +191,18 @@ def sample_null_matrix(params: BicmParameters, rng: np.random.Generator) -> Pres
     p, lo = params.link_probability.ravel(), params.byte_floor.ravel()
     raw = rng.bit_generator.random_raw(-(-p.size // 8)).astype("<u8", copy=False)
     byte = raw.view(np.uint8)[: p.size]
-    presence = byte < lo
-    boundary = np.flatnonzero(byte == lo)
-    presence[boundary] = rng.random(boundary.size) < 256.0 * p[boundary] - lo[boundary]
-    presence = presence.view(np.uint8).reshape(params.link_probability.shape)
-    return PresenceMatrix(
-        year=params.year, regions=params.regions, fields=params.fields, presence=presence
-    )
+    cells = np.flatnonzero(byte <= lo)
+    boundary = byte[cells] == lo[cells]
+    ties = cells[boundary]
+    keep = ~boundary
+    keep[boundary] = rng.random(ties.size) < 256.0 * p[ties] - lo[ties]
+    return _hit_list(cells[keep], params.link_probability.shape)
 
 
 def replicate_rng(master_seed: int, year: int, replicate: int) -> np.random.Generator:
     """Independent RNG substream for replicate k of one year, keyed by (year, k)."""
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(year, replicate))
     return np.random.default_rng(seq)
-
-
-def _prepared_draw(params: BicmParameters, master_seed: int, replicate: int) -> HitList:
-    """Draw (year, k) as a hit list, which serves it as a base or a later year."""
-    rng = replicate_rng(master_seed, params.year, replicate)
-    return _hit_list(sample_null_matrix(params, rng))
 
 
 def null_assist_replicate(
@@ -220,8 +214,8 @@ def null_assist_replicate(
 ) -> AssistMatrix:
     """Assist matrix of null replicate k of one pair: the (year, k) draws of both years.
 
-    `draws` maps a year to its prepared draw for this k; a year missing from
-    it is drawn and added, so pairs that share `draws` share each year's one
+    `draws` maps a year to its draw for this k; a year missing from it is
+    drawn and added, so pairs that share `draws` share each year's one
     draw. The two years must differ, or both halves would be one draw.
     """
     if params_t.year == params_t_lag.year:
@@ -230,7 +224,8 @@ def null_assist_replicate(
         draws = {}
     for params in (params_t, params_t_lag):
         if params.year not in draws:
-            draws[params.year] = _prepared_draw(params, master_seed, replicate)
+            rng = replicate_rng(master_seed, params.year, replicate)
+            draws[params.year] = sample_null_matrix(params, rng)
     return _assist_from_hits(
         params_t.year, params_t_lag.year, params_t.regions, params_t.fields,
         draws[params_t.year], draws[params_t_lag.year],
@@ -259,44 +254,6 @@ class PvalueMatrix:
         return (1.0 + self.exceed_counts) / (self.n_replicates + 1.0)
 
 
-NullPair = tuple[AssistMatrix, BicmParameters, BicmParameters]
-
-
-def _check_pairs(pairs: Sequence[NullPair]) -> None:
-    """Reject pairs whose draws could not be shared: one parameter set per year.
-
-    Index tuples are compared by identity first, and each distinct pair of
-    tuple objects item by item at most once: the fits of a run share one
-    region tuple, while each empirical matrix brings its own.
-    """
-    fits: dict[int, BicmParameters] = {}
-    equal: set[tuple[int, int]] = set()  # ids of tuple pairs found equal; all stay alive
-
-    def same(a: tuple[str, ...], b: tuple[str, ...]) -> bool:
-        if a is b or (id(a), id(b)) in equal:
-            return True
-        if a != b:
-            return False
-        equal.add((id(a), id(b)))
-        return True
-
-    for b_emp, params_t, params_t_lag in pairs:
-        if params_t.year == params_t_lag.year:
-            raise ValueError("a pair's two years must differ: null draws are keyed by (year, k)")
-        if b_emp.base_year != params_t.year:
-            raise ValueError("empirical matrix and base-year parameters are of different years")
-        if b_emp.lag != params_t_lag.year - params_t.year:
-            raise ValueError(
-                f"empirical matrix of lag {b_emp.lag} paired with null years "
-                f"{params_t.year} and {params_t_lag.year}"
-            )
-        for params in (params_t, params_t_lag):
-            if not (same(params.regions, b_emp.regions) and same(params.fields, b_emp.fields)):
-                raise ValueError("null parameters and empirical matrix differ in index sets")
-            if fits.setdefault(params.year, params) is not params:
-                raise ValueError(f"two null parameter sets for year {params.year}")
-
-
 def exceedance_threshold(b_emp: AssistMatrix) -> np.ndarray:
     """The least null value that counts as an exceedance of each empirical cell.
 
@@ -308,42 +265,51 @@ def exceedance_threshold(b_emp: AssistMatrix) -> np.ndarray:
 
 
 def exceedance_counts(
-    pairs: Sequence[NullPair],
+    fits: Mapping[int, BicmParameters],
+    b_emps: Sequence[AssistMatrix],
     replicates: Iterable[int],
     master_seed: int,
     summaries: Sequence[list[tuple[float, float]]] | None = None,
 ) -> list[np.ndarray]:
     """Count, per pair and cell, the null replicates in `replicates` reaching the empirical value.
 
-    Each pair is (b_emp, params_t, params_t_lag). Replicate k of a pair is the
-    assist matrix of the (year, k) draws of its two years, so one draw of a
-    year serves every pair that uses the year: a chain of consecutive pairs
-    costs one draw per (year, k), not two. For each k the pairs are walked in
-    order and a draw is dropped after the last pair that uses it: with pairs
-    in base-year order, at most lag + 1 draws are alive. A replicate counts
-    where its value is at least `exceedance_threshold(b_emp)`, so an exact tie
+    `fits` maps a year to its fitted parameters. Pair i is the empirical
+    matrix `b_emps[i]`; replicate k of it is the assist matrix of the (year, k)
+    draws of its base year and of base year + lag, so one draw of a year
+    serves every pair that uses the year: a chain of consecutive pairs costs
+    one draw per (year, k), not two. For each k the pairs are walked in order
+    and a draw is dropped after the last pair that uses it: with pairs in
+    base-year order, at most lag + 1 draws are alive. A replicate counts where
+    its value is at least `exceedance_threshold(b_emp)`, so an exact tie
     counts whatever order its terms were summed in. If `summaries` holds one
     list per pair, each replicate's (mean, max) is appended to its pair's list.
     """
-    _check_pairs(pairs)
-    retire: list[list[int]] = [[] for _ in pairs]  # years whose last use is pair i
-    last_use = {}
-    for i, (_b, params_t, params_t_lag) in enumerate(pairs):
-        last_use[params_t.year] = last_use[params_t_lag.year] = i
+    years = [(b_emp.base_year, b_emp.base_year + b_emp.lag) for b_emp in b_emps]
+    for b_emp, pair_years in zip(b_emps, years):
+        if b_emp.lag < 1:
+            raise ValueError(f"empirical matrix of lag {b_emp.lag}: a pair needs two years")
+        for year in pair_years:
+            fit = fits.get(year)
+            if fit is None or fit.year != year:
+                raise ValueError(f"no null fit of year {year}")
+            if fit.regions != b_emp.regions or fit.fields != b_emp.fields:
+                raise ValueError("null parameters and empirical matrix differ in index sets")
+    retire: list[list[int]] = [[] for _ in b_emps]  # years whose last use is pair i
+    last_use = {year: i for i, pair_years in enumerate(years) for year in pair_years}
     for year, i in last_use.items():
         retire[i].append(year)
 
-    thresholds = [exceedance_threshold(b_emp) for b_emp, _t, _l in pairs]
-    counts = [np.zeros(b_emp.values.shape, dtype=np.int64) for b_emp, _t, _l in pairs]
+    thresholds = [exceedance_threshold(b_emp) for b_emp in b_emps]
+    counts = [np.zeros(b_emp.values.shape, dtype=np.int64) for b_emp in b_emps]
     for k in replicates:
         draws: dict[int, HitList] = {}
-        for i, (_b, params_t, params_t_lag) in enumerate(pairs):
-            values = null_assist_replicate(params_t, params_t_lag, master_seed, k, draws).values
+        for i, (year, later) in enumerate(years):
+            values = null_assist_replicate(fits[year], fits[later], master_seed, k, draws).values
             counts[i] += values >= thresholds[i]
             if summaries is not None:
                 summaries[i].append((float(values.mean()), float(values.max())))
-            for year in retire[i]:
-                del draws[year]
+            for retired in retire[i]:
+                del draws[retired]
     return counts
 
 

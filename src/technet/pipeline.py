@@ -181,16 +181,19 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 
 def resolve_workers(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else the environment override, else 1."""
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get(WORKERS_ENV_VAR, "")
-    if env:
+    """Worker count: explicit argument, else the environment override, else 1.
+
+    A count below 1 from either source is a ConfigError.
+    """
+    if explicit is None:
+        env = os.environ.get(WORKERS_ENV_VAR, "")
         try:
-            return max(1, int(env))
+            explicit = int(env) if env else 1
         except ValueError:
             raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    return 1
+    if explicit < 1:
+        raise ConfigError(f"the worker count must be >= 1, got {explicit}")
+    return explicit
 
 
 class RunPaths:
@@ -346,37 +349,42 @@ def stage_nulls(cfg: RunConfig, paths: RunPaths, workers: int = 1) -> None:
     also fixes each cell's byte threshold for every draw of that year. Fits
     stay on this thread: arrays allocated on pool threads stay in those
     threads' malloc arenas, which later stages cannot reuse, and raise the
-    peak RSS. Each pool task walks every year pair for its chunk of
-    replicates, drawing each (year, k) matrix once (one random byte per cell,
-    and a double only for the 1-in-256 boundary cells), and returns one count
-    matrix per pair. The pool is of threads, so tasks overlap only where
-    NumPy releases the interpreter lock. With one chunk per worker, a worker
-    that shares its CPU with another process held the whole stage back, while
-    the other worker idled after its chunk; 8 chunks per worker let the
-    faster one take more. This thread adds each task's counts into the totals
-    in submission order and drops them, so only a few tasks' counts are held
-    at once.
+    peak RSS. Each pair's assist matrix is read against the fits' index
+    tuples and must be of its own base year and of the run's lag. Each pool
+    task walks every year pair for its chunk of replicates with the
+    year-keyed fits, drawing each (year, k) matrix once as a hit list (one
+    random byte per cell, and a double only for the 1-in-256 boundary
+    cells), and returns one count matrix per pair. The pool is of threads, so
+    tasks overlap only where NumPy releases the interpreter lock. With one
+    chunk per worker, a worker that shares its CPU with another process held
+    the whole stage back, while the other worker idled after its chunk; 8
+    chunks per worker let the faster one take more. This thread adds each
+    task's counts into the totals in submission order and drops them, so
+    only a few tasks' counts are held at once.
     """
     fits = {year: fit_bicm(m) for year, m in _pair_presence(cfg, paths)}
-    pairs = []
+    b_emps = []
     for year in cfg.base_years:
         b_emp = assist_from_text(
-            paths.assist(year).read_text(), paths.assist_sidecar(year).read_text()
+            paths.assist(year).read_text(), paths.assist_sidecar(year).read_text(),
+            regions=fits[year].regions, fields=fits[year].fields, year=year,
         )
-        pairs.append((b_emp, fits[year], fits[year + cfg.lag]))
+        if b_emp.lag != cfg.lag:
+            raise ValueError(f"assist matrix of lag {b_emp.lag} where the run's lag is {cfg.lag}")
+        b_emps.append(b_emp)
     k = cfg.n_replicates
-    totals = [np.zeros(b_emp.values.shape, dtype=np.int64) for b_emp, _t, _l in pairs]
+    totals = [np.zeros(b_emp.values.shape, dtype=np.int64) for b_emp in b_emps]
     chunks = [c.tolist() for c in np.array_split(np.arange(k), min(8 * workers, k))]
-    summaries = [[[] for _ in pairs] if cfg.dump_null_summaries else None for _ in chunks]
+    summaries = [[[] for _ in b_emps] if cfg.dump_null_summaries else None for _ in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         tasks = deque(
-            pool.submit(exceedance_counts, pairs, chunk, cfg.master_seed, rows)
+            pool.submit(exceedance_counts, fits, b_emps, chunk, cfg.master_seed, rows)
             for chunk, rows in zip(chunks, summaries)
         )
         while tasks:
             for total, counts in zip(totals, tasks.popleft().result()):
                 total += counts
-    for i, (year, (b_emp, _fit_t, _fit_lag)) in enumerate(zip(cfg.base_years, pairs)):
+    for i, (year, b_emp) in enumerate(zip(cfg.base_years, b_emps)):
         paths.pvalues(year).write_text(pvalues_to_text(pvalues_from_counts(b_emp, totals[i], k)))
         if cfg.dump_null_summaries:
             rows = enumerate(row for chunk_rows in summaries for row in chunk_rows[i])

@@ -70,7 +70,7 @@ def yearly_networks(
         fits[year] = fit_bicm(presences[year])
     for t in range(cfg.year_min, cfg.year_max):
         b = assist_matrix(presences[t], presences[t + 1])
-        (counts,) = exceedance_counts([(b, fits[t], fits[t + 1])], range(n_replicates), null_seed)
+        (counts,) = exceedance_counts(fits, [b], range(n_replicates), null_seed)
         pv = pvalues_from_counts(b, counts, n_replicates)
         yield build_adjacency(pv, q=q, basis=basis), pv
 

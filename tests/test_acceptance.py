@@ -224,8 +224,8 @@ def test_criterion_5_bicm_degree_preservation():
         sum_u = np.zeros(cols)
         for _ in range(k):
             s = sample_null_matrix(params, srng)
-            sum_d += s.presence.sum(axis=1)
-            sum_u += s.presence.sum(axis=0)
+            sum_d += s.d
+            sum_u += s.u
         z_d = np.abs(sum_d / k - presence.sum(axis=1)) / np.where(
             var_d > 0, np.sqrt(var_d / k), 1.0
         )

@@ -45,9 +45,9 @@ def _assist_texts():
 
 
 def _pvalues_text():
-    pair = _pair()
-    (counts,) = exceedance_counts([pair], range(4), 3)
-    return pvalues_to_text(pvalues_from_counts(pair[0], counts, 4))
+    b_emp, fit_t, fit_lag = _pair()
+    (counts,) = exceedance_counts({YEAR: fit_t, YEAR + 1: fit_lag}, [b_emp], range(4), 3)
+    return pvalues_to_text(pvalues_from_counts(b_emp, counts, 4))
 
 
 # reader name -> (read(text), good text, error class of its module)
@@ -78,8 +78,17 @@ READERS = {
         ValueError,
     ),
     "assist": (
-        lambda text: assist_from_text(text, _assist_texts()[1]),
+        lambda text: assist_from_text(
+            text, _assist_texts()[1], regions=REGIONS, fields=FIELDS, year=YEAR
+        ),
         _assist_texts()[0],
+        AssistError,
+    ),
+    "assist_sidecar": (
+        lambda text: assist_from_text(
+            _assist_texts()[0], text, regions=REGIONS, fields=FIELDS, year=YEAR
+        ),
+        _assist_texts()[1],
         AssistError,
     ),
     "pvalues": (lambda text: pvalues_from_text(text, year=YEAR), _pvalues_text(), ValueError),
@@ -134,6 +143,18 @@ def other_meta_year(text):
     return text.replace(f"base_year={YEAR}", f"base_year={YEAR + 1}", 1)
 
 
+def other_regions(text):
+    return re.sub(r"\br2\b", "r9", text)
+
+
+def other_fields(text):
+    return re.sub(r"\bC\b", "Z", text)
+
+
+def other_year(text):
+    return text.replace(f"base_year,{YEAR}", f"base_year,{YEAR + 1}", 1)
+
+
 def no_replicates(text):
     return re.sub(r"replicates=\d+", "replicates=0", text, count=1)
 
@@ -154,6 +175,9 @@ CASES = {
     "second_year": (second_year, ("occurrence", "presence", "network", "field_counts", "labels")),
     "unknown_key": (unknown_key, tuple(READERS)),
     "other_meta_year": (other_meta_year, ("pvalues",)),
+    "other_regions": (other_regions, ("assist_sidecar",)),
+    "other_fields": (other_fields, ("assist", "assist_sidecar")),
+    "other_year": (other_year, ("assist_sidecar",)),
     "no_replicates": (no_replicates, ("pvalues",)),
     "count_above_replicates": (count_above_replicates, ("pvalues",)),
     "negative_count": (negative_count, ("pvalues",)),
@@ -186,4 +210,6 @@ def test_malformed_assist_sidecar_is_rejected(sidecar_change):
     text, sidecar = _assist_texts()
     rows = sidecar.splitlines()
     with pytest.raises(AssistError):
-        assist_from_text(text, "\n".join(sidecar_change(rows)) + "\n")
+        assist_from_text(
+            text, "\n".join(sidecar_change(rows)) + "\n", regions=REGIONS, fields=FIELDS, year=YEAR
+        )

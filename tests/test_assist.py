@@ -9,8 +9,6 @@ from technet.assist import (
     assist_matrix,
     assist_sidecar_text,
     assist_to_text,
-    diversification,
-    ubiquity,
 )
 from technet.nullmodel import TIE_RTOL_PER_REGION
 from technet.rca import PresenceMatrix
@@ -28,23 +26,27 @@ def make_m(presence, year=1998):
 class TestDegreeVectors:
     def test_diversification_row_sums(self):
         m = make_m([[1, 0], [1, 1]])
-        assert diversification(m).tolist() == [1, 2]
+        assert assist_matrix(m, m).diversification.tolist() == [1, 2]
 
     def test_zero_row(self):
-        assert diversification(make_m([[0, 0]])).tolist() == [0]
+        m = make_m([[0, 0]])
+        assert assist_matrix(m, m).diversification.tolist() == [0]
 
     def test_full_row(self):
-        assert diversification(make_m([[1, 1, 1, 1]])).tolist() == [4]
+        m = make_m([[1, 1, 1, 1]])
+        assert assist_matrix(m, m).diversification.tolist() == [4]
 
     def test_ubiquity_column_sums(self):
         m = make_m([[1, 0], [1, 1]])
-        assert ubiquity(m).tolist() == [2, 1]
+        assert assist_matrix(m, m).ubiquity.tolist() == [2, 1]
 
     def test_zero_column(self):
-        assert ubiquity(make_m([[0], [0]])).tolist() == [0]
+        m = make_m([[0], [0]])
+        assert assist_matrix(m, m).ubiquity.tolist() == [0]
 
     def test_single_presence(self):
-        assert ubiquity(make_m([[1]])).tolist() == [1]
+        m = make_m([[1]])
+        assert assist_matrix(m, m).ubiquity.tolist() == [1]
 
 
 class TestAssistMatrix:
@@ -146,7 +148,7 @@ def test_serialization_round_trip():
     b = assist_matrix(make_m(m1), make_m(m2, year=1999))
     text = assist_to_text(b)
     sidecar = assist_sidecar_text(b)
-    again = assist_from_text(text, sidecar)
+    again = assist_from_text(text, sidecar, regions=b.regions, fields=b.fields, year=b.base_year)
     assert np.array_equal(again.values, b.values)
     assert again.base_year == b.base_year and again.lag == b.lag
     assert np.array_equal(again.ubiquity, b.ubiquity)

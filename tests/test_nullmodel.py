@@ -113,6 +113,18 @@ def make_params(p):
     )
 
 
+def dense(draw):
+    """The 0/1 presence matrix of a drawn hit list."""
+    presence = np.zeros((draw.d.size, draw.u.size), dtype=np.uint8)
+    presence[draw.regions, draw.fields] = 1
+    return presence
+
+
+def by_year(*fits):
+    """The fit map of the given parameter sets, each under its own year."""
+    return {fit.year: fit for fit in fits}
+
+
 class TestSampling:
     def test_extreme_probabilities(self):
         # p = 0 and p = 1 have the boundary bytes 0 and 255, hit once in 256
@@ -122,7 +134,7 @@ class TestSampling:
         params = make_params(p)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert np.array_equal(sample_null_matrix(params, rng).presence, p)
+            assert np.array_equal(dense(sample_null_matrix(params, rng)), p)
 
     def test_dyadic_probability_is_decided_by_the_byte(self):
         # p = j / 256 has byte threshold j and fraction 0: present iff c < j
@@ -131,7 +143,7 @@ class TestSampling:
         params = make_params(p)
         assert np.array_equal(params.byte_floor, np.minimum(np.tile(j, (40, 1)), 255))
         for seed in range(5):
-            drawn = sample_null_matrix(params, np.random.default_rng(seed)).presence
+            drawn = dense(sample_null_matrix(params, np.random.default_rng(seed)))
             byte = np.frombuffer(stream_bytes(np.random.default_rng(seed), p.size), np.uint8)
             byte = byte.reshape(p.shape)
             assert np.array_equal(drawn, byte < np.tile(j, (40, 1)))
@@ -148,7 +160,7 @@ class TestSampling:
         floor = j - 1 if side < 0 else j
         assert np.array_equal(params.byte_floor, np.tile(floor, (40, 1)))
         for seed in range(5):
-            drawn = sample_null_matrix(params, np.random.default_rng(seed)).presence
+            drawn = dense(sample_null_matrix(params, np.random.default_rng(seed)))
             byte = np.frombuffer(stream_bytes(np.random.default_rng(seed), p.size), np.uint8)
             byte = byte.reshape(p.shape)
             assert np.array_equal(drawn, byte < np.tile(j, (40, 1)))
@@ -161,7 +173,7 @@ class TestSampling:
         params = make_params(np.tile(ps, (1000, 1)))
         rng = np.random.default_rng(23)
         n = 40 * 1000
-        hits = sum(sample_null_matrix(params, rng).presence.sum(axis=0) for _ in range(40))
+        hits = sum(dense(sample_null_matrix(params, rng)).sum(axis=0) for _ in range(40))
         z = (hits / n - ps) / np.sqrt(ps * (1 - ps) / n)
         assert np.abs(z).max() < 4.0
 
@@ -169,7 +181,7 @@ class TestSampling:
         # the stream of (seed 5, year 1998, k 3) read by the loop oracle; the
         # hash pins the draw, so any change to how the stream is read shows
         p = np.linspace(0.0, 1.0, 40 * 12).reshape(40, 12)
-        drawn = sample_null_matrix(make_params(p), replicate_rng(5, 1998, 3)).presence
+        drawn = dense(sample_null_matrix(make_params(p), replicate_rng(5, 1998, 3)))
         assert np.array_equal(drawn, bernoulli_draw_by_loop(p, replicate_rng(5, 1998, 3)))
         digest = hashlib.sha256(drawn.tobytes()).hexdigest()
         assert digest == "d8fa7329141500a4c62ad7962e57b17ba07ed65e7a5e82ea0ec23708b993b594"
@@ -181,7 +193,7 @@ class TestSampling:
         total = np.zeros((6, 5))
         n = 10_000
         for _ in range(n):
-            total += sample_null_matrix(params, rng).presence
+            total += dense(sample_null_matrix(params, rng))
         p = params.link_probability
         se = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(total / n - p) <= 3 * se + 1e-12)
@@ -209,17 +221,18 @@ class TestEnsemble:
         params = fit_bicm(make_m(pres))
         params_lag = fit_bicm(make_m(pres, year=1999))
         b_emp = assist_matrix(make_m(pres), make_m(pres, year=1999))
-        (counts,) = exceedance_counts([(b_emp, params, params_lag)], range(5), 0)
+        (counts,) = exceedance_counts(by_year(params, params_lag), [b_emp], range(5), 0)
         assert pvalues_from_counts(b_emp, counts, 5).n_replicates == 5
         assert counts.min() >= 0 and counts.max() <= 5
-        (no_counts,) = exceedance_counts([(b_emp, params, params_lag)], [], 0)
+        (no_counts,) = exceedance_counts(by_year(params, params_lag), [b_emp], [], 0)
         with pytest.raises(ValueError):
             pvalues_from_counts(b_emp, no_counts, 0)
         # draws are keyed by (year, k): a pair over one year would reuse one draw
         with pytest.raises(ValueError):
             null_assist_replicate(params, params, 0, 0)
         with pytest.raises(ValueError):
-            exceedance_counts([(b_emp, params, params)], range(5), 0)
+            lag_0 = assist_matrix(make_m(pres), make_m(pres))
+            exceedance_counts(by_year(params), [lag_0], range(5), 0)
 
     def test_ensemble_mean_matches_exhaustive_enumeration_uniform_p(self):
         # 4x4 toy at uniform p: expectation over all weighted configurations.
@@ -280,7 +293,7 @@ class TestEmpiricalPvalues:
         return b_emp, params_t, params_lag
 
     def _pvalues(self, pair, n_replicates, seed=5):
-        (counts,) = exceedance_counts([pair], range(n_replicates), seed)
+        (counts,) = exceedance_counts(by_year(*pair[1:]), pair[:1], range(n_replicates), seed)
         return pvalues_from_counts(pair[0], counts, n_replicates)
 
     def _null_values(self, pair, n_replicates, seed=5):
@@ -326,7 +339,7 @@ class TestEmpiricalPvalues:
 
     def test_empty_ensemble_is_error(self):
         pair = self._pair(0.0)
-        (counts,) = exceedance_counts([pair], [], 5)
+        (counts,) = exceedance_counts(by_year(*pair[1:]), pair[:1], [], 5)
         with pytest.raises(ValueError):
             pvalues_from_counts(pair[0], counts, 0)
 
@@ -336,9 +349,9 @@ class TestEmpiricalPvalues:
         params_lag = fit_bicm(make_m(pres[::-1], year=1999))
         b_emp = assist_matrix(make_m(pres, year=1998), make_m(pres[::-1], year=1999))
         pair = (b_emp, params_t, params_lag)
-        (full,) = exceedance_counts([pair], range(40), 77)
+        (full,) = exceedance_counts(by_year(*pair[1:]), pair[:1], range(40), 77)
         chunked = sum(
-            exceedance_counts([pair], chunk, 77)[0]
+            exceedance_counts(by_year(*pair[1:]), pair[:1], chunk, 77)[0]
             for chunk in ([0, 1, 2], range(3, 17), range(17, 40))
         )
         assert np.array_equal(full, chunked)
@@ -352,10 +365,13 @@ class TestEmpiricalPvalues:
         pairs = [
             (assist_matrix(ms[y], ms[y + lag]), fits[y], fits[y + lag]) for y in range(1990, 1995)
         ]
+        b_emps = [pair[0] for pair in pairs]
         summaries = [[] for _ in pairs]
-        walked = exceedance_counts(pairs, range(30), 8, summaries)
+        walked = exceedance_counts(fits, b_emps, range(30), 8, summaries)
         chunks = (range(11), range(11, 30))
-        chunked = [sum(parts) for parts in zip(*(exceedance_counts(pairs, c, 8) for c in chunks))]
+        chunked = [
+            sum(parts) for parts in zip(*(exceedance_counts(fits, b_emps, c, 8) for c in chunks))
+        ]
         for pair, counts, rows, part_sum in zip(pairs, walked, summaries, chunked):
             nulls = [null_assist_replicate(*pair[1:], 8, k).values for k in range(30)]
             threshold = exceedance_threshold(pair[0])
@@ -363,7 +379,7 @@ class TestEmpiricalPvalues:
             assert np.array_equal(counts, expected)
             assert rows == [(float(v.mean()), float(v.max())) for v in nulls]
             assert np.array_equal(counts, part_sum)
-            assert np.array_equal(counts, exceedance_counts([pair], range(30), 8)[0])
+            assert np.array_equal(counts, exceedance_counts(fits, pair[:1], range(30), 8)[0])
 
     def test_walk_draws_each_year_once_per_replicate(self, monkeypatch):
         import technet.nullmodel as nullmodel
@@ -381,8 +397,8 @@ class TestEmpiricalPvalues:
             for y in range(2000, 2004)
         }
         fits = {y: fit_bicm(m) for y, m in ms.items()}
-        pairs = [(assist_matrix(ms[y], ms[y + 1]), fits[y], fits[y + 1]) for y in range(2000, 2003)]
-        exceedance_counts(pairs, range(6), 1)
+        b_emps = [assist_matrix(ms[y], ms[y + 1]) for y in range(2000, 2003)]
+        exceedance_counts(fits, b_emps, range(6), 1)
         assert sorted(drawn) == sorted(list(range(2000, 2004)) * 6)
 
     def test_inconsistent_pairs_are_rejected(self):
@@ -393,16 +409,23 @@ class TestEmpiricalPvalues:
         )
         b_emp = assist_matrix(m_a, m_b)
         fit_a, fit_b = fit_bicm(m_a), fit_bicm(m_b)
-        with pytest.raises(ValueError):  # a second parameter set for 1999
-            exceedance_counts([(b_emp, fit_a, fit_b), (b_emp, fit_a, fit_bicm(m_b))], range(2), 0)
-        with pytest.raises(ValueError):  # empirical matrix of another base year
-            exceedance_counts([(b_emp, fit_b, fit_a)], range(2), 0)
-        with pytest.raises(ValueError):  # lag-1 empirical matrix against lag-2 nulls
-            exceedance_counts([(b_emp, fit_a, fit_bicm(m_c))], range(2), 0)
-        # other region names in the later fit, after the base fit's equal ones
-        renamed = PresenceMatrix(1999, tuple(r + "x" for r in m_b.regions), m_b.fields, m_b.presence)
-        with pytest.raises(ValueError, match="index sets"):
-            exceedance_counts([(b_emp, fit_a, fit_bicm(renamed))], range(2), 0)
+        with pytest.raises(ValueError):  # no fit of the later year
+            exceedance_counts({1998: fit_a}, [b_emp], range(2), 0)
+        with pytest.raises(ValueError):  # the 2000 fit filed under 1999
+            exceedance_counts({1998: fit_a, 1999: fit_bicm(m_c)}, [b_emp], range(2), 0)
+        with pytest.raises(ValueError):  # a lag-0 matrix: both halves would be one draw
+            exceedance_counts({1998: fit_a}, [assist_matrix(m_a, m_a)], range(2), 0)
+        # other region or field names in the later fit, after the base fit's equal ones
+        renamed_regions = PresenceMatrix(
+            1999, tuple(r + "x" for r in m_b.regions), m_b.fields, m_b.presence
+        )
+        renamed_fields = PresenceMatrix(
+            1999, m_b.regions, tuple(f + "x" for f in m_b.fields), m_b.presence
+        )
+        for renamed in (renamed_regions, renamed_fields):
+            with pytest.raises(ValueError, match="index sets"):
+                exceedance_counts({1998: fit_a, 1999: fit_bicm(renamed)}, [b_emp], range(2), 0)
+        exceedance_counts({1998: fit_a, 1999: fit_b}, [b_emp], range(2), 0)
 
     def test_null_calibration_is_conservative(self):
         # p-values of null-drawn "empirical" matrices dominate the uniform law
@@ -412,7 +435,7 @@ class TestEmpiricalPvalues:
         collected = []
         for rep in range(30):
             emp = null_assist_replicate(params_t, params_lag, master_seed=123_000, replicate=rep)
-            (counts,) = exceedance_counts([(emp, params_t, params_lag)], range(99), rep + 1)
+            (counts,) = exceedance_counts(by_year(params_t, params_lag), [emp], range(99), rep + 1)
             pv = pvalues_from_counts(emp, counts, 99)
             collected.extend(pv.pvalues[pv.source_active].ravel().tolist())
         collected = np.array(collected)
@@ -446,7 +469,7 @@ class TestTieRule:
         null = null_assist_replicate(*fixed, master_seed=0, replicate=0).values
         assert np.allclose(null, b_emp.values, rtol=1e-13, atol=0)
         assert (null < b_emp.values).any()  # some exact ties land below in float
-        (counts,) = exceedance_counts([(b_emp, *fixed)], range(3), 0)
+        (counts,) = exceedance_counts(by_year(*fixed), [b_emp], range(3), 0)
         assert (counts == 3).all()
 
 
@@ -470,7 +493,8 @@ class TestPinnedNullBytes:
     def test_chunked_counts_match_golden_hash(self):
         pair = self._pair()
         counts = sum(
-            exceedance_counts([pair], chunk, 11)[0] for chunk in (range(0, 10), range(10, 37))
+            exceedance_counts(by_year(*pair[1:]), pair[:1], chunk, 11)[0]
+            for chunk in (range(0, 10), range(10, 37))
         )
         text = pvalues_to_text(pvalues_from_counts(pair[0], counts, 37))
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_SHA256
@@ -485,7 +509,7 @@ class TestPinnedNullBytes:
     def test_summaries_come_from_the_counted_replicates(self):
         pair = self._pair()
         summaries: list = [[]]
-        exceedance_counts([pair], range(5, 9), 11, summaries)
+        exceedance_counts(by_year(*pair[1:]), pair[:1], range(5, 9), 11, summaries)
         expected = [
             (float(b.values.mean()), float(b.values.max()))
             for b in (null_assist_replicate(*pair[1:], 11, k) for k in range(5, 9))

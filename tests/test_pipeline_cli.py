@@ -25,6 +25,7 @@ from technet.pipeline import (
     resolve_workers,
     run_pipeline,
 )
+from technet.rca import PresenceMatrix
 from technet.stats import field_counts_to_text
 from technet.synth import (
     SynthConfig,
@@ -145,6 +146,13 @@ class TestValidation:
         monkeypatch.setenv("TECHNET_WORKERS", "x")
         with pytest.raises(ConfigError):
             resolve_workers(None)
+        # a count below 1 is an error, not one worker
+        for explicit in (0, -3):
+            with pytest.raises(ConfigError):
+                resolve_workers(explicit)
+        monkeypatch.setenv("TECHNET_WORKERS", "0")
+        with pytest.raises(ConfigError):
+            resolve_workers(None)
 
 
 class TestRunPipeline:
@@ -246,14 +254,32 @@ class TestRunPipeline:
         run_pipeline(cfg, workers=2)
         assert sorted(year for year, _rng in drawn) == sorted(cfg.years * 7)
 
+    def test_nulls_stage_builds_presence_only_for_the_years_it_reads(
+        self, synth_inputs, tmp_path, monkeypatch
+    ):
+        # null draws are hit lists, never presence matrices
+        out = tmp_path / "run"
+        cfg = run_config(synth_inputs, out, n_replicates=7)
+        run_pipeline(cfg)
+        built = []
+        post_init = PresenceMatrix.__post_init__
+
+        def counted(self):
+            built.append(self.year)
+            post_init(self)
+
+        monkeypatch.setattr(PresenceMatrix, "__post_init__", counted)
+        pipeline.stage_nulls(cfg, RunPaths(out), workers=2)
+        assert sorted(built) == cfg.years
+
     def test_replicates_run_in_eight_chunks_per_worker(self, synth_inputs, tmp_path, monkeypatch):
         # many small tasks let a worker that is not slowed take over the rest
         chunks = []
         counts = pipeline.exceedance_counts
 
-        def recorded(pairs, replicates, *args):
+        def recorded(fits, b_emps, replicates, *args):
             chunks.append(list(replicates))
-            return counts(pairs, replicates, *args)
+            return counts(fits, b_emps, replicates, *args)
 
         monkeypatch.setattr(pipeline, "exceedance_counts", recorded)
         run_pipeline(run_config(synth_inputs, tmp_path / "run", n_replicates=37), workers=2)
@@ -287,7 +313,8 @@ class TestRunPipeline:
         presence = dict(pipeline._pair_presence(cfg, paths))
         p_t, p_lag = (fit(presence[year]).link_probability for year in (1991, 1993))
         b_emp = assist_from_text(
-            paths.assist(1991).read_text(), paths.assist_sidecar(1991).read_text()
+            paths.assist(1991).read_text(), paths.assist_sidecar(1991).read_text(),
+            regions=paths.read_regions(), fields=paths.read_fields(), year=1991,
         )
         expected = pvalue_text_by_loop(b_emp, p_t, p_lag, 1993, 6, cfg.master_seed)
         assert paths.pvalues(1991).read_text() == expected
@@ -300,7 +327,8 @@ class TestRunPipeline:
         fits = {year: fit_bicm(m) for year, m in pipeline._pair_presence(cfg, paths)}
         for year in cfg.base_years:
             b_emp = assist_from_text(
-                paths.assist(year).read_text(), paths.assist_sidecar(year).read_text()
+                paths.assist(year).read_text(), paths.assist_sidecar(year).read_text(),
+                regions=fits[year].regions, fields=fits[year].fields, year=year,
             )
             expected = pvalue_text_by_loop(
                 b_emp, fits[year].link_probability, fits[year + 1].link_probability,
@@ -644,6 +672,22 @@ class TestCli:
         assert main(["rca", "--run-dir", run]) == 0
         assert main(["assist", "--run-dir", run, "--lag", "1"]) == 0
         assert main(["nulls", "--run-dir", run, "--lag", "2", "--replicates", "5"]) == 2
+        assert list((tmp_path / "r" / "pvalues").iterdir()) == []
+
+    def test_assist_of_another_year_fails_the_nulls_stage(self, synth_inputs, tmp_path):
+        run = str(tmp_path / "r")
+        assert main(["ingest", "--run-dir", run, "--events", str(synth_inputs / "events.csv"),
+                     "--hierarchy", str(synth_inputs / "hierarchy.csv"),
+                     "--year-min", "1991", "--year-max", "1996"]) == 0
+        assert main(["rca", "--run-dir", run]) == 0
+        assert main(["assist", "--run-dir", run]) == 0
+        # a worker count below 1 is a validation error, not one worker
+        assert main(["nulls", "--run-dir", run, "--replicates", "5", "--workers", "0"]) == 1
+        # B_1992 under the name B_1993: a matrix of another base year
+        paths = RunPaths(run)
+        for path in (paths.assist, paths.assist_sidecar):
+            path(1993).write_bytes(path(1992).read_bytes())
+        assert main(["nulls", "--run-dir", run, "--replicates", "5"]) == 2
         assert list((tmp_path / "r" / "pvalues").iterdir()) == []
 
     def test_pvalues_do_not_depend_on_blas_threads(self, synth_inputs, tmp_path):

@@ -170,7 +170,12 @@ def assist_from_text(
         [[base_year]], [[lag]] = rows["base_year"], rows["lag"]
     except ValueError:
         raise AssistError("sidecar needs one base_year and one lag row") from None
-    if int(base_year) != year:
+    try:
+        base_year, lag = int(base_year), int(lag)
+        d, u = ([int(n) for _key, n in rows[tag]] for tag in ("d", "u"))
+    except ValueError as exc:
+        raise AssistError(f"sidecar cell is not an integer: {exc}") from None
+    if base_year != year:
         raise AssistError(f"assist matrix of base year {base_year} where {year} is expected")
     if [region for region, _d in rows["d"]] != list(regions):
         raise AssistError("sidecar diversification rows are not the run's regions in order")
@@ -178,10 +183,10 @@ def assist_from_text(
         raise AssistError("sidecar ubiquity rows are not over the matrix fields in order")
     return AssistMatrix(
         base_year=year,
-        lag=int(lag),
+        lag=lag,
         regions=regions,
         fields=fields,
         values=values,
-        diversification=np.array([int(d) for _r, d in rows["d"]], dtype=np.int64),
-        ubiquity=np.array([int(u) for _f, u in rows["u"]], dtype=np.int64),
+        diversification=np.array(d, dtype=np.int64),
+        ubiquity=np.array(u, dtype=np.int64),
     )

@@ -61,8 +61,14 @@ class BicmFitError(RuntimeError):
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
+        self.message = message
         self.residual = residual
         self.iterations = iterations
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so the error survives the
+        # pickling that carries it out of a null-pool worker process
+        return type(self), (self.message, self.residual, self.iterations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +79,8 @@ class BicmParameters:
     and columns forced to 0 (empty) or 1 (saturated) before the interior fit.
     The x, y multipliers are NaN on forced rows/columns; they are diagnostics,
     not needed for sampling. byte_floor is each cell's uint8 threshold
-    min(floor(256 p), 255), computed once here on the constructing thread, so
-    draws share it.
+    min(floor(256 p), 255), computed once here, so every draw of the year
+    shares it.
     """
 
     year: int

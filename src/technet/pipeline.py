@@ -20,12 +20,13 @@ whose readers reject a truncated or malformed file. Events are parsed once,
 at ingest, each presence year is read once per stage, and each network is
 decomposed once, at acs: the stats stage reads the field counts and labels.
 
-Null replicates run on a bounded thread pool; the null matrix of year y,
-replicate k, is drawn once from an RNG substream keyed by (y, k) and serves
-both year pairs that use y, and the reduction sums integer count matrices, so
-any worker count gives byte-identical artifacts. Assist values, empirical and
-null, come from a hit-list join that sums in region order without BLAS, and
-null values that tie the empirical ones up to summation order count as
+Null replicates run in the calling process for one worker and on a pool of
+forked worker processes for more; the null matrix of year y, replicate k, is
+drawn once from an RNG substream keyed by (y, k) and serves both year pairs
+that use y, and the reduction sums integer count matrices in submission order,
+so any worker count gives byte-identical artifacts. Assist values, empirical
+and null, come from a hit-list join that sums in region order without BLAS,
+and null values that tie the empirical ones up to summation order count as
 exceedances, so `pvalues/` does not depend on the BLAS thread count either.
 The manifest records the effective config, versions, seed, and a checksum per
 artifact; it carries no timestamps or worker counts, so identical runs produce
@@ -36,11 +37,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass
+from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator, get_type_hints
 
@@ -342,25 +346,70 @@ def stage_assist(cfg: RunConfig, paths: RunPaths) -> None:
         paths.assist_sidecar(year).write_text(assist_sidecar_text(b))
 
 
+def _walk_chunk(fits, b_emps, master_seed: int, chunk: list[int], with_summaries: bool):
+    """One chunk's count matrix per pair and, if asked, its (mean, max) rows per pair."""
+    rows = [[] for _ in b_emps] if with_summaries else None
+    return exceedance_counts(fits, b_emps, chunk, master_seed, rows), rows
+
+
+# The walk of a pool worker, bound by its initializer: it reaches the worker
+# through the fork, so the fits and assist matrices are never pickled. The
+# calling process never sets it.
+_forked_walk = None
+
+
+def _bind_forked_walk(walk) -> None:
+    global _forked_walk
+    _forked_walk = walk
+
+
+def _run_forked_walk(chunk: list[int], with_summaries: bool):
+    return _forked_walk(chunk, with_summaries)
+
+
+@contextmanager
+def _chunk_map(walk, workers: int):
+    """A `map` of `walk` over (chunk, with_summaries) arguments, in submission order.
+
+    One worker maps in this process, with no fork and no pickling. More
+    workers map on a pool of that many processes forked from this one with
+    `walk` bound, so a task pickles only its chunk of replicate indices and
+    its results. The start method is fork whatever the platform default: the
+    pool forks every worker at the first submit, before it starts a thread
+    of its own, and the walk makes no BLAS call. On leaving, pending tasks are cancelled,
+    so a failed stage does not first run its remaining chunks, and every
+    worker is joined.
+    """
+    if workers == 1:
+        yield partial(map, walk)
+        return
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_bind_forked_walk, initargs=(walk,),
+    )
+    try:
+        yield partial(pool.map, _run_forked_walk)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def stage_nulls(cfg: RunConfig, paths: RunPaths, workers: int = 1) -> None:
     """Null replicates of all year pairs, in 8 contiguous chunks of K per worker.
 
-    This thread first fits the BiCM of every year that some pair uses, which
-    also fixes each cell's byte threshold for every draw of that year. Fits
-    stay on this thread: arrays allocated on pool threads stay in those
-    threads' malloc arenas, which later stages cannot reuse, and raise the
-    peak RSS. Each pair's assist matrix is read against the fits' index
-    tuples and must be of its own base year and of the run's lag. Each pool
-    task walks every year pair for its chunk of replicates with the
-    year-keyed fits, drawing each (year, k) matrix once as a hit list (one
-    random byte per cell, and a double only for the 1-in-256 boundary
-    cells), and returns one count matrix per pair. The pool is of threads, so
-    tasks overlap only where NumPy releases the interpreter lock. With one
-    chunk per worker, a worker that shares its CPU with another process held
-    the whole stage back, while the other worker idled after its chunk; 8
-    chunks per worker let the faster one take more. This thread adds each
-    task's counts into the totals in submission order and drops them, so
-    only a few tasks' counts are held at once.
+    This process first fits the BiCM of every year that some pair uses, which
+    also fixes each cell's byte threshold for every draw of that year. Each
+    pair's assist matrix is read against the fits' index tuples and must be
+    of its own base year and of the run's lag. Each task walks every year
+    pair for its chunk of replicates with the year-keyed fits, drawing each
+    (year, k) matrix once as a hit list (one random byte per cell, and a
+    double only for the 1-in-256 boundary cells), and returns one count
+    matrix per pair. With more than one worker the tasks run on forked worker
+    processes (`_chunk_map`), since the walk is many small NumPy calls that
+    hold the interpreter lock. With one chunk per worker, a worker that shares
+    its CPU with another process held the whole stage back, while the other
+    worker idled after its chunk; 8 chunks per worker let the faster one take
+    more. This process adds each task's counts into the totals in submission
+    order and drops them, so only a few tasks' counts are held at once.
     """
     fits = {year: fit_bicm(m) for year, m in _pair_presence(cfg, paths)}
     b_emps = []
@@ -374,21 +423,19 @@ def stage_nulls(cfg: RunConfig, paths: RunPaths, workers: int = 1) -> None:
         b_emps.append(b_emp)
     k = cfg.n_replicates
     totals = [np.zeros(b_emp.values.shape, dtype=np.int64) for b_emp in b_emps]
+    summaries = [[] for _ in b_emps]
     chunks = [c.tolist() for c in np.array_split(np.arange(k), min(8 * workers, k))]
-    summaries = [[[] for _ in b_emps] if cfg.dump_null_summaries else None for _ in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        tasks = deque(
-            pool.submit(exceedance_counts, fits, b_emps, chunk, cfg.master_seed, rows)
-            for chunk, rows in zip(chunks, summaries)
-        )
-        while tasks:
-            for total, counts in zip(totals, tasks.popleft().result()):
-                total += counts
-    for i, (year, b_emp) in enumerate(zip(cfg.base_years, b_emps)):
-        paths.pvalues(year).write_text(pvalues_to_text(pvalues_from_counts(b_emp, totals[i], k)))
+    walk = partial(_walk_chunk, fits, b_emps, cfg.master_seed)
+    with _chunk_map(walk, workers) as run:
+        for counts, rows in run(chunks, repeat(cfg.dump_null_summaries)):
+            for total, chunk_counts in zip(totals, counts):
+                total += chunk_counts
+            for pair_rows, chunk_rows in zip(summaries, rows or ()):
+                pair_rows.extend(chunk_rows)
+    for year, b_emp, total, rows in zip(cfg.base_years, b_emps, totals, summaries):
+        paths.pvalues(year).write_text(pvalues_to_text(pvalues_from_counts(b_emp, total, k)))
         if cfg.dump_null_summaries:
-            rows = enumerate(row for chunk_rows in summaries for row in chunk_rows[i])
-            table = [("replicate", "mean", "max"), *((r, *row) for r, row in rows)]
+            table = [("replicate", "mean", "max"), *((r, *row) for r, row in enumerate(rows))]
             paths.null_summary(year).write_text(artifacts.rows_to_text(table))
 
 

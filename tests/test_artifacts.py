@@ -155,6 +155,12 @@ def other_year(text):
     return text.replace(f"base_year,{YEAR}", f"base_year,{YEAR + 1}", 1)
 
 
+def non_integer_cell(tag, value):
+    # the first `tag` row's last cell becomes `value`
+    return lambda text: re.sub(rf"^({tag},(?:[^,\n]*,)?)[^,\n]*$", rf"\g<1>{value}", text,
+                               count=1, flags=re.M)
+
+
 def no_replicates(text):
     return re.sub(r"replicates=\d+", "replicates=0", text, count=1)
 
@@ -178,6 +184,10 @@ CASES = {
     "other_regions": (other_regions, ("assist_sidecar",)),
     "other_fields": (other_fields, ("assist", "assist_sidecar")),
     "other_year": (other_year, ("assist_sidecar",)),
+    "non_integer_base_year": (non_integer_cell("base_year", "twenty"), ("assist_sidecar",)),
+    "non_integer_lag": (non_integer_cell("lag", "one"), ("assist_sidecar",)),
+    "non_integer_d": (non_integer_cell("d", "x"), ("assist_sidecar",)),
+    "non_integer_u": (non_integer_cell("u", "1.5"), ("assist_sidecar",)),
     "no_replicates": (no_replicates, ("pvalues",)),
     "count_above_replicates": (count_above_replicates, ("pvalues",)),
     "negative_count": (negative_count, ("pvalues",)),

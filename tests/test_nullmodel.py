@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -101,6 +102,15 @@ class TestFitBicm:
         with pytest.raises(BicmFitError) as err:
             fit_bicm(make_m(pres), max_iter=2)
         assert err.value.iterations == 2 and err.value.residual > 1e-8
+
+    def test_fit_error_survives_pickling(self):
+        # a null-pool worker's error reaches the calling process pickled
+        error = BicmFitError("BiCM fit did not converge", 0.25, 7)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is BicmFitError
+        assert str(copy) == str(error)
+        assert str(copy) == "BiCM fit did not converge (residual 2.500e-01 after 7 iterations)"
+        assert (copy.residual, copy.iterations) == (0.25, 7)
 
 
 def make_params(p):

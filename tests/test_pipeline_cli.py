@@ -2,10 +2,15 @@ import argparse
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -50,6 +55,31 @@ def synth_inputs(tmp_path_factory):
     (root / "hierarchy.csv").write_text(res.hierarchy_text)
     (root / "regions.csv").write_text(res.regions_text)
     return root
+
+
+def _log_call(path, value):
+    """Append one line for one call; forked null-pool workers append to the same file."""
+    with open(path, "a") as log:
+        log.write(f"{value}\n")
+
+
+def _logged_calls(path):
+    return path.read_text().splitlines() if path.exists() else []
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail, not hang, if the block is still running after `seconds`."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_config(synth_inputs, out_dir, **overrides):
@@ -241,18 +271,72 @@ class TestRunPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failed"]["stage"] == "nulls"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_null_chunks_leave_this_process_only_for_two_or_more_workers(
+        self, synth_inputs, tmp_path, monkeypatch, workers
+    ):
+        log = tmp_path / "pids.log"
+        counts = pipeline.exceedance_counts
+
+        def recorded(*args):
+            _log_call(log, os.getpid())
+            return counts(*args)
+
+        monkeypatch.setattr(pipeline, "exceedance_counts", recorded)
+        run_pipeline(run_config(synth_inputs, tmp_path / "run", n_replicates=7), workers=workers)
+        pids = [int(pid) for pid in _logged_calls(log)]
+        assert len(pids) == 7  # K=7 makes 7 one-replicate chunks for either worker count
+        if workers == 1:
+            assert set(pids) == {os.getpid()}
+        else:
+            assert os.getpid() not in pids
+
+    def test_no_worker_outlives_a_successful_nulls_stage(self, synth_inputs, tmp_path):
+        run_pipeline(run_config(synth_inputs, tmp_path / "run", n_replicates=7), workers=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failure", ["raise", "exit"])
+    def test_failed_null_chunk_fails_the_stage_and_cancels_the_rest(
+        self, synth_inputs, tmp_path, monkeypatch, failure
+    ):
+        # chunk 0 fails at once, by an exception or by its worker process
+        # exiting; each of the other 15 chunks takes at least 0.1 s
+        log = tmp_path / "chunks.log"
+        counts = pipeline.exceedance_counts
+
+        def failing_counts(fits, b_emps, replicates, *args):
+            if replicates[0] == 0:
+                if failure == "exit":
+                    os._exit(3)
+                raise ValueError("chunk 0 fails")
+            _log_call(log, replicates[0])
+            time.sleep(0.1)
+            return counts(fits, b_emps, replicates, *args)
+
+        monkeypatch.setattr(pipeline, "exceedance_counts", failing_counts)
+        out = tmp_path / "fails"
+        with _deadline(60), pytest.raises(PipelineError) as err:
+            run_pipeline(run_config(synth_inputs, out, n_replicates=37), workers=2)
+        assert err.value.stage == "nulls"
+        assert isinstance(err.value.cause, BrokenProcessPool if failure == "exit" else ValueError)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
+        assert manifest["failed"]["stage"] == "nulls"
+        assert len(_logged_calls(log)) < 15  # pending chunks were cancelled, not run
+        assert multiprocessing.active_children() == []
+
     def test_each_year_is_drawn_once_per_replicate(self, synth_inputs, tmp_path, monkeypatch):
-        drawn = []
+        drawn = tmp_path / "drawn.log"
         sample = nullmodel.sample_null_matrix
 
         def counted(params, rng):
-            drawn.append((params.year, rng))
+            _log_call(drawn, params.year)
             return sample(params, rng)
 
         monkeypatch.setattr(nullmodel, "sample_null_matrix", counted)
         cfg = run_config(synth_inputs, tmp_path / "run", n_replicates=7)
         run_pipeline(cfg, workers=2)
-        assert sorted(year for year, _rng in drawn) == sorted(cfg.years * 7)
+        assert sorted(map(int, _logged_calls(drawn))) == sorted(cfg.years * 7)
 
     def test_nulls_stage_builds_presence_only_for_the_years_it_reads(
         self, synth_inputs, tmp_path, monkeypatch
@@ -274,15 +358,16 @@ class TestRunPipeline:
 
     def test_replicates_run_in_eight_chunks_per_worker(self, synth_inputs, tmp_path, monkeypatch):
         # many small tasks let a worker that is not slowed take over the rest
-        chunks = []
+        log = tmp_path / "chunks.log"
         counts = pipeline.exceedance_counts
 
         def recorded(fits, b_emps, replicates, *args):
-            chunks.append(list(replicates))
+            _log_call(log, " ".join(map(str, replicates)))
             return counts(fits, b_emps, replicates, *args)
 
         monkeypatch.setattr(pipeline, "exceedance_counts", recorded)
         run_pipeline(run_config(synth_inputs, tmp_path / "run", n_replicates=37), workers=2)
+        chunks = [list(map(int, line.split())) for line in _logged_calls(log)]
         assert sorted(map(len, chunks)) == [2] * 11 + [3] * 5
         assert all(chunk == list(range(chunk[0], chunk[0] + len(chunk))) for chunk in chunks)
         assert sorted(k for chunk in chunks for k in chunk) == list(range(37))
@@ -291,15 +376,15 @@ class TestRunPipeline:
         self, synth_inputs, tmp_path, monkeypatch
     ):
         # lag 2 over 1991-1993: the one pair is (1991, 1993), so 1992 is unused
-        fitted, drawn = [], []
+        fitted, drawn = tmp_path / "fitted.log", tmp_path / "drawn.log"
         fit, sample = pipeline.fit_bicm, nullmodel.sample_null_matrix
 
         def counted_fit(m, *args, **kwargs):
-            fitted.append(m.year)
+            _log_call(fitted, m.year)
             return fit(m, *args, **kwargs)
 
         def counted_sample(params, rng):
-            drawn.append(params.year)
+            _log_call(drawn, params.year)
             return sample(params, rng)
 
         monkeypatch.setattr(pipeline, "fit_bicm", counted_fit)
@@ -307,8 +392,8 @@ class TestRunPipeline:
         out = tmp_path / "run"
         cfg = run_config(synth_inputs, out, year_max=1993, lag=2, n_replicates=6)
         run_pipeline(cfg, workers=2)
-        assert sorted(fitted) == [1991, 1993]
-        assert sorted(drawn) == [1991] * 6 + [1993] * 6
+        assert sorted(map(int, _logged_calls(fitted))) == [1991, 1993]
+        assert sorted(map(int, _logged_calls(drawn))) == [1991] * 6 + [1993] * 6
         paths = RunPaths(out)
         presence = dict(pipeline._pair_presence(cfg, paths))
         p_t, p_lag = (fit(presence[year]).link_probability for year in (1991, 1993))

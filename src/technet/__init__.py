@@ -15,8 +15,8 @@ from .dynamics import estimate_growth_rate, simulate_linear
 from .fdr import TechnologyNetwork, build_adjacency
 from .hierarchy import CodeHierarchy
 from .ingest import (
-    EventRecord,
     OccurrenceMatrix,
+    ParseResult,
     build_occurrence_matrix,
     parse_events,
 )
@@ -44,9 +44,9 @@ __all__ = [
     "AssistMatrix",
     "BicmParameters",
     "CodeHierarchy",
-    "EventRecord",
     "HitList",
     "OccurrenceMatrix",
+    "ParseResult",
     "PresenceMatrix",
     "PvalueMatrix",
     "RunConfig",

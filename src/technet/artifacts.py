@@ -63,7 +63,10 @@ def year_rows_from_text(
 
 
 def scatter(rows: Sequence[Sequence[str]], axes, values, dtype, error=ValueError) -> np.ndarray:
-    """Zeros over the index tuples `axes`, and `values` where cell a of a row keys axis a."""
+    """Zeros over the index tuples `axes`, and `values` where cell a of a row keys axis a.
+
+    Two rows with the same keys are an error, not a cell that the last one wins.
+    """
     cells = []
     for a, axis in enumerate(axes):
         index = {key: i for i, key in enumerate(axis)}
@@ -72,6 +75,10 @@ def scatter(rows: Sequence[Sequence[str]], axes, values, dtype, error=ValueError
         except KeyError as exc:
             raise error(f"unknown key {exc.args[0]!r}") from None
     out = np.zeros([len(axis) for axis in axes], dtype=dtype)
+    flat = np.ravel_multi_index(np.array(cells, dtype=np.intp), out.shape)
+    n_duplicates = flat.size - np.unique(flat).size
+    if n_duplicates:
+        raise error(f"{n_duplicates} of {flat.size} rows repeat an earlier row's keys")
     out[tuple(cells)] = values
     return out
 

@@ -165,6 +165,8 @@ def assist_from_text(
     _meta, header, values = artifacts.dense_from_text(text, float, AssistError)
     if header != fields:
         raise AssistError("assist matrix header is not the run's fields in order")
+    if not np.all((values >= 0) & (values < np.inf)):  # NaN fails both
+        raise AssistError("assist values must be finite and nonnegative")
     rows = artifacts.tagged_rows(sidecar, {"base_year": 1, "lag": 1, "d": 2, "u": 2}, AssistError)
     try:
         [[base_year]], [[lag]] = rows["base_year"], rows["lag"]

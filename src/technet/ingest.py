@@ -1,4 +1,4 @@
-"""Event parsing, family weight splitting, and per-year occurrence matrices.
+"""Event parsing into id columns, and per-year occurrence matrices by bincount.
 
 An event is one (family, year, region, code) attribution. Every family active
 in a year carries total weight 1, split evenly over its unique (region, field)
@@ -8,10 +8,11 @@ active families.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from array import array
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+from itertools import count
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,13 +29,6 @@ class IngestError(ValueError):
     """Raised on unusable event input (bad header, unknown index, ...)."""
 
 
-class EventRecord(NamedTuple):
-    family_id: str
-    year: int
-    region_id: str
-    code: str
-
-
 @dataclass(frozen=True)
 class ParseIssue:
     line_no: int
@@ -42,10 +36,27 @@ class ParseIssue:
     kind: str
 
 
-@dataclass
+@dataclass(eq=False)
 class ParseResult:
-    records: list[EventRecord]
-    issues: list[ParseIssue] = field(default_factory=list)
+    """The distinct events as id columns into sorted name tables, sorted by family id.
+
+    `codes` holds every field at the granularity; the other tables, the names seen.
+    """
+
+    families: tuple[str, ...]
+    regions: tuple[str, ...]
+    codes: tuple[str, ...]
+    family: np.ndarray
+    year: np.ndarray
+    region: np.ndarray
+    code: np.ndarray
+    issues: list[ParseIssue]
+
+    def __eq__(self, other) -> bool:  # the dataclass one cannot compare array fields
+        return isinstance(other, ParseResult) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(vars(self).values(), vars(other).values())
+        )
 
     @property
     def n_rejected(self) -> int:
@@ -67,14 +78,13 @@ def parse_events(
     year_min: int = 1980,
     year_max: int = 2011,
 ) -> ParseResult:
-    """Parse delimiter-separated event lines into deduplicated records.
+    """Parse delimiter-separated event lines into deduplicated event columns.
 
     The first line must be a header containing the columns family_id, year,
     region_id and code (extra columns are ignored). Codes are resolved to the
-    requested granularity; records collapsing to the same (family, year,
-    region, code) tuple are kept once, in the order of their first line. Bad
-    lines never abort the parse: each yields a ParseIssue carrying its 1-based
-    line number and its kind, one of REJECTION_KINDS.
+    requested granularity, and events collapsing to one (family, year, region,
+    code) are kept once. Bad lines never abort the parse: each yields a
+    ParseIssue carrying its 1-based line number and its kind.
     """
     it = iter(lines)
     try:
@@ -90,45 +100,61 @@ def parse_events(
     needed = max(idx.values()) + 1
     i_family, i_year, i_region, i_code = (idx[name] for name in EVENT_COLUMNS)
 
-    unique: dict[EventRecord, None] = {}  # insertion-ordered set of records
-    issues: list[ParseIssue] = []
-    resolved: dict[str, str | None] = {}  # raw code -> code at granularity
-    for line_no, raw in enumerate(it, start=2):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
+    # Ids are assigned on first lookup; a kept line leaves four ints and no object.
+    family_ids, region_ids = defaultdict(count().__next__), defaultdict(count().__next__)
+    codes = hierarchy.codes_at(granularity)
+    code_ids = dict(zip(codes, count()))
+    resolved: dict[str, int | None] = {}  # raw code -> id of its code at granularity
+    kept = [array("q") for _ in EVENT_COLUMNS]  # family, year, region and code per line
+    add_family, add_year, add_region, add_code = (column.append for column in kept)
+    issues: list[tuple[int, str, str]] = []  # line number, reason, kind
+    reject = issues.append
+    # Every cell read is stripped. A blank line, skipped, has too few cells or no family id.
+    for line_no, line in enumerate(it, start=2):
         cells = line.split(delimiter)
         if len(cells) < needed:
-            issues.append(
-                ParseIssue(line_no, f"expected >= {needed} columns, got {len(cells)}", "columns")
-            )
+            if line.strip():
+                reject((line_no, f"expected >= {needed} columns, got {len(cells)}", "columns"))
             continue
         family = cells[i_family].strip()
         region = cells[i_region].strip()
-        raw_code = cells[i_code].strip()
-        year_text = cells[i_year].strip()
         if not family or not region:
-            issues.append(ParseIssue(line_no, "empty family_id or region_id", "empty_id"))
+            if line.strip():
+                reject((line_no, "empty family_id or region_id", "empty_id"))
             continue
         try:
-            year = int(year_text)
+            year = int(cells[i_year])  # int() ignores surrounding whitespace
         except ValueError:
-            issues.append(ParseIssue(line_no, f"non-integer year {year_text!r}", "year_format"))
+            reject((line_no, f"non-integer year {cells[i_year].strip()!r}", "year_format"))
             continue
         if not year_min <= year <= year_max:
-            issues.append(
-                ParseIssue(line_no, f"year {year} outside [{year_min}, {year_max}]", "year_range")
-            )
+            reject((line_no, f"year {year} outside [{year_min}, {year_max}]", "year_range"))
             continue
+        raw_code = cells[i_code]
         try:
             code = resolved[raw_code]
         except KeyError:
-            code = resolved[raw_code] = hierarchy.resolve(raw_code, granularity)
+            code = resolved[raw_code] = code_ids.get(hierarchy.resolve(raw_code, granularity))
         if code is None:
-            issues.append(ParseIssue(line_no, f"unknown code {raw_code!r}", "unknown_code"))
+            reject((line_no, f"unknown code {raw_code.strip()!r}", "unknown_code"))
             continue
-        unique[EventRecord(family, year, region, code)] = None
-    return ParseResult(records=list(unique), issues=issues)
+        add_family(family_ids[family])
+        add_year(year)
+        add_region(region_ids[region])
+        add_code(code)
+
+    # Renumber families and regions in str order, then keep each event once.
+    families, regions = sorted(family_ids), sorted(region_ids)
+    family = np.argsort(list(map(family_ids.__getitem__, families)))[kept[0]]
+    region = np.argsort(list(map(region_ids.__getitem__, regions)))[kept[2]]
+    year, code = np.frombuffer(kept[1], dtype=np.int64), np.frombuffer(kept[3], dtype=np.int64)
+    n_years = year_max - year_min + 1
+    if len(families) * n_years * len(regions) * len(codes) >= 2**63:
+        raise IngestError("too many distinct families, regions and codes for a 64-bit event key")
+    key = ((family * n_years + (year - year_min)) * len(regions) + region) * len(codes) + code
+    one = np.unique(key, return_index=True)[1]  # a row of each distinct event, in key order
+    return ParseResult(tuple(families), tuple(regions), codes, family[one], year[one],
+                       region[one], code[one], [ParseIssue(*issue) for issue in issues])
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,50 +169,23 @@ class OccurrenceMatrix:
     def __post_init__(self) -> None:
         if self.weights.shape != (len(self.regions), len(self.fields)):
             raise IngestError("weight matrix shape does not match index sets")
-        if np.any(self.weights < 0):
-            raise IngestError("occurrence weights must be nonnegative")
+        if not np.all((self.weights >= 0) & (self.weights < np.inf)):  # NaN fails both
+            raise IngestError("occurrence weights must be finite and nonnegative")
 
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
 
-def build_occurrence_matrix(
-    records: Iterable[EventRecord],
-    year: int,
-    *,
-    regions: Sequence[str] | None = None,
-    fields: Sequence[str] | None = None,
-) -> OccurrenceMatrix:
-    """Accumulate family shares for one year into a weight matrix.
-
-    When index sets are not supplied they are derived from the year's records,
-    sorted. Supplying them keeps indexing stable across years.
-    """
-    # The year's distinct records in sorted family order. A family adds at
-    # most one share to a cell, so every cell sums from 0.0 in sorted family
-    # order, whatever the order of the records.
-    unique = sorted({r for r in records if r.year == year}, key=itemgetter(0))
-    n_pairs = Counter(map(itemgetter(0), unique))
-
-    if regions is None:
-        regions = sorted({r.region_id for r in unique})
-    if fields is None:
-        fields = sorted({r.code for r in unique})
-    region_index = {r: i for i, r in enumerate(regions)}
-    field_index = {f: i for i, f in enumerate(fields)}
-
-    n_fields = len(fields)
-    cell_weights: dict[int, float] = {}  # flat index region * n_fields + field
-    try:
-        for family, _year, region, code in unique:
-            cell = region_index[region] * n_fields + field_index[code]
-            cell_weights[cell] = cell_weights.get(cell, 0.0) + 1.0 / n_pairs[family]
-    except KeyError as exc:
-        raise IngestError(f"record references unknown index {exc}") from None
-    weights = np.zeros((len(regions), n_fields), dtype=np.float64)
-    weights.flat[list(cell_weights)] = list(cell_weights.values())
-    return OccurrenceMatrix(year=year, regions=tuple(regions), fields=tuple(fields), weights=weights)
+def build_occurrence_matrix(events: ParseResult, year: int) -> OccurrenceMatrix:
+    """Accumulate family shares for one year into a weight matrix over the parse's tables."""
+    # The parse keeps rows in family id order. A family adds at most one share to a cell
+    # and bincount adds in input order, so every cell sums from 0.0 in sorted family order.
+    rows = events.year == year
+    family, shape = events.family[rows], (len(events.regions), len(events.codes))
+    cells = events.region[rows] * shape[1] + events.code[rows]
+    weights = np.bincount(cells, 1.0 / np.bincount(family)[family], shape[0] * shape[1])
+    return OccurrenceMatrix(year, events.regions, events.codes, weights.reshape(shape))
 
 
 def occurrence_to_text(m: OccurrenceMatrix) -> str:

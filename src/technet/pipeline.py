@@ -278,24 +278,21 @@ def _load_hierarchy(cfg: RunConfig) -> CodeHierarchy:
 
 
 def stage_ingest(cfg: RunConfig, paths: RunPaths) -> None:
-    hierarchy = _load_hierarchy(cfg)
     parsed = parse_events(
         Path(cfg.events_path).read_text().splitlines(),
-        hierarchy,
+        _load_hierarchy(cfg),
         cfg.granularity,
         delimiter=cfg.delimiter,
         year_min=cfg.year_min,
         year_max=cfg.year_max,
     )
-    fields = hierarchy.codes_at(cfg.granularity)
-    regions = tuple(sorted({r.region_id for r in parsed.records}))
-    paths.fields_file().write_text("\n".join(fields) + "\n")
-    paths.regions_file().write_text("\n".join(regions) + "\n")
+    paths.fields_file().write_text("\n".join(parsed.codes) + "\n")
+    paths.regions_file().write_text("\n".join(parsed.regions) + "\n")
     paths.years_file().write_text(
         artifacts.rows_to_text([("year_min", cfg.year_min), ("year_max", cfg.year_max)])
     )
     report = {
-        "n_records": len(parsed.records),
+        "n_records": len(parsed.year),
         "n_rejected": parsed.n_rejected,
         "rejected_by_reason": parsed.rejected_by_reason,
         "issues": [
@@ -305,13 +302,10 @@ def stage_ingest(cfg: RunConfig, paths: RunPaths) -> None:
     (paths.root / "index" / "ingest_report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n"
     )
-    by_year: dict[int, list] = {year: [] for year in cfg.years}
-    for record in parsed.records:
-        by_year[record.year].append(record)
-    for year, records in by_year.items():
-        w = build_occurrence_matrix(records, year, regions=regions, fields=fields)
+    for year in cfg.years:
+        w = build_occurrence_matrix(parsed, year)
         paths.occurrence(year).write_text(occurrence_to_text(w))
-        counts = family_field_counts(records, year)
+        counts = family_field_counts(parsed, year)
         paths.field_counts(year).write_text(field_counts_to_text(year, counts))
 
 

@@ -16,10 +16,8 @@ problem of the free sections, so their odds are reported as absent.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -28,7 +26,7 @@ from scipy.special import expit, gammaincinv, gammaln
 from . import artifacts
 from .fdr import TechnologyNetwork
 from .hierarchy import CodeHierarchy, HierarchyError
-from .ingest import EventRecord
+from .ingest import ParseResult
 
 CHI2_DF7_CRITICAL_5PCT = 14.07
 VARIETY_DF = 7
@@ -43,10 +41,11 @@ class StatsError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def family_field_counts(records: Iterable[EventRecord], year: int) -> dict[str, int]:
+def family_field_counts(events: ParseResult, year: int) -> dict[str, int]:
     """Per-field count of distinct families active in `year` featuring the field."""
-    pairs = {(r.family_id, r.code) for r in records if r.year == year}
-    return dict(Counter(map(itemgetter(1), pairs)))
+    pairs = np.unique((events.family * len(events.codes) + events.code)[events.year == year])
+    counts = np.bincount(pairs % len(events.codes), minlength=len(events.codes))
+    return {events.codes[c]: int(counts[c]) for c in np.flatnonzero(counts).tolist()}
 
 
 def field_counts_to_text(year: int, counts: Mapping[str, int]) -> str:
@@ -58,6 +57,8 @@ def field_counts_from_text(text: str, fields: Sequence[str], *, year: int) -> di
     """Parse a counts file of `year` into a field -> count mapping over `fields`."""
     _year, rows = artifacts.year_rows_from_text(text, 2, year=year, error=StatsError)
     counts = artifacts.scatter(rows, (fields,), [int(c) for _f, c in rows], np.int64, StatsError)
+    if counts.min(initial=0) < 0:
+        raise StatsError("family counts must be nonnegative")
     return dict(zip(fields, counts.tolist()))
 
 

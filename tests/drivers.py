@@ -60,12 +60,10 @@ def yearly_networks(
         year_min=cfg.year_min,
         year_max=cfg.year_max,
     )
-    fields = hierarchy.codes_at("class")
-    regions = tuple(sorted({r.region_id for r in parsed.records}))
     presences = {}
     fits = {}
     for year in range(cfg.year_min, cfg.year_max + 1):
-        w = build_occurrence_matrix(parsed.records, year, regions=regions, fields=fields)
+        w = build_occurrence_matrix(parsed, year)
         presences[year] = binarize_rca(w)
         fits[year] = fit_bicm(presences[year])
     for t in range(cfg.year_min, cfg.year_max):

@@ -8,13 +8,16 @@ brute-force composition enumeration instead of polynomial convolution, a
 row-by-row peel and a full-matrix fixed point instead of the degree-class BiCM
 fit, and a plain per-pair replicate loop, drawing cell by cell, over dense
 GEMMs instead of the vectorized byte-threshold sampler, the shared-draw walk
-over year pairs and its hit-list join.
+over year pairs and its hit-list join, and a per-record dict loop and set
+instead of the columnar ingest's bincounts.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -331,3 +334,29 @@ def pvalue_text_by_loop(
     for code, row in zip(b_emp.fields, counts):
         lines.append(code + "," + ",".join(str(int(c)) for c in row))
     return "\n".join(lines) + "\n"
+
+
+def occurrence_by_record_loop(records, year: int, regions, fields) -> np.ndarray:
+    """Occurrence weights of `year` from (family, year, region, code) name tuples.
+
+    The per-record loop ingest ran before its columns: the year's distinct
+    records in sorted family order, each adding 1 / (its family's distinct
+    (region, code) pairs) to its cell in a dict, starting from 0.0.
+    """
+    unique = sorted({r for r in records if r[1] == year}, key=itemgetter(0))
+    n_pairs = Counter(map(itemgetter(0), unique))
+    region_index = {r: i for i, r in enumerate(regions)}
+    field_index = {f: i for i, f in enumerate(fields)}
+    cell_weights: dict[int, float] = {}
+    for family, _year, region, code in unique:
+        cell = region_index[region] * len(fields) + field_index[code]
+        cell_weights[cell] = cell_weights.get(cell, 0.0) + 1.0 / n_pairs[family]
+    weights = np.zeros((len(regions), len(fields)), dtype=np.float64)
+    weights.flat[list(cell_weights)] = list(cell_weights.values())
+    return weights
+
+
+def field_counts_by_record_set(records, year: int) -> dict[str, int]:
+    """Per-field count of the distinct families of `year` featuring it, from a set of pairs."""
+    pairs = {(r[0], r[3]) for r in records if r[1] == year}
+    return dict(Counter(map(itemgetter(1), pairs)))

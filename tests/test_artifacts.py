@@ -173,6 +173,14 @@ def negative_count(text):
     return _tamper_last_line(text, lambda line: line.rsplit(",", 1)[0] + ",-5")
 
 
+def last_cell(value):
+    return lambda text: _tamper_last_line(text, lambda line: line.rsplit(",", 1)[0] + "," + value)
+
+
+def duplicate_row(text):
+    return _tamper_last_line(text, lambda line: line + "\n" + line)
+
+
 CASES = {
     "missing_last_row": (missing_last_row, ("labels", *DENSE)),
     "out_of_order_row": (out_of_order_row, ("labels", *DENSE)),
@@ -190,7 +198,11 @@ CASES = {
     "non_integer_u": (non_integer_cell("u", "1.5"), ("assist_sidecar",)),
     "no_replicates": (no_replicates, ("pvalues",)),
     "count_above_replicates": (count_above_replicates, ("pvalues",)),
-    "negative_count": (negative_count, ("pvalues",)),
+    "negative_count": (negative_count, ("pvalues", "field_counts")),
+    "duplicate_row": (duplicate_row, ("occurrence", "presence", "network", "field_counts", "labels")),
+    "nan_value": (last_cell("nan"), ("occurrence", "assist")),
+    "inf_value": (last_cell("inf"), ("occurrence", "assist")),
+    "negative_value": (last_cell("-0.5"), ("occurrence", "assist")),
 }
 
 

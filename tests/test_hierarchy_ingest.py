@@ -7,7 +7,7 @@ import pytest
 
 from technet.hierarchy import CodeHierarchy, HierarchyError, hierarchy_to_text, parse_hierarchy
 from technet.ingest import (
-    EventRecord,
+    REJECTION_KINDS,
     IngestError,
     build_occurrence_matrix,
     occurrence_from_text,
@@ -15,6 +15,9 @@ from technet.ingest import (
     parse_events,
 )
 from technet.pipeline import RunConfig, RunPaths, stage_ingest
+from technet.stats import family_field_counts
+
+from oracles import field_counts_by_record_set, occurrence_by_record_loop
 
 IPC_LIKE = CodeHierarchy.from_pairs(
     [
@@ -27,6 +30,30 @@ IPC_LIKE = CodeHierarchy.from_pairs(
 
 def make_lines(rows, header="family_id,year,region_id,code"):
     return [header] + rows
+
+
+def parse(rows, granularity="class"):
+    return parse_events(make_lines(rows), IPC_LIKE, granularity, year_min=1980, year_max=2011)
+
+
+def records(result):
+    """The parsed events as (family, year, region, code) tuples, in the parse's order."""
+    columns = (result.family, result.year, result.region, result.code)
+    return [
+        (result.families[f], y, result.regions[r], result.codes[c])
+        for f, y, r, c in zip(*(column.tolist() for column in columns))
+    ]
+
+
+def occurrence(rows, year=1998):
+    return build_occurrence_matrix(parse(rows), year)
+
+
+def cells(w):
+    """The nonzero cells of an occurrence matrix by (region, field)."""
+    return {
+        (w.regions[r], w.fields[f]): w.weights[r, f] for r, f in zip(*np.nonzero(w.weights))
+    }
 
 
 class TestHierarchy:
@@ -67,43 +94,29 @@ class TestHierarchy:
 
 class TestParseEvents:
     def test_truncates_code_to_class(self):
-        result = parse_events(
-            make_lines(["F1,1998,DE-A1,H01L"]), IPC_LIKE, "class",
-            year_min=1980, year_max=2011,
-        )
-        assert result.records == [EventRecord("F1", 1998, "DE-A1", "H01")]
+        result = parse(["F1,1998,DE-A1,H01L"])
+        assert records(result) == [("F1", 1998, "DE-A1", "H01")]
+        assert result.codes == IPC_LIKE.codes_at("class")
         assert result.n_rejected == 0
 
     def test_collapses_subgroup_duplicates(self):
-        result = parse_events(
-            make_lines(["F1,1998,DE-A1,H01L21", "F1,1998,DE-A1,H01L33"]),
-            IPC_LIKE, "class", year_min=1980, year_max=2011,
-        )
-        assert len(result.records) == 1
+        result = parse(["F1,1998,DE-A1,H01L21", "F1,1998,DE-A1,H01L33"])
+        assert len(records(result)) == 1
 
     def test_rejects_out_of_range_year(self):
-        result = parse_events(
-            make_lines(["F1,2025,DE-A1,H01L"]), IPC_LIKE, "class",
-            year_min=1980, year_max=2011,
-        )
-        assert result.records == []
+        result = parse(["F1,2025,DE-A1,H01L"])
+        assert records(result) == []
         assert result.n_rejected == 1
         assert "2025" in result.issues[0].reason
 
     def test_malformed_line_reports_line_number(self):
-        result = parse_events(
-            make_lines(["F1,1998,DE-A1,H01L", "garbage-line", "F2,1999,FR-B2,A01B"]),
-            IPC_LIKE, "class", year_min=1980, year_max=2011,
-        )
-        assert len(result.records) == 2
+        result = parse(["F1,1998,DE-A1,H01L", "garbage-line", "F2,1999,FR-B2,A01B"])
+        assert len(records(result)) == 2
         assert result.issues[0].line_no == 3
 
     def test_unknown_code_counted(self):
-        result = parse_events(
-            make_lines(["F1,1998,DE-A1,Z99X"]), IPC_LIKE, "class",
-            year_min=1980, year_max=2011,
-        )
-        assert result.records == []
+        result = parse(["F1,1998,DE-A1,Z99X"])
+        assert records(result) == []
         assert result.n_rejected == 1
 
     def test_missing_header_column_is_error(self):
@@ -115,69 +128,55 @@ class TestParseEvents:
             ["family_id;year;region_id;code", "F1;1998;DE-A1;H01L"],
             IPC_LIKE, "class", delimiter=";", year_min=1980, year_max=2011,
         )
-        assert result.records[0].code == "H01"
+        assert records(result)[0][3] == "H01"
+
+    def test_blank_lines_are_skipped_with_a_whitespace_delimiter(self):
+        body = ["", "   ", "\t\t\t", "F1\t1998\tr1\tH01L\r", "\t\tr1\tH01"]
+        result = parse_events(
+            ["family_id\tyear\tregion_id\tcode", *body],
+            IPC_LIKE, "class", delimiter="\t", year_min=1980, year_max=2011,
+        )
+        assert records(result) == [("F1", 1998, "r1", "H01")]
+        assert [(issue.line_no, issue.kind) for issue in result.issues] == [(6, "empty_id")]
 
 
 class TestBuildOccurrenceMatrix:
     def test_single_pair_gets_unit_weight(self):
-        w = build_occurrence_matrix([EventRecord("F1", 1998, "r1", "H01")], 1998)
-        assert w.weights.tolist() == [[1.0]]
+        assert cells(occurrence(["F1,1998,r1,H01"])) == {("r1", "H01"): 1.0}
 
     def test_four_pairs_quarter_each(self):
-        records = [
-            EventRecord("F1", 1998, "r1", "H01"),
-            EventRecord("F1", 1998, "r1", "A01"),
-            EventRecord("F1", 1998, "r2", "H01"),
-            EventRecord("F1", 1998, "r2", "A01"),
-        ]
-        w = build_occurrence_matrix(records, 1998)
-        assert w.weights.tolist() == [[0.25, 0.25], [0.25, 0.25]]
+        w = occurrence(["F1,1998,r1,H01", "F1,1998,r1,A01", "F1,1998,r2,H01", "F1,1998,r2,A01"])
+        assert cells(w) == {
+            ("r1", "A01"): 0.25, ("r1", "H01"): 0.25, ("r2", "A01"): 0.25, ("r2", "H01"): 0.25,
+        }
         assert w.total_mass == 1.0
 
     def test_three_unique_pairs_third_each(self):
         # hand enumeration: {(r1,i), (r1,j), (r2,i)} -> three entries of 1/3
-        records = [
-            EventRecord("F1", 1998, "r1", "H01"),
-            EventRecord("F1", 1998, "r1", "A01"),
-            EventRecord("F1", 1998, "r2", "H01"),
-            EventRecord("F1", 1998, "r2", "H01"),  # duplicate pair collapses
-        ]
-        w = build_occurrence_matrix(records, 1998)
-        assert w.regions == ("r1", "r2") and w.fields == ("A01", "H01")
-        assert w.weights[1, 0] == 0.0
-        for cell in [(0, 0), (0, 1), (1, 1)]:
-            assert abs(w.weights[cell] - 1 / 3) < 1e-15
-
-    def test_unknown_region_or_field_is_error(self):
-        records = [EventRecord("F1", 1998, "r1", "H01")]
-        with pytest.raises(IngestError):
-            build_occurrence_matrix(records, 1998, regions=("r2",), fields=("H01",))
-        with pytest.raises(IngestError):
-            build_occurrence_matrix(records, 1998, regions=("r1",), fields=("A01",))
+        w = occurrence([
+            "F1,1998,r1,H01",
+            "F1,1998,r1,A01",
+            "F1,1998,r2,H01",
+            "F1,1998,r2,H01",  # duplicate pair collapses
+        ])
+        assert w.regions == ("r1", "r2") and w.fields == ("A01", "A21", "H01", "H02")
+        got = cells(w)
+        assert set(got) == {("r1", "A01"), ("r1", "H01"), ("r2", "H01")}
+        for weight in got.values():
+            assert abs(weight - 1 / 3) < 1e-15
 
     def test_empty_year_gives_zero_mass(self):
-        w = build_occurrence_matrix([], 1998, regions=("r1",), fields=("H01",))
+        w = occurrence(["F1,1999,r1,H01"], year=1998)
+        assert w.weights.shape == (1, 4)
         assert w.total_mass == 0.0
 
     def test_two_families_same_cell(self):
-        records = [
-            EventRecord("F1", 1998, "r1", "H01"),
-            EventRecord("F2", 1998, "r1", "H01"),
-        ]
-        w = build_occurrence_matrix(records, 1998)
-        assert w.weights[0, 0] == 2.0
+        assert cells(occurrence(["F1,1998,r1,H01", "F2,1998,r1,H01"])) == {("r1", "H01"): 2.0}
 
     def test_hand_summed_shares(self):
         # F1 splits over (r1, H01), (r1, A01); F2 entirely (r1, H01)
-        records = [
-            EventRecord("F1", 1998, "r1", "H01"),
-            EventRecord("F1", 1998, "r1", "A01"),
-            EventRecord("F2", 1998, "r1", "H01"),
-        ]
-        w = build_occurrence_matrix(records, 1998)
-        by_code = dict(zip(w.fields, w.weights[0]))
-        assert by_code["H01"] == 1.5
-        assert by_code["A01"] == 0.5
+        w = occurrence(["F1,1998,r1,H01", "F1,1998,r1,A01", "F2,1998,r1,H01"])
+        assert cells(w) == {("r1", "H01"): 1.5, ("r1", "A01"): 0.5}
 
     def test_mass_conservation_property(self):
         rng = np.random.default_rng(5)
@@ -185,17 +184,12 @@ class TestBuildOccurrenceMatrix:
         codes = ["A01", "A21", "H01", "H02"]
         for _ in range(25):
             n_families = int(rng.integers(1, 12))
-            records = []
+            rows = []
             for f in range(n_families):
                 for _ in range(int(rng.integers(1, 5))):
-                    records.append(
-                        EventRecord(
-                            f"F{f}", 1998,
-                            regions[rng.integers(0, len(regions))],
-                            codes[rng.integers(0, len(codes))],
-                        )
-                    )
-            w = build_occurrence_matrix(records, 1998)
+                    region = regions[rng.integers(0, len(regions))]
+                    rows.append(f"F{f},1998,{region},{codes[rng.integers(0, len(codes))]}")
+            w = occurrence(rows)
             assert abs(w.total_mass - n_families) < 1e-9
 
 
@@ -233,8 +227,8 @@ class TestSerialization:
         )
         sub = parse_events(lines, IPC_LIKE, "subclass", year_min=1980, year_max=2011)
         cls = parse_events(lines, IPC_LIKE, "class", year_min=1980, year_max=2011)
-        w_sub = build_occurrence_matrix(sub.records, 1998)
-        w_cls = build_occurrence_matrix(cls.records, 1998)
+        w_sub = build_occurrence_matrix(sub, 1998)
+        w_cls = build_occurrence_matrix(cls, 1998)
         for ci, code in enumerate(w_cls.fields):
             for ri in range(len(w_cls.regions)):
                 agg = sum(
@@ -352,3 +346,70 @@ class TestIngestGolden:
         assert body != GOLDEN_BODY
         shuffled = run_golden_ingest(tmp_path / "shuffled", body)
         assert artifact_hashes(shuffled) == GOLDEN_HASHES
+
+
+# Four sections of five classes of three subclasses each.
+WIDE = CodeHierarchy.from_pairs(
+    [(section, None) for section in "ABCD"]
+    + [(f"{s}{c:02d}", s) for s in "ABCD" for c in range(1, 6)]
+    + [(f"{s}{c:02d}{k}", f"{s}{c:02d}") for s in "ABCD" for c in range(1, 6) for k in "KLM"]
+)
+# One line per rejection kind, for the years 1990-1995.
+REJECTED_LINES = {
+    "columns": "F0,1990",
+    "empty_id": " ,1990,r1,A01K",
+    "year_format": "F0,199O,r1,A01K",
+    "year_range": "F0,1989,r1,A01K",
+    "unknown_code": "F0,1990,r1,Z99",
+}
+
+
+def random_event_lines(seed):
+    """Shuffled event lines over 1990-1995 with none in 1993, and the (family, year,
+    region, raw code) of every line that is not one of REJECTED_LINES, twice each.
+
+    Families span one or two years and up to six (region, code) pairs; a quarter
+    of the lines repeat; raw codes are subclasses, deeper codes, or classes, which
+    resolve at class granularity only. Family ids sort in another order as strings
+    than as numbers or by first line.
+    """
+    rng = random.Random(seed)
+    events = []
+    for _ in range(rng.randint(60, 150)):
+        family = f"F{rng.randrange(10**4)}"
+        for year in rng.sample([1990, 1991, 1992, 1994, 1995], rng.randint(1, 2)):
+            for _ in range(rng.randint(1, 6)):
+                code = rng.choice(WIDE.codes_at("subclass"))
+                raw = rng.choice([code, f"{code}{rng.randrange(100)}/{rng.randrange(100):02d}",
+                                  code[:3]])
+                events.append((family, year, f"r{rng.randrange(8)}", raw))
+    events += rng.choices(events, k=len(events) // 4)
+    lines = [f"{f},{y},{r},{c}" for f, y, r, c in events] + 2 * list(REJECTED_LINES.values())
+    rng.shuffle(lines)
+    return lines, events
+
+
+@pytest.mark.parametrize("granularity", ["class", "subclass"])
+@pytest.mark.parametrize("seed", range(4))
+def test_columnar_ingest_matches_record_loop(seed, granularity):
+    lines, events = random_event_lines(seed)
+    kept = [(f, y, r, WIDE.resolve(raw, granularity)) for f, y, r, raw in events]
+    kept = [event for event in kept if event[3] is not None]
+    n_unknown = len(events) - len(kept)
+    assert 0 < n_unknown < len(events) if granularity == "subclass" else n_unknown == 0
+    reshuffled = random.Random(seed + 100).sample(lines, len(lines))
+    for body in (lines, reshuffled):
+        parsed = parse_events(make_lines(body), WIDE, granularity, year_min=1990, year_max=1995)
+        assert parsed.regions == tuple(sorted({r for _f, _y, r, _c in kept}))
+        assert parsed.codes == WIDE.codes_at(granularity)
+        assert records(parsed) == sorted(set(kept))
+        assert parsed.rejected_by_reason == {
+            kind: 2 + (n_unknown if kind == "unknown_code" else 0) for kind in REJECTION_KINDS
+        }
+        for year in range(1990, 1996):
+            w = build_occurrence_matrix(parsed, year)
+            expected = occurrence_by_record_loop(kept, year, parsed.regions, parsed.codes)
+            assert w.weights.tobytes() == expected.tobytes()
+            assert family_field_counts(parsed, year) == field_counts_by_record_set(kept, year)
+        assert not build_occurrence_matrix(parsed, 1993).weights.any()
+        assert family_field_counts(parsed, 1993) == {}

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -9,10 +10,13 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
+from collections.abc import Sized
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracles import pvalue_text_by_loop
@@ -559,6 +563,45 @@ def _drop_field_counts(paths):
 
 def _field_counts_of_other_year(paths):
     paths.field_counts(1993).write_text(paths.field_counts(1992).read_text())
+
+
+class TestIngestStage:
+    def test_events_become_columns_without_per_event_objects(
+        self, synth_inputs, tmp_path, monkeypatch
+    ):
+        calls, parses = Counter(), []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                if name != "parse_events":
+                    return fn(*args, **kwargs)
+                gc.collect()
+                before = len(gc.get_objects())
+                result = fn(*args, **kwargs)
+                parses.append((args[0], result, len(gc.get_objects()) - before))
+                return result
+
+            return call
+
+        for name in ("parse_events", "build_occurrence_matrix", "family_field_counts"):
+            monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+        cfg = run_config(synth_inputs, tmp_path / "run")
+        paths = RunPaths(cfg.out_dir)
+        paths.ensure()
+        pipeline.stage_ingest(cfg, paths)
+        n_years = len(cfg.years)
+        assert calls == {
+            "parse_events": 1, "build_occurrence_matrix": n_years, "family_field_counts": n_years,
+        }
+        [(lines, parsed, new_objects)] = parses
+        # the benchmark's tracer reads len(lines)
+        assert isinstance(lines, Sized)
+        assert len(lines) == len((synth_inputs / "events.csv").read_text().splitlines())
+        columns = (parsed.family, parsed.year, parsed.region, parsed.code)
+        assert all(column.dtype == np.int64 for column in columns)
+        # a record per event would leave one tracked object per event behind
+        assert parsed.year.size > 500 and new_objects < 50
 
 
 class TestStatsInputs:

@@ -5,7 +5,7 @@ import pytest
 
 from technet.acs import decompose, decomposition_from_text, decomposition_to_text
 from technet.hierarchy import CodeHierarchy
-from technet.ingest import EventRecord
+from technet.ingest import parse_events
 from technet.stats import (
     CHI2_DF7_CRITICAL_5PCT,
     StatsError,
@@ -39,36 +39,36 @@ def labels_of(net):
     return decomposition_from_text(decomposition_to_text(decompose(net)), net.fields)
 
 
-def records_for(families):
-    out = []
-    for fam, year, pairs in families:
-        for region, code in pairs:
-            out.append(EventRecord(fam, year, region, code))
-    return out
+def events_for(families):
+    """The parsed events of (family, year, [(region, code), ...]) entries."""
+    lines = ["family_id,year,region_id,code"] + [
+        f"{fam},{year},{region},{code}" for fam, year, pairs in families for region, code in pairs
+    ]
+    return parse_events(lines, TWO_SECTIONS, "class", year_min=1990, year_max=2000)
 
 
 class TestFitness:
     def test_absent_field_zero(self):
-        records = records_for([("F1", 1998, [("r1", "A01")])])
-        assert family_field_counts(records, 1998).get("H01", 0) == 0
+        events = events_for([("F1", 1998, [("r1", "A01")])])
+        assert family_field_counts(events, 1998).get("H01", 0) == 0
 
     def test_three_families_featuring_field(self):
-        records = records_for([
+        events = events_for([
             ("F1", 1998, [("r1", "H01")]),
             ("F2", 1998, [("r2", "H01"), ("r2", "A01")]),
             ("F3", 1998, [("r1", "H01")]),
             ("F4", 1997, [("r1", "H01")]),
         ])
-        assert family_field_counts(records, 1998).get("H01", 0) == 3
+        assert family_field_counts(events, 1998).get("H01", 0) == 3
 
     def test_multi_code_family_counts_once_per_field(self):
         # totals across fields may exceed the family count
-        records = records_for([
+        events = events_for([
             ("F1", 1998, [("r1", "H01"), ("r1", "A01")]),
             ("F2", 1998, [("r1", "H01")]),
             ("F3", 1998, [("r2", "A01")]),
         ])
-        counts = family_field_counts(records, 1998)
+        counts = family_field_counts(events, 1998)
         assert counts == {"H01": 2, "A01": 2}
         assert sum(counts.values()) > 3 - 1  # 4 field hits from 3 families
 

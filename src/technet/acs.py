@@ -15,19 +15,23 @@ The eigenvector is oriented to the receiving side of links: component i is the
 asymptotic activity of field i under growth driven by incoming links. That is
 the orientation under which periphery nodes, which are catalysed but feed
 nothing back, carry positive weight.
+
+scipy is imported inside the functions that call it, so that importing the
+package, and every stage before this one, runs without loading it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from . import artifacts
 from .fdr import TechnologyNetwork
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 LAMBDA_POSITIVE_TOL = 1e-8
 PF_SUPPORT_RTOL = 1e-9
@@ -97,6 +101,8 @@ class AcsDecomposition:
 
 def find_core(graph: csr_matrix) -> list[np.ndarray]:
     """The cycle cores in index order: SCCs of size >= 2 or with a self-loop (one SCC pass)."""
+    from scipy.sparse.csgraph import connected_components
+
     n_sccs, scc = connected_components(graph, connection="strong")
     cyclic = np.bincount(scc, minlength=n_sccs) >= 2
     cyclic[scc[graph.diagonal() != 0]] = True
@@ -113,6 +119,9 @@ def split_distinct_acs(
     periphery its cores reach; the list runs from the largest core eigenvalue
     down, then the larger core, then the smallest field code.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
     n = graph.shape[0]
     reach = np.zeros((len(cores), n), dtype=bool)
     for a, comp in enumerate(cores):
@@ -192,6 +201,8 @@ def decompose(net: TechnologyNetwork) -> AcsDecomposition:
     Without a core the adjacency is nilpotent: lambda1 is exactly 0, the
     vector uniform, and there is no support to check.
     """
+    from scipy.sparse import csr_matrix
+
     names = net.fields
     graph = csr_matrix(net.adjacency)
     acs_list = split_distinct_acs(graph, names, find_core(graph))

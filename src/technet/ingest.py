@@ -202,7 +202,9 @@ def occurrence_from_text(
     text: str, *, regions: Sequence[str], fields: Sequence[str], year: int | None = None
 ) -> OccurrenceMatrix:
     year, rows = artifacts.year_rows_from_text(text, 3, year=year, error=IngestError)
-    weights = artifacts.scatter(
-        rows, (regions, fields), [float(w) for _r, _f, w in rows], np.float64, IngestError
-    )
+    try:
+        values = [float(w) for _r, _f, w in rows]
+    except ValueError as exc:
+        raise IngestError(f"occurrence weight is not a number: {exc}") from None
+    weights = artifacts.scatter(rows, (regions, fields), values, np.float64, IngestError)
     return OccurrenceMatrix(year=year, regions=tuple(regions), fields=tuple(fields), weights=weights)

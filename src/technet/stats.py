@@ -12,6 +12,9 @@ draw count is n, and the coefficient is read from a linear-space convolution
 of binomial pmfs at their mean, so it stays finite at any spread of odds and
 600 fields. Full and empty sections are fitted in their limit, on the reduced
 problem of the free sections, so their odds are reported as absent.
+
+scipy is imported inside the functions that call it, so that the ingest stage,
+which counts fitness here, runs without loading it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize
-from scipy.special import expit, gammaincinv, gammaln
 
 from . import artifacts
 from .fdr import TechnologyNetwork
@@ -56,7 +57,11 @@ def field_counts_to_text(year: int, counts: Mapping[str, int]) -> str:
 def field_counts_from_text(text: str, fields: Sequence[str], *, year: int) -> dict[str, int]:
     """Parse a counts file of `year` into a field -> count mapping over `fields`."""
     _year, rows = artifacts.year_rows_from_text(text, 2, year=year, error=StatsError)
-    counts = artifacts.scatter(rows, (fields,), [int(c) for _f, c in rows], np.int64, StatsError)
+    try:
+        values = [int(c) for _f, c in rows]
+    except ValueError as exc:
+        raise StatsError(f"family count is not an integer: {exc}") from None
+    counts = artifacts.scatter(rows, (fields,), values, np.int64, StatsError)
     if counts.min(initial=0) < 0:
         raise StatsError("family counts must be nonnegative")
     return dict(zip(fields, counts.tolist()))
@@ -118,6 +123,8 @@ def subset_fitness(
 
 def _log_binomial_poly(size: int, log_omega: float, max_degree: int) -> np.ndarray:
     """Log coefficients of (1 + omega z)^size, truncated at max_degree."""
+    from scipy.special import gammaln
+
     xs = np.arange(0, min(size, max_degree) + 1, dtype=np.float64)
     return gammaln(size + 1) - gammaln(xs + 1) - gammaln(size - xs + 1) + xs * log_omega
 
@@ -131,6 +138,9 @@ def log_fnch_normalizer(sizes: Sequence[int], log_omega: Sequence[float], n: int
     of S, so the linear-space convolution of the binomial pmfs reads P(S = n)
     without underflow whatever the spread of the odds.
     """
+    from scipy.optimize import brentq
+    from scipy.special import expit
+
     sizes_arr = np.asarray(sizes, dtype=np.int64)
     keep = sizes_arr > 0
     sizes_arr, lo = sizes_arr[keep], np.asarray(log_omega, dtype=np.float64)[keep]
@@ -155,6 +165,8 @@ def fnch_loglik(
     counts: Sequence[int], sizes: Sequence[int], log_omega: Sequence[float]
 ) -> float:
     """Log-likelihood of one composition under the noncentral hypergeometric."""
+    from scipy.special import gammaln
+
     counts = np.asarray(counts, dtype=np.float64)
     sizes_arr = np.asarray(sizes, dtype=np.float64)
     lo = np.asarray(log_omega, dtype=np.float64)
@@ -188,6 +200,8 @@ def fit_noncentral_weights(counts: Sequence[int], sizes: Sequence[int]) -> FnchF
     sections' odds are not identified and are None. With fewer than two free
     sections nothing is fitted and the supremum log-likelihood is 0.
     """
+    from scipy.optimize import minimize
+
     counts = np.asarray(counts, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
     if counts.shape != sizes.shape or counts.ndim != 1 or not counts.size:
@@ -235,6 +249,8 @@ def variety_llr(counts: Sequence[int], sizes: Sequence[int]) -> VarietyTestResul
     the fitted odds lie at the edge of the parameter space. An empty ACS
     yields a not-applicable marker.
     """
+    from scipy.special import gammaincinv
+
     df = len(sizes) - 1
     # 2 * gammaincinv(df / 2, 0.95) is the chi-square 95% quantile, the value
     # scipy.stats.chi2.ppf computes, without importing scipy.stats

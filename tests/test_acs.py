@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 
 from technet import acs, artifacts
 from technet.acs import decompose, decomposition_from_text, decomposition_to_text
@@ -281,8 +282,9 @@ def test_one_scc_pass_per_decompose(monkeypatch):
             calls.append(graph.shape[0])
         return components(graph, *args, **kwargs)
 
-    components = acs.connected_components
-    monkeypatch.setattr(acs, "connected_components", counted)
+    # acs imports connected_components at call time, so the patch reaches it there
+    components = scipy.sparse.csgraph.connected_components
+    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", counted)
     acyclic = net_from_edges(4, [(0, 1), (1, 2), (0, 3)])
     one_acs = net_from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
     two_acs = net_from_edges(6, [(0, 1), (1, 0), (2, 3), (3, 2), (1, 4), (3, 5)])

@@ -751,6 +751,42 @@ STAGE_SETTINGS = {
 }
 
 
+# Run in a fresh interpreter, since pytest's own process already holds scipy.
+# Prints whether scipy is loaded after each import and after each pipeline
+# stage; a scipy import in any other process (a forked null worker) appends
+# that stage to the log file named by argv[1].
+SCIPY_PROBE = """
+import json, os, sys
+
+main_pid, log, stage = os.getpid(), sys.argv[1], "import"
+
+def hook(event, args):
+    if event == "import" and args[0].split(".")[0] == "scipy" and os.getpid() != main_pid:
+        with open(log, "a") as out:
+            out.write(stage + "\\n")
+
+sys.addaudithook(hook)
+loaded = {}
+import technet
+loaded["technet"] = "scipy" in sys.modules
+import technet.cli
+from technet import pipeline
+loaded["technet.cli"] = "scipy" in sys.modules
+
+def probed(name, fn):
+    def run(*args, **kwargs):
+        global stage
+        stage = name
+        fn(*args, **kwargs)
+        loaded[name] = "scipy" in sys.modules
+    return run
+
+pipeline.STAGES = tuple((name, probed(name, fn)) for name, fn in pipeline.STAGES)
+code = technet.cli.main(sys.argv[2:])
+print(json.dumps({"exit": code, "loaded": loaded}))
+"""
+
+
 def _dir_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
@@ -842,6 +878,27 @@ class TestCli:
             )
             pvalues.append(_dir_bytes(copy / "pvalues"))
         assert len(pvalues[0]) == 5 and pvalues[0] == pvalues[1]
+
+    def test_scipy_is_loaded_only_by_the_acs_and_stats_stages(self, synth_inputs, tmp_path):
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "TECHNET_WORKERS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        log, out = tmp_path / "worker_imports.log", tmp_path / "run"
+        child = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, str(log),
+             "pipeline", "--run-dir", str(out), "--events", str(synth_inputs / "events.csv"),
+             "--hierarchy", str(synth_inputs / "hierarchy.csv"), "--year-min", "1991",
+             "--year-max", "1996", "--replicates", "25", "--workers", "2"],
+            env=env, check=True, timeout=120, capture_output=True, text=True,
+        )
+        report = json.loads(child.stdout.splitlines()[-1])
+        assert report["exit"] == 0
+        assert report["loaded"] == {
+            "technet": False, "technet.cli": False, "ingest": False, "rca": False,
+            "assist": False, "nulls": False, "filter": False, "acs": True, "stats": True,
+        }
+        assert not log.exists()  # no null worker imported scipy
+        assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
 
     def test_pipeline_subcommand_with_config_file(self, synth_inputs, tmp_path):
         cfg_file = tmp_path / "run.cfg"

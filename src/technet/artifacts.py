@@ -104,7 +104,10 @@ def dense_from_text(text: str, cast, error=ValueError) -> tuple[dict, tuple[str,
     values = []
     for code, line in zip(fields, lines):
         label, *cells = line.split(",")
-        if label != code or len(cells) != len(fields):
-            raise error(f"row {label!r} of {len(cells)} cells where {code!r} is expected")
-        values.append(list(map(cast, cells)))
+        try:
+            if label != code or len(cells) != len(fields):
+                raise ValueError(f"{len(cells)} cells where {code!r} is expected")
+            values.append(list(map(cast, cells)))
+        except ValueError as exc:
+            raise error(f"row {label!r}: {exc}") from None
     return meta, fields, np.array(values, dtype=cast).reshape(len(fields), len(fields))

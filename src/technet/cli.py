@@ -2,10 +2,12 @@
 
 A stage command takes the pipeline's flag for each setting it reads (see
 `technet <stage> --help`); `OPTIONS` declares each flag once. `--regions` is
-only checked to exist. Exit codes: 0 success, 1 validation error (bad flags,
-missing or malformed inputs), 2 compute error (a stage failed on valid
-inputs). Worker count for null replicates comes from the TECHNET_WORKERS
-environment variable unless given explicitly with --workers.
+only checked to exist. `pipeline` and each stage command run their stages
+through `pipeline.run_stage`, so they share one exit-code rule: 0 success,
+1 validation error (bad flags, missing or malformed inputs, whether found
+before a stage runs or by the stage), 2 compute error (a stage failed on
+valid inputs). `--workers` (default 1) sets the worker processes of the
+null stage.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ from .ingest import IngestError
 from .fdr import SIGNIFICANCE_BASES, network_from_text
 from .pipeline import (
     GRANULARITIES,
-    STAGES,
     ConfigError,
     PipelineError,
     RunConfig,
     RunPaths,
     load_run_config,
-    resolve_workers,
     run_pipeline,
+    run_stage,
 )
 from .synth import SynthConfig, SynthConfigError, generate_events, planted_cycle_pairs
 
@@ -72,7 +73,6 @@ OPTIONS = {
     "include_diagonal": ("--include-diagonal", {"action": "store_const", "const": True}),
     "significance_basis": ("--basis", {"choices": SIGNIFICANCE_BASES}),
     "delimiter": ("--delimiter", {}),
-    "dump_null_summaries": ("--dump-null-summaries", {"action": "store_const", "const": True}),
 }
 
 # Each stage command: its help, the fields it requires besides --run-dir, and
@@ -88,7 +88,7 @@ STAGE_COMMANDS = {
     "nulls": (
         "run the nulls stage on persisted artifacts",
         (),
-        ("lag", "n_replicates", "master_seed", "dump_null_summaries"),
+        ("lag", "n_replicates", "master_seed"),
     ),
     "filter": (
         "run the filter stage on persisted artifacts",
@@ -164,17 +164,9 @@ def _cmd_stage(args) -> int:
     cfg = _config(args)
     cfg.validate(require_inputs=args.command == "ingest")
     paths = RunPaths(cfg.out_dir)
-    kwargs = {}
     if args.command == "ingest":
         paths.ensure()
-    elif args.command == "nulls":
-        kwargs["workers"] = resolve_workers(args.workers)
-    try:
-        dict(STAGES)[args.command](cfg, paths, **kwargs)
-    except VALIDATION_ERRORS:
-        raise
-    except Exception as exc:  # noqa: BLE001
-        raise PipelineError(args.command, None, exc) from exc
+    run_stage(args.command, cfg, paths, getattr(args, "workers", 1))
     print(f"stage {args.command} complete in {paths.root}")
     return 0
 
@@ -231,7 +223,7 @@ def build_parser() -> _Parser:
         _add_options(p, ("out_dir", *required), required=True)
         _add_options(p, optional)
         if name == "nulls":
-            p.add_argument("--workers", type=int, default=None)
+            p.add_argument("--workers", type=int, default=1)
         p.set_defaults(func=_cmd_stage)
 
     p = sub.add_parser("dynamics", help="simulate linear catalytic dynamics on one network")
@@ -246,7 +238,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pipeline", help="run every stage end to end")
     p.add_argument("--config", default=None, help="key = value configuration file")
     _add_options(p, OPTIONS)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_pipeline)
     return parser
 
@@ -262,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PipelineError as exc:
+        if isinstance(exc.cause, VALIDATION_ERRORS):
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"compute error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - compute failures map to exit 2

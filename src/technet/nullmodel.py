@@ -275,7 +275,6 @@ def exceedance_counts(
     b_emps: Sequence[AssistMatrix],
     replicates: Iterable[int],
     master_seed: int,
-    summaries: Sequence[list[tuple[float, float]]] | None = None,
 ) -> list[np.ndarray]:
     """Count, per pair and cell, the null replicates in `replicates` reaching the empirical value.
 
@@ -287,8 +286,7 @@ def exceedance_counts(
     and a draw is dropped after the last pair that uses it: with pairs in
     base-year order, at most lag + 1 draws are alive. A replicate counts where
     its value is at least `exceedance_threshold(b_emp)`, so an exact tie
-    counts whatever order its terms were summed in. If `summaries` holds one
-    list per pair, each replicate's (mean, max) is appended to its pair's list.
+    counts whatever order its terms were summed in.
     """
     years = [(b_emp.base_year, b_emp.base_year + b_emp.lag) for b_emp in b_emps]
     for b_emp, pair_years in zip(b_emps, years):
@@ -312,8 +310,6 @@ def exceedance_counts(
         for i, (year, later) in enumerate(years):
             values = null_assist_replicate(fits[year], fits[later], master_seed, k, draws).values
             counts[i] += values >= thresholds[i]
-            if summaries is not None:
-                summaries[i].append((float(values.mean()), float(values.max())))
             for retired in retire[i]:
                 del draws[retired]
     return counts

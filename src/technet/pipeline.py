@@ -15,6 +15,10 @@ so every stage can be rerun standalone on persisted inputs:
                  adjacency_<year>.csv (+ .sections.csv)
     manifest.json
 
+Every stage, run by `run_pipeline` or by itself from the CLI, goes through
+`run_stage`, which turns any failure into a PipelineError carrying its cause;
+`run_pipeline` also records the failed stage in an 'incomplete' manifest.
+
 Every matrix one stage hands to the next is written and read by `artifacts`,
 whose readers reject a truncated or malformed file. Events are parsed once,
 at ingest, each presence year is read once per stage, and each network is
@@ -38,13 +42,11 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 from typing import Iterator, get_type_hints
 
@@ -81,7 +83,6 @@ from .stats import (
     variety_llr,
 )
 
-WORKERS_ENV_VAR = "TECHNET_WORKERS"
 GRANULARITIES = ("class", "subclass")
 
 
@@ -90,7 +91,11 @@ class ConfigError(ValueError):
 
 
 class PipelineError(RuntimeError):
-    """A stage failed; carries the stage name and year. Maps to exit code 2."""
+    """A stage failed; carries the stage name, the year and the cause.
+
+    The CLI exits 1 if the cause is a validation error (a missing or malformed
+    input) and 2 otherwise.
+    """
 
     def __init__(self, stage: str, year: int | None, cause: Exception):
         where = f"stage {stage!r}" + (f", year {year}" if year is not None else "")
@@ -116,7 +121,6 @@ class RunConfig:
     include_diagonal: bool = False
     significance_basis: str = "percentile"
     delimiter: str = ","
-    dump_null_summaries: bool = False
 
     def validate(self, *, require_inputs: bool = True) -> None:
         if require_inputs:
@@ -184,20 +188,10 @@ def load_run_config(path: str | Path) -> RunConfig:
     return cfg
 
 
-def resolve_workers(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else the environment override, else 1.
-
-    A count below 1 from either source is a ConfigError.
-    """
-    if explicit is None:
-        env = os.environ.get(WORKERS_ENV_VAR, "")
-        try:
-            explicit = int(env) if env else 1
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    if explicit < 1:
-        raise ConfigError(f"the worker count must be >= 1, got {explicit}")
-    return explicit
+def check_workers(workers: int) -> None:
+    """A worker count below 1 is a ConfigError, not one worker."""
+    if workers < 1:
+        raise ConfigError(f"the worker count must be >= 1, got {workers}")
 
 
 class RunPaths:
@@ -208,7 +202,7 @@ class RunPaths:
 
     def ensure(self) -> None:
         for sub in ("index", "occurrence", "presence", "assist", "pvalues",
-                    "network", "acs", "stats", "nulls"):
+                    "network", "acs", "stats"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
 
     def fields_file(self) -> Path:
@@ -237,9 +231,6 @@ class RunPaths:
 
     def pvalues(self, year: int) -> Path:
         return self.root / "pvalues" / f"P_{year}.csv"
-
-    def null_summary(self, year: int) -> Path:
-        return self.root / "nulls" / f"summary_{year}.csv"
 
     def network(self, year: int) -> Path:
         return self.root / "network" / f"C_{year}.csv"
@@ -340,12 +331,6 @@ def stage_assist(cfg: RunConfig, paths: RunPaths) -> None:
         paths.assist_sidecar(year).write_text(assist_sidecar_text(b))
 
 
-def _walk_chunk(fits, b_emps, master_seed: int, chunk: list[int], with_summaries: bool):
-    """One chunk's count matrix per pair and, if asked, its (mean, max) rows per pair."""
-    rows = [[] for _ in b_emps] if with_summaries else None
-    return exceedance_counts(fits, b_emps, chunk, master_seed, rows), rows
-
-
 # The walk of a pool worker, bound by its initializer: it reaches the worker
 # through the fork, so the fits and assist matrices are never pickled. The
 # calling process never sets it.
@@ -357,13 +342,13 @@ def _bind_forked_walk(walk) -> None:
     _forked_walk = walk
 
 
-def _run_forked_walk(chunk: list[int], with_summaries: bool):
-    return _forked_walk(chunk, with_summaries)
+def _run_forked_walk(chunk: list[int]):
+    return _forked_walk(chunk)
 
 
 @contextmanager
 def _chunk_map(walk, workers: int):
-    """A `map` of `walk` over (chunk, with_summaries) arguments, in submission order.
+    """A `map` of `walk` over chunks of replicate indices, in submission order.
 
     One worker maps in this process, with no fork and no pickling. More
     workers map on a pool of that many processes forked from this one with
@@ -417,20 +402,14 @@ def stage_nulls(cfg: RunConfig, paths: RunPaths, workers: int = 1) -> None:
         b_emps.append(b_emp)
     k = cfg.n_replicates
     totals = [np.zeros(b_emp.values.shape, dtype=np.int64) for b_emp in b_emps]
-    summaries = [[] for _ in b_emps]
     chunks = [c.tolist() for c in np.array_split(np.arange(k), min(8 * workers, k))]
-    walk = partial(_walk_chunk, fits, b_emps, cfg.master_seed)
+    walk = partial(exceedance_counts, fits, b_emps, master_seed=cfg.master_seed)
     with _chunk_map(walk, workers) as run:
-        for counts, rows in run(chunks, repeat(cfg.dump_null_summaries)):
+        for counts in run(chunks):
             for total, chunk_counts in zip(totals, counts):
                 total += chunk_counts
-            for pair_rows, chunk_rows in zip(summaries, rows or ()):
-                pair_rows.extend(chunk_rows)
-    for year, b_emp, total, rows in zip(cfg.base_years, b_emps, totals, summaries):
+    for year, b_emp, total in zip(cfg.base_years, b_emps, totals):
         paths.pvalues(year).write_text(pvalues_to_text(pvalues_from_counts(b_emp, total, k)))
-        if cfg.dump_null_summaries:
-            table = [("replicate", "mean", "max"), *((r, *row) for r, row in enumerate(rows))]
-            paths.null_summary(year).write_text(artifacts.rows_to_text(table))
 
 
 def stage_filter(cfg: RunConfig, paths: RunPaths) -> None:
@@ -532,25 +511,39 @@ def _write_manifest(cfg: RunConfig, paths: RunPaths, status: str, failed: dict |
     return manifest
 
 
-def run_pipeline(cfg: RunConfig, workers: int | None = None) -> dict:
+def run_stage(name: str, cfg: RunConfig, paths: RunPaths, workers: int = 1) -> None:
+    """Run one stage; any failure of the stage is raised as a PipelineError.
+
+    Only the null stage takes `workers`. `STAGES` is looked up here, at call
+    time, so a stage table swapped in after import is the one that runs.
+    """
+    check_workers(workers)
+    stage_fn = dict(STAGES)[name]
+    try:
+        if name == "nulls":
+            stage_fn(cfg, paths, workers=workers)
+        else:
+            stage_fn(cfg, paths)
+    except Exception as exc:  # noqa: BLE001 - every stage failure is reported
+        raise PipelineError(name, None, exc) from exc
+
+
+def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
     """Run every stage in order and write the manifest.
 
     Any stage error aborts the run: remaining artifacts are left unwritten,
     the manifest is still emitted with status 'incomplete' and the failing
-    stage recorded, and a PipelineError is raised.
+    stage recorded, and the stage's PipelineError is raised.
     """
     cfg.validate()
-    n_workers = resolve_workers(workers)
+    check_workers(workers)
     paths = RunPaths(cfg.out_dir)
     paths.ensure()
-    for stage_name, stage_fn in STAGES:
+    for name, _stage_fn in STAGES:
         try:
-            if stage_name == "nulls":
-                stage_fn(cfg, paths, workers=n_workers)
-            else:
-                stage_fn(cfg, paths)
-        except Exception as exc:  # noqa: BLE001 - every stage failure is reported
-            failed = {"stage": stage_name, "error": str(exc)}
+            run_stage(name, cfg, paths, workers)
+        except PipelineError as exc:
+            failed = {"stage": name, "error": str(exc.cause)}
             _write_manifest(cfg, paths, "incomplete", failed)
-            raise PipelineError(stage_name, None, exc) from exc
+            raise
     return _write_manifest(cfg, paths, "complete", None)

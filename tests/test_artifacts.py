@@ -203,7 +203,7 @@ CASES = {
     "nan_value": (last_cell("nan"), ("occurrence", "assist")),
     "inf_value": (last_cell("inf"), ("occurrence", "assist")),
     "negative_value": (last_cell("-0.5"), ("occurrence", "assist")),
-    "non_numeric_value": (last_cell("x"), ("occurrence", "field_counts")),
+    "non_numeric_value": (last_cell("x"), ("occurrence", "field_counts", *DENSE)),
 }
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -30,8 +31,8 @@ from technet.pipeline import (
     PipelineError,
     RunConfig,
     RunPaths,
+    check_workers,
     load_run_config,
-    resolve_workers,
     run_pipeline,
 )
 from technet.rca import PresenceMatrix
@@ -138,7 +139,6 @@ class TestValidation:
             "include_diagonal = true",
             "significance_basis = addone",
             "lag = 2",
-            "dump_null_summaries = yes",
             "granularity = subclass",
         ])
         path = tmp_path / "run.cfg"
@@ -147,7 +147,7 @@ class TestValidation:
         assert cfg.year_min == 1995 and cfg.n_replicates == 77
         assert cfg.fdr_q == 0.1 and cfg.include_diagonal
         assert cfg.significance_basis == "addone"
-        assert cfg.lag == 2 and cfg.dump_null_summaries is True
+        assert cfg.lag == 2
         assert cfg.granularity == "subclass"
         path.write_text("lag = x\n")
         with pytest.raises(ConfigError):
@@ -171,22 +171,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_run_config(path)
 
-    def test_workers_env_override(self, monkeypatch):
-        monkeypatch.delenv("TECHNET_WORKERS", raising=False)
-        assert resolve_workers(None) == 1
-        monkeypatch.setenv("TECHNET_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        assert resolve_workers(2) == 2
-        monkeypatch.setenv("TECHNET_WORKERS", "x")
-        with pytest.raises(ConfigError):
-            resolve_workers(None)
+    def test_worker_count_below_one_is_a_config_error(self, synth_inputs, tmp_path):
+        check_workers(1)
+        check_workers(2)
         # a count below 1 is an error, not one worker
-        for explicit in (0, -3):
+        for workers in (0, -3):
             with pytest.raises(ConfigError):
-                resolve_workers(explicit)
-        monkeypatch.setenv("TECHNET_WORKERS", "0")
+                check_workers(workers)
         with pytest.raises(ConfigError):
-            resolve_workers(None)
+            run_pipeline(run_config(synth_inputs, tmp_path / "r"), workers=0)
+        assert not (tmp_path / "r").exists()
 
 
 class TestRunPipeline:
@@ -239,26 +233,15 @@ class TestRunPipeline:
         assert manifest["status"] == "incomplete"
         assert manifest["failed"]["stage"] == "rca"
 
-    def test_null_summaries_flag(self, synth_inputs, tmp_path):
-        out = tmp_path / "dump"
-        cfg = run_config(synth_inputs, out, dump_null_summaries=True, n_replicates=8)
-        run_pipeline(cfg)
-        summary = RunPaths(out).null_summary(1991).read_text().splitlines()
-        assert summary[0] == "replicate,mean,max"
-        assert len(summary) == 9
-
     def test_null_artifacts_identical_across_worker_counts(self, synth_inputs, tmp_path):
         # K=37 splits unevenly into 8 chunks per worker, and each chunk walks
         # all 5 year pairs
         null_bytes = []
         for workers in (1, 2, 3):
             out = tmp_path / f"w{workers}"
-            cfg = run_config(synth_inputs, out, dump_null_summaries=True, n_replicates=37)
-            run_pipeline(cfg, workers=workers)
-            files = sorted((out / "pvalues").glob("P_*.csv")) + sorted(
-                (out / "nulls").glob("summary_*.csv")
-            )
-            assert len(files) == 10
+            run_pipeline(run_config(synth_inputs, out, n_replicates=37), workers=workers)
+            files = sorted((out / "pvalues").glob("P_*.csv"))
+            assert len(files) == 5
             null_bytes.append({p.relative_to(out): p.read_bytes() for p in files})
         assert null_bytes[0] == null_bytes[1] == null_bytes[2]
 
@@ -282,9 +265,9 @@ class TestRunPipeline:
         log = tmp_path / "pids.log"
         counts = pipeline.exceedance_counts
 
-        def recorded(*args):
+        def recorded(*args, **kwargs):
             _log_call(log, os.getpid())
-            return counts(*args)
+            return counts(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "exceedance_counts", recorded)
         run_pipeline(run_config(synth_inputs, tmp_path / "run", n_replicates=7), workers=workers)
@@ -308,14 +291,14 @@ class TestRunPipeline:
         log = tmp_path / "chunks.log"
         counts = pipeline.exceedance_counts
 
-        def failing_counts(fits, b_emps, replicates, *args):
+        def failing_counts(fits, b_emps, replicates, **kwargs):
             if replicates[0] == 0:
                 if failure == "exit":
                     os._exit(3)
                 raise ValueError("chunk 0 fails")
             _log_call(log, replicates[0])
             time.sleep(0.1)
-            return counts(fits, b_emps, replicates, *args)
+            return counts(fits, b_emps, replicates, **kwargs)
 
         monkeypatch.setattr(pipeline, "exceedance_counts", failing_counts)
         out = tmp_path / "fails"
@@ -365,9 +348,9 @@ class TestRunPipeline:
         log = tmp_path / "chunks.log"
         counts = pipeline.exceedance_counts
 
-        def recorded(fits, b_emps, replicates, *args):
+        def recorded(fits, b_emps, replicates, **kwargs):
             _log_call(log, " ".join(map(str, replicates)))
-            return counts(fits, b_emps, replicates, *args)
+            return counts(fits, b_emps, replicates, **kwargs)
 
         monkeypatch.setattr(pipeline, "exceedance_counts", recorded)
         run_pipeline(run_config(synth_inputs, tmp_path / "run", n_replicates=37), workers=2)
@@ -740,13 +723,13 @@ STAGE_SETTINGS = {
     "settings": (
         {
             "assist": ["--lag", "2"],
-            "nulls": ["--lag", "2", "--dump-null-summaries"],
+            "nulls": ["--lag", "2"],
             "filter": ["--lag", "2", "--q", "0.1", "--include-diagonal", "--basis", "addone"],
             "acs": ["--lag", "2"],
             "stats": ["--lag", "2"],
         },
         {"lag": 2, "fdr_q": 0.1, "include_diagonal": True,
-         "significance_basis": "addone", "dump_null_summaries": True},
+         "significance_basis": "addone"},
     ),
 }
 
@@ -817,7 +800,7 @@ class TestCli:
 
         cfg = run_config(synth_inputs, direct, **fields)
         run_pipeline(cfg)
-        for sub in ("network", "acs", "stats", "nulls"):
+        for sub in ("pvalues", "network", "acs", "stats"):
             assert _dir_bytes(staged / sub) == _dir_bytes(direct / sub)
         # q and include_diagonal leave these small networks as they are (empty
         # under addone at K=25), so check that they reach the filter stage's config
@@ -934,6 +917,27 @@ class TestCli:
                      "--year-min", "1989", "--year-max", "1996"])
         assert code == 2
 
+    @pytest.mark.parametrize("broken", ["events_header", "hierarchy_parent"])
+    def test_malformed_input_exits_1_from_pipeline_and_ingest(
+        self, synth_inputs, tmp_path, broken
+    ):
+        events, hierarchy = tmp_path / "events.csv", tmp_path / "hierarchy.csv"
+        events.write_text((synth_inputs / "events.csv").read_text())
+        hierarchy.write_text((synth_inputs / "hierarchy.csv").read_text())
+        if broken == "events_header":
+            header, rest = events.read_text().split("\n", 1)
+            events.write_text(header.replace("code", "kode") + "\n" + rest)
+        else:
+            hierarchy.write_text(hierarchy.read_text() + "Z01,Z\n")
+        inputs = ["--events", str(events), "--hierarchy", str(hierarchy),
+                  "--year-min", "1991", "--year-max", "1996"]
+        out = tmp_path / "pipeline"
+        assert main(["pipeline", "--run-dir", str(out), *inputs]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
+        assert manifest["failed"]["stage"] == "ingest"
+        assert main(["ingest", "--run-dir", str(tmp_path / "ingest"), *inputs]) == 1
+
     def test_bad_flag_is_validation_error(self):
         assert main(["pipeline", "--no-such-flag"]) == 1
 
@@ -974,6 +978,9 @@ def test_class_level_network_has_full_field_dimensions(tmp_path):
 # Each subcommand's sorted (option strings, required, choices, type, action,
 # const, default), recorded before the option table replaced the hand-written
 # parsers; only `stats --q` and `dynamics --q`, whose value nothing read, are gone.
+# Since then `--dump-null-summaries` left `nulls` and `pipeline` with the null
+# summary files it wrote, and `--workers` defaults to 1, not None, as no
+# environment variable stands in for it any more.
 PARENT_CLI_SURFACE = {
     "synth": [
         (("--families-per-presence",), False, None, "int", "_StoreAction", None, 3),
@@ -1010,12 +1017,11 @@ PARENT_CLI_SURFACE = {
         (("-h", "--help"), False, None, None, "_HelpAction", None, "==SUPPRESS=="),
     ],
     "nulls": [
-        (("--dump-null-summaries",), False, None, None, "_StoreConstAction", True, None),
         (("--lag",), False, None, "int", "_StoreAction", None, None),
         (("--replicates",), False, None, "int", "_StoreAction", None, None),
         (("--run-dir",), True, None, None, "_StoreAction", None, None),
         (("--seed",), False, None, "int", "_StoreAction", None, None),
-        (("--workers",), False, None, "int", "_StoreAction", None, None),
+        (("--workers",), False, None, "int", "_StoreAction", None, 1),
         (("-h", "--help"), False, None, None, "_HelpAction", None, "==SUPPRESS=="),
     ],
     "filter": [
@@ -1051,7 +1057,6 @@ PARENT_CLI_SURFACE = {
         (("--basis",), False, ("percentile", "addone"), None, "_StoreAction", None, None),
         (("--config",), False, None, None, "_StoreAction", None, None),
         (("--delimiter",), False, None, None, "_StoreAction", None, None),
-        (("--dump-null-summaries",), False, None, None, "_StoreConstAction", True, None),
         (("--events",), False, None, None, "_StoreAction", None, None),
         (("--granularity",), False, ("class", "subclass"), None, "_StoreAction", None, None),
         (("--hierarchy",), False, None, None, "_StoreAction", None, None),
@@ -1062,7 +1067,7 @@ PARENT_CLI_SURFACE = {
         (("--replicates",), False, None, "int", "_StoreAction", None, None),
         (("--run-dir",), False, None, None, "_StoreAction", None, None),
         (("--seed",), False, None, "int", "_StoreAction", None, None),
-        (("--workers",), False, None, "int", "_StoreAction", None, None),
+        (("--workers",), False, None, "int", "_StoreAction", None, 1),
         (("--year-max",), False, None, "int", "_StoreAction", None, None),
         (("--year-min",), False, None, "int", "_StoreAction", None, None),
         (("-h", "--help"), False, None, None, "_HelpAction", None, "==SUPPRESS=="),
@@ -1091,3 +1096,11 @@ def test_cli_surface_is_the_parents_without_the_dead_q_flags():
         for name, rows in PARENT_CLI_SURFACE.items()
     }
     assert _cli_surface() == expected
+
+
+def test_every_flag_in_the_readme_is_accepted_by_a_subcommand():
+    # a flag removed from the CLI cannot linger in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    accepted = {flag for rows in _cli_surface().values() for row in rows for flag in row[0]}
+    assert "--workers" in named and named <= accepted, sorted(named - accepted)

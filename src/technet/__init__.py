@@ -22,8 +22,10 @@ from .ingest import (
 )
 from .nullmodel import (
     BicmParameters,
+    ExceedanceTest,
     PvalueMatrix,
     exceedance_counts,
+    exceedance_test,
     fit_bicm,
     pvalues_from_counts,
     sample_null_matrix,
@@ -44,6 +46,7 @@ __all__ = [
     "AssistMatrix",
     "BicmParameters",
     "CodeHierarchy",
+    "ExceedanceTest",
     "HitList",
     "OccurrenceMatrix",
     "ParseResult",
@@ -59,6 +62,7 @@ __all__ = [
     "decompose",
     "estimate_growth_rate",
     "exceedance_counts",
+    "exceedance_test",
     "fit_bicm",
     "fit_noncentral_weights",
     "generate_events",

@@ -19,10 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
+from .acs import LabelError
+from .assist import AssistError
 from .dynamics import estimate_growth_rate, simulate_linear, trajectory_to_text
+from .fdr import SIGNIFICANCE_BASES, NetworkError, network_from_text
 from .hierarchy import HierarchyError
 from .ingest import IngestError
-from .fdr import SIGNIFICANCE_BASES, network_from_text
+from .nullmodel import PvalueError
 from .pipeline import (
     GRANULARITIES,
     ConfigError,
@@ -33,13 +36,24 @@ from .pipeline import (
     run_pipeline,
     run_stage,
 )
+from .rca import PresenceError
+from .stats import StatsError
 from .synth import SynthConfig, SynthConfigError, generate_events, planted_cycle_pairs
 
+# A bad flag or config value, or a missing or malformed input: exit 1. Each
+# artifact reader raises its module's class, so one fault in any stage's input
+# exits the same way.
 VALIDATION_ERRORS = (
     ConfigError,
     SynthConfigError,
     HierarchyError,
     IngestError,
+    PresenceError,
+    AssistError,
+    PvalueError,
+    NetworkError,
+    LabelError,
+    StatsError,
     FileNotFoundError,
     NotADirectoryError,
 )

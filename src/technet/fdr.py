@@ -28,6 +28,10 @@ from .nullmodel import PvalueMatrix
 SIGNIFICANCE_BASES = ("percentile", "addone")
 
 
+class NetworkError(ValueError):
+    """Raised on a malformed or inconsistent network (edge list) artifact."""
+
+
 @dataclass(frozen=True, eq=False)
 class TechnologyNetwork:
     """Directed binary adjacency over the field set; entry (i, j) = link i -> j."""
@@ -119,6 +123,6 @@ def network_to_text(net: TechnologyNetwork) -> str:
 def network_from_text(
     text: str, fields: Sequence[str], *, year: int | None = None
 ) -> TechnologyNetwork:
-    year, rows = artifacts.year_rows_from_text(text, 2, year=year)
-    adjacency = artifacts.scatter(rows, (fields, fields), 1, np.uint8)
+    year, rows = artifacts.year_rows_from_text(text, 2, year=year, error=NetworkError)
+    adjacency = artifacts.scatter(rows, (fields, fields), 1, np.uint8, NetworkError)
     return TechnologyNetwork(year=year, fields=tuple(fields), adjacency=adjacency)

@@ -38,12 +38,15 @@ class ParseIssue:
 
 @dataclass(eq=False)
 class ParseResult:
-    """The distinct events as id columns into sorted name tables, sorted by family id.
+    """The distinct events as id columns, sorted by family id.
 
-    `codes` holds every field at the granularity; the other tables, the names seen.
+    A family id is the rank of the family's name in str order among the
+    families of the kept lines; the names themselves are dropped once ranked,
+    since no stage reads them. Region and code ids index the sorted name
+    tables: `codes` holds every field at the granularity, `regions` the names
+    seen.
     """
 
-    families: tuple[str, ...]
     regions: tuple[str, ...]
     codes: tuple[str, ...]
     family: np.ndarray
@@ -143,18 +146,22 @@ def parse_events(
         add_region(region_ids[region])
         add_code(code)
 
-    # Renumber families and regions in str order, then keep each event once.
-    families, regions = sorted(family_ids), sorted(region_ids)
-    family = np.argsort(list(map(family_ids.__getitem__, families)))[kept[0]]
+    # Renumber families and regions in str order, then keep each event once. No
+    # stage reads a family's name, so the names go before the event key is built.
+    n_families = len(family_ids)
+    by_name = np.fromiter(map(family_ids.__getitem__, sorted(family_ids)), np.int64, n_families)
+    del family_ids
+    family = np.argsort(by_name)[kept[0]]  # the inverse permutation maps an id to its rank
+    regions = sorted(region_ids)
     region = np.argsort(list(map(region_ids.__getitem__, regions)))[kept[2]]
     year, code = np.frombuffer(kept[1], dtype=np.int64), np.frombuffer(kept[3], dtype=np.int64)
     n_years = year_max - year_min + 1
-    if len(families) * n_years * len(regions) * len(codes) >= 2**63:
+    if n_families * n_years * len(regions) * len(codes) >= 2**63:
         raise IngestError("too many distinct families, regions and codes for a 64-bit event key")
     key = ((family * n_years + (year - year_min)) * len(regions) + region) * len(codes) + code
     one = np.unique(key, return_index=True)[1]  # a row of each distinct event, in key order
-    return ParseResult(tuple(families), tuple(regions), codes, family[one], year[one],
-                       region[one], code[one], [ParseIssue(*issue) for issue in issues])
+    return ParseResult(tuple(regions), codes, family[one], year[one], region[one], code[one],
+                       [ParseIssue(*issue) for issue in issues])
 
 
 @dataclass(frozen=True, eq=False)

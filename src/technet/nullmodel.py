@@ -35,12 +35,21 @@ Two summation orders of one exact value differ by less than that, so an exact
 tie counts whatever order either side was summed in; near-ties resolve toward
 the upper tail, the conservative side. Exceedance counts are integers and sum
 associatively, which keeps the chunked reduction order-insensitive.
+
+Each store holds only what its readers read. A fit keeps the distinct rows of
+its cell-probability matrix (8-11 of 1000 on the class-scale benchmark input,
+about 20 of 300 at 600 fields) and one row index per region, next to the dense
+uint8 byte thresholds that every draw reads. A
+pair enters the walk as its `ExceedanceTest`, the threshold computed once from
+the empirical values, which need not be kept. Counts over n replicates are of
+`count_dtype(n)`, one byte a cell up to 255, and widen to int64 only in the
+p-value matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,6 +63,10 @@ from .rca import PresenceMatrix
 # exact value differ by at most about (R + 2) * eps relative; 4 * R * eps
 # covers that with room to spare for R >= 1.
 TIE_RTOL_PER_REGION = 4 * float(np.finfo(np.float64).eps)
+
+
+class PvalueError(ValueError):
+    """Raised on a malformed or inconsistent p-value (exceedance count) artifact."""
 
 
 class BicmFitError(RuntimeError):
@@ -75,12 +88,15 @@ class BicmFitError(RuntimeError):
 class BicmParameters:
     """Fitted null-model parameters for one presence matrix.
 
-    link_probability is the complete cell-probability matrix, including rows
-    and columns forced to 0 (empty) or 1 (saturated) before the interior fit.
-    The x, y multipliers are NaN on forced rows/columns; they are diagnostics,
-    not needed for sampling. byte_floor is each cell's uint8 threshold
-    min(floor(256 p), 255), computed once here, so every draw of the year
-    shares it.
+    A cell's probability depends only on its row's and its column's degrees,
+    so the fit holds each distinct row of the cell-probability matrix once:
+    region r draws from `rows[row_of[r]]`. That matrix includes the rows and
+    columns forced to 0 (empty) or 1 (saturated) before the interior fit, and
+    `link_probability` rebuilds it, dense, on each access. The x, y
+    multipliers are NaN on forced rows/columns; they are diagnostics, not
+    needed for sampling. byte_floor is each cell's uint8 threshold
+    min(floor(256 p), 255), dense and computed once here, so every draw of the
+    year shares it; a draw reads a cell's p only where its byte equals it.
     """
 
     year: int
@@ -88,13 +104,31 @@ class BicmParameters:
     fields: tuple[str, ...]
     x: np.ndarray
     y: np.ndarray
-    link_probability: np.ndarray
+    rows: np.ndarray
+    row_of: np.ndarray
     residual: float
     byte_floor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        floor = np.minimum(np.floor(256.0 * self.link_probability), 255.0).astype(np.uint8)
-        object.__setattr__(self, "byte_floor", floor)
+        floor = np.minimum(np.floor(256.0 * self.rows), 255.0).astype(np.uint8)
+        object.__setattr__(self, "byte_floor", floor[self.row_of])
+
+    @classmethod
+    def from_link_probability(
+        cls, year: int, regions: tuple[str, ...], fields: tuple[str, ...],
+        x: np.ndarray, y: np.ndarray, p: np.ndarray, residual: float,
+    ) -> BicmParameters:
+        """The parameters of the region x field cell probabilities p, each distinct row once."""
+        p = np.ascontiguousarray(p, dtype=np.float64)
+        # rows equal bit for bit are one void scalar each, and np.unique groups those
+        keys = p.view(np.dtype((np.void, p.itemsize * p.shape[1]))).reshape(len(p))
+        _keys, first, row_of = np.unique(keys, return_index=True, return_inverse=True)
+        return cls(year, regions, fields, x, y, p[first], row_of, residual)
+
+    @property
+    def link_probability(self) -> np.ndarray:
+        """The dense region x field cell-probability matrix, rebuilt from the distinct rows."""
+        return self.rows[self.row_of]
 
 
 def _degree_residual(p: np.ndarray, d: np.ndarray, u: np.ndarray) -> float:
@@ -111,8 +145,10 @@ def fit_bicm(m: PresenceMatrix, tol: float = 1e-8, max_iter: int = 10_000) -> Bi
     with equal targets share one multiplier, and so do columns, so the fixed
     point is iterated over the distinct (row target, column target) classes,
     each weighted by its size, and the class solution is scattered back over
-    the matrix. Raises BicmFitError carrying the residual if max_iter is
-    exhausted or the full matrix misses the degrees by more than 10 * tol.
+    the matrix. The dense matrix lives only inside the fit: the parameters
+    keep its distinct rows. Raises BicmFitError carrying the residual if
+    max_iter is exhausted or the full matrix misses the degrees by more than
+    10 * tol.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -176,15 +212,7 @@ def fit_bicm(m: PresenceMatrix, tol: float = 1e-8, max_iter: int = 10_000) -> Bi
     residual = _degree_residual(p, d_emp, u_emp)
     if residual > 10 * tol:
         raise BicmFitError("BiCM degree residual above tolerance", residual, 0)
-    return BicmParameters(
-        year=m.year,
-        regions=m.regions,
-        fields=m.fields,
-        x=x,
-        y=y,
-        link_probability=p,
-        residual=residual,
-    )
+    return BicmParameters.from_link_probability(m.year, m.regions, m.fields, x, y, p, residual)
 
 
 def sample_null_matrix(params: BicmParameters, rng: np.random.Generator) -> HitList:
@@ -192,17 +220,20 @@ def sample_null_matrix(params: BicmParameters, rng: np.random.Generator) -> HitL
 
     Each cell reads one random byte and compares it with its byte threshold;
     only the boundary cells, whose byte equals it, draw a double (see the
-    module docstring).
+    module docstring), and only they read their probability, from the fit's
+    distinct rows.
     """
-    p, lo = params.link_probability.ravel(), params.byte_floor.ravel()
-    raw = rng.bit_generator.random_raw(-(-p.size // 8)).astype("<u8", copy=False)
-    byte = raw.view(np.uint8)[: p.size]
+    lo = params.byte_floor.ravel()
+    raw = rng.bit_generator.random_raw(-(-lo.size // 8)).astype("<u8", copy=False)
+    byte = raw.view(np.uint8)[: lo.size]
     cells = np.flatnonzero(byte <= lo)
     boundary = byte[cells] == lo[cells]
     ties = cells[boundary]
+    region, col = np.divmod(ties, params.rows.shape[1])
+    p = params.rows[params.row_of[region], col]
     keep = ~boundary
-    keep[boundary] = rng.random(ties.size) < 256.0 * p[ties] - lo[ties]
-    return _hit_list(cells[keep], params.link_probability.shape)
+    keep[boundary] = rng.random(ties.size) < 256.0 * p - lo[ties]
+    return _hit_list(cells[keep], params.byte_floor.shape)
 
 
 def replicate_rng(master_seed: int, year: int, replicate: int) -> np.random.Generator:
@@ -270,61 +301,95 @@ def exceedance_threshold(b_emp: AssistMatrix) -> np.ndarray:
     return b_emp.values * (1.0 - TIE_RTOL_PER_REGION * len(b_emp.regions))
 
 
+@dataclass(frozen=True, eq=False)
+class ExceedanceTest:
+    """One year pair as the null walk and its p-values read it.
+
+    `threshold` is `exceedance_threshold` of the pair's empirical assist
+    values, computed once, so every chunk of the walk shares it and the values
+    themselves need not outlive it; `ubiquity` is the base year's, which
+    marks the testable sources.
+    """
+
+    base_year: int
+    lag: int
+    regions: tuple[str, ...]
+    fields: tuple[str, ...]
+    ubiquity: np.ndarray
+    threshold: np.ndarray
+
+
+def exceedance_test(b_emp: AssistMatrix) -> ExceedanceTest:
+    """What the null walk and the p-values need of one empirical assist matrix."""
+    return ExceedanceTest(
+        b_emp.base_year, b_emp.lag, b_emp.regions, b_emp.fields, b_emp.ubiquity,
+        exceedance_threshold(b_emp),
+    )
+
+
+def count_dtype(n_replicates: int) -> np.dtype:
+    """The narrowest unsigned integer type that holds every count up to n_replicates."""
+    return np.min_scalar_type(n_replicates)
+
+
 def exceedance_counts(
     fits: Mapping[int, BicmParameters],
-    b_emps: Sequence[AssistMatrix],
-    replicates: Iterable[int],
+    tests: Sequence[ExceedanceTest],
+    replicates: Sequence[int],
     master_seed: int,
 ) -> list[np.ndarray]:
     """Count, per pair and cell, the null replicates in `replicates` reaching the empirical value.
 
-    `fits` maps a year to its fitted parameters. Pair i is the empirical
-    matrix `b_emps[i]`; replicate k of it is the assist matrix of the (year, k)
-    draws of its base year and of base year + lag, so one draw of a year
-    serves every pair that uses the year: a chain of consecutive pairs costs
-    one draw per (year, k), not two. For each k the pairs are walked in order
-    and a draw is dropped after the last pair that uses it: with pairs in
-    base-year order, at most lag + 1 draws are alive. A replicate counts where
-    its value is at least `exceedance_threshold(b_emp)`, so an exact tie
-    counts whatever order its terms were summed in.
+    `fits` maps a year to its fitted parameters. Pair i is `tests[i]`;
+    replicate k of it is the assist matrix of the (year, k) draws of its base
+    year and of base year + lag, so one draw of a year serves every pair that
+    uses the year: a chain of consecutive pairs costs one draw per (year, k),
+    not two. For each k the pairs are walked in order and a draw is dropped
+    after the last pair that uses it: with pairs in base-year order, at most
+    lag + 1 draws are alive. A replicate counts where its value is at least
+    the pair's threshold, so an exact tie counts whatever order its terms were
+    summed in. The counts are of `count_dtype(len(replicates))`: one byte a
+    cell for up to 255 replicates.
     """
-    years = [(b_emp.base_year, b_emp.base_year + b_emp.lag) for b_emp in b_emps]
-    for b_emp, pair_years in zip(b_emps, years):
-        if b_emp.lag < 1:
-            raise ValueError(f"empirical matrix of lag {b_emp.lag}: a pair needs two years")
+    years = [(test.base_year, test.base_year + test.lag) for test in tests]
+    for test, pair_years in zip(tests, years):
+        if test.lag < 1:
+            raise ValueError(f"empirical matrix of lag {test.lag}: a pair needs two years")
         for year in pair_years:
             fit = fits.get(year)
             if fit is None or fit.year != year:
                 raise ValueError(f"no null fit of year {year}")
-            if fit.regions != b_emp.regions or fit.fields != b_emp.fields:
+            if fit.regions != test.regions or fit.fields != test.fields:
                 raise ValueError("null parameters and empirical matrix differ in index sets")
-    retire: list[list[int]] = [[] for _ in b_emps]  # years whose last use is pair i
+    retire: list[list[int]] = [[] for _ in tests]  # years whose last use is pair i
     last_use = {year: i for i, pair_years in enumerate(years) for year in pair_years}
     for year, i in last_use.items():
         retire[i].append(year)
 
-    thresholds = [exceedance_threshold(b_emp) for b_emp in b_emps]
-    counts = [np.zeros(b_emp.values.shape, dtype=np.int64) for b_emp in b_emps]
+    dtype = count_dtype(len(replicates))
+    counts = [np.zeros(test.threshold.shape, dtype=dtype) for test in tests]
     for k in replicates:
         draws: dict[int, HitList] = {}
         for i, (year, later) in enumerate(years):
             values = null_assist_replicate(fits[year], fits[later], master_seed, k, draws).values
-            counts[i] += values >= thresholds[i]
+            counts[i] += values >= tests[i].threshold
             for retired in retire[i]:
                 del draws[retired]
     return counts
 
 
-def pvalues_from_counts(b_emp: AssistMatrix, counts: np.ndarray, n_replicates: int) -> PvalueMatrix:
-    """The add-one p-value matrix of one pair's exceedance counts over K replicates."""
+def pvalues_from_counts(
+    test: ExceedanceTest, counts: np.ndarray, n_replicates: int
+) -> PvalueMatrix:
+    """The add-one p-value matrix of one pair's exceedance counts over K replicates, as int64."""
     if n_replicates < 1:
         raise ValueError("empty null ensemble: n_replicates must be >= 1")
     return PvalueMatrix(
-        base_year=b_emp.base_year,
-        fields=b_emp.fields,
+        base_year=test.base_year,
+        fields=test.fields,
         n_replicates=n_replicates,
-        exceed_counts=counts.copy(),
-        source_active=b_emp.ubiquity > 0,
+        exceed_counts=counts.astype(np.int64),
+        source_active=test.ubiquity > 0,
     )
 
 
@@ -337,15 +402,17 @@ def pvalues_to_text(p: PvalueMatrix) -> str:
 
 def pvalues_from_text(text: str, *, year: int | None = None) -> PvalueMatrix:
     """The p-value matrix; with `year` given, its base year must be that year."""
-    meta, fields, counts = artifacts.dense_from_text(text, int)
+    meta, fields, counts = artifacts.dense_from_text(text, int, PvalueError)
     try:
         base_year, n_replicates = int(meta["base_year"]), int(meta["replicates"])
     except KeyError as exc:
-        raise ValueError(f"p-value matrix text lacks {exc.args[0]!r} in its meta line") from None
+        raise PvalueError(f"p-value matrix text lacks {exc.args[0]!r} in its meta line") from None
+    except ValueError as exc:
+        raise PvalueError(f"p-value matrix meta line: {exc}") from None
     if year is not None and base_year != year:
-        raise ValueError(f"p-value matrix of base year {base_year} where {year} is expected")
+        raise PvalueError(f"p-value matrix of base year {base_year} where {year} is expected")
     if n_replicates < 1 or counts.min(initial=0) < 0 or counts.max(initial=0) > n_replicates:
-        raise ValueError(f"p-value counts outside [0, {n_replicates}] or no replicates")
+        raise PvalueError(f"p-value counts outside [0, {n_replicates}] or no replicates")
     inactive = set(meta.get("inactive_sources", "").split("|"))
     return PvalueMatrix(
         base_year=base_year,

@@ -54,7 +54,14 @@ import numpy as np
 
 from . import __version__, artifacts
 from .acs import decompose, decomposition_from_text, decomposition_to_text
-from .assist import assist_from_text, assist_matrix, assist_sidecar_text, assist_to_text
+from .assist import (
+    AssistError,
+    AssistMatrix,
+    assist_from_text,
+    assist_matrix,
+    assist_sidecar_text,
+    assist_to_text,
+)
 from .fdr import SIGNIFICANCE_BASES, build_adjacency, network_from_text, network_to_text
 from .hierarchy import CodeHierarchy, parse_hierarchy
 from .ingest import (
@@ -64,7 +71,10 @@ from .ingest import (
     parse_events,
 )
 from .nullmodel import (
+    BicmParameters,
+    count_dtype,
     exceedance_counts,
+    exceedance_test,
     fit_bicm,
     pvalues_from_counts,
     pvalues_from_text,
@@ -372,44 +382,51 @@ def _chunk_map(walk, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
+def _read_pair_assist(cfg: RunConfig, paths: RunPaths, fit: BicmParameters) -> AssistMatrix:
+    """The assist matrix of the fit's year, over the fit's index tuples and of the run's lag."""
+    b_emp = assist_from_text(
+        paths.assist(fit.year).read_text(), paths.assist_sidecar(fit.year).read_text(),
+        regions=fit.regions, fields=fit.fields, year=fit.year,
+    )
+    if b_emp.lag != cfg.lag:
+        raise AssistError(f"assist matrix of lag {b_emp.lag} where the run's lag is {cfg.lag}")
+    return b_emp
+
+
 def stage_nulls(cfg: RunConfig, paths: RunPaths, workers: int = 1) -> None:
     """Null replicates of all year pairs, in 8 contiguous chunks of K per worker.
 
     This process first fits the BiCM of every year that some pair uses, which
     also fixes each cell's byte threshold for every draw of that year. Each
     pair's assist matrix is read against the fits' index tuples and must be
-    of its own base year and of the run's lag. Each task walks every year
-    pair for its chunk of replicates with the year-keyed fits, drawing each
-    (year, k) matrix once as a hit list (one random byte per cell, and a
+    of its own base year and of the run's lag (an AssistError otherwise); it
+    is kept only as its `ExceedanceTest`, whose threshold is computed here
+    once for every task, and its values are dropped. Each task walks every
+    year pair for its chunk of replicates with the year-keyed fits, drawing
+    each (year, k) matrix once as a hit list (one random byte per cell, and a
     double only for the 1-in-256 boundary cells), and returns one count
-    matrix per pair. With more than one worker the tasks run on forked worker
-    processes (`_chunk_map`), since the walk is many small NumPy calls that
-    hold the interpreter lock. With one chunk per worker, a worker that shares
-    its CPU with another process held the whole stage back, while the other
-    worker idled after its chunk; 8 chunks per worker let the faster one take
-    more. This process adds each task's counts into the totals in submission
-    order and drops them, so only a few tasks' counts are held at once.
+    matrix per pair in the narrowest type that holds its chunk's length
+    (uint8 up to 255 replicates). With more than one worker the tasks run on
+    forked worker processes (`_chunk_map`), since the walk is many small
+    NumPy calls that hold the interpreter lock. With one chunk per worker, a
+    worker that shares its CPU with another process held the whole stage
+    back, while the other worker idled after its chunk; 8 chunks per worker
+    let the faster one take more. This process adds each task's counts into
+    totals of the narrowest type that holds K, in submission order, and drops
+    them, so only a few tasks' counts are held at once.
     """
     fits = {year: fit_bicm(m) for year, m in _pair_presence(cfg, paths)}
-    b_emps = []
-    for year in cfg.base_years:
-        b_emp = assist_from_text(
-            paths.assist(year).read_text(), paths.assist_sidecar(year).read_text(),
-            regions=fits[year].regions, fields=fits[year].fields, year=year,
-        )
-        if b_emp.lag != cfg.lag:
-            raise ValueError(f"assist matrix of lag {b_emp.lag} where the run's lag is {cfg.lag}")
-        b_emps.append(b_emp)
+    tests = [exceedance_test(_read_pair_assist(cfg, paths, fits[year])) for year in cfg.base_years]
     k = cfg.n_replicates
-    totals = [np.zeros(b_emp.values.shape, dtype=np.int64) for b_emp in b_emps]
+    totals = [np.zeros(test.threshold.shape, dtype=count_dtype(k)) for test in tests]
     chunks = [c.tolist() for c in np.array_split(np.arange(k), min(8 * workers, k))]
-    walk = partial(exceedance_counts, fits, b_emps, master_seed=cfg.master_seed)
+    walk = partial(exceedance_counts, fits, tests, master_seed=cfg.master_seed)
     with _chunk_map(walk, workers) as run:
         for counts in run(chunks):
             for total, chunk_counts in zip(totals, counts):
                 total += chunk_counts
-    for year, b_emp, total in zip(cfg.base_years, b_emps, totals):
-        paths.pvalues(year).write_text(pvalues_to_text(pvalues_from_counts(b_emp, total, k)))
+    for year, test, total in zip(cfg.base_years, tests, totals):
+        paths.pvalues(year).write_text(pvalues_to_text(pvalues_from_counts(test, total, k)))
 
 
 def stage_filter(cfg: RunConfig, paths: RunPaths) -> None:

@@ -20,6 +20,10 @@ class RcaError(ValueError):
     """Raised when RCA is undefined (all-zero occurrence matrix)."""
 
 
+class PresenceError(ValueError):
+    """Raised on a malformed or inconsistent presence artifact."""
+
+
 @dataclass(frozen=True, eq=False)
 class PresenceMatrix:
     """Binary region x field presence matrix M for one year."""
@@ -62,6 +66,6 @@ def presence_to_text(m: PresenceMatrix) -> str:
 def presence_from_text(
     text: str, *, regions: Sequence[str], fields: Sequence[str], year: int | None = None
 ) -> PresenceMatrix:
-    year, rows = artifacts.year_rows_from_text(text, 2, year=year)
-    presence = artifacts.scatter(rows, (regions, fields), 1, np.uint8)
+    year, rows = artifacts.year_rows_from_text(text, 2, year=year, error=PresenceError)
+    presence = artifacts.scatter(rows, (regions, fields), 1, np.uint8, PresenceError)
     return PresenceMatrix(year=year, regions=tuple(regions), fields=tuple(fields), presence=presence)

@@ -15,7 +15,13 @@ from technet.assist import assist_matrix
 from technet.fdr import TechnologyNetwork, build_adjacency
 from technet.hierarchy import parse_hierarchy
 from technet.ingest import build_occurrence_matrix, parse_events
-from technet.nullmodel import PvalueMatrix, exceedance_counts, fit_bicm, pvalues_from_counts
+from technet.nullmodel import (
+    PvalueMatrix,
+    exceedance_counts,
+    exceedance_test,
+    fit_bicm,
+    pvalues_from_counts,
+)
 from technet.rca import binarize_rca
 from technet.synth import SynthConfig, generate_events, planted_cycle_pairs, synth_field_codes
 
@@ -68,8 +74,9 @@ def yearly_networks(
         fits[year] = fit_bicm(presences[year])
     for t in range(cfg.year_min, cfg.year_max):
         b = assist_matrix(presences[t], presences[t + 1])
-        (counts,) = exceedance_counts(fits, [b], range(n_replicates), null_seed)
-        pv = pvalues_from_counts(b, counts, n_replicates)
+        test = exceedance_test(b)
+        (counts,) = exceedance_counts(fits, [test], range(n_replicates), null_seed)
+        pv = pvalues_from_counts(test, counts, n_replicates)
         yield build_adjacency(pv, q=q, basis=basis), pv
 
 

@@ -17,6 +17,7 @@ from technet.fdr import network_from_text
 from technet.ingest import IngestError, occurrence_from_text
 from technet.nullmodel import (
     exceedance_counts,
+    exceedance_test,
     fit_bicm,
     pvalues_from_counts,
     pvalues_from_text,
@@ -46,8 +47,9 @@ def _assist_texts():
 
 def _pvalues_text():
     b_emp, fit_t, fit_lag = _pair()
-    (counts,) = exceedance_counts({YEAR: fit_t, YEAR + 1: fit_lag}, [b_emp], range(4), 3)
-    return pvalues_to_text(pvalues_from_counts(b_emp, counts, 4))
+    test = exceedance_test(b_emp)
+    (counts,) = exceedance_counts({YEAR: fit_t, YEAR + 1: fit_lag}, [test], range(4), 3)
+    return pvalues_to_text(pvalues_from_counts(test, counts, 4))
 
 
 # reader name -> (read(text), good text, error class of its module)

@@ -36,11 +36,16 @@ def parse(rows, granularity="class"):
     return parse_events(make_lines(rows), IPC_LIKE, granularity, year_min=1980, year_max=2011)
 
 
-def records(result):
-    """The parsed events as (family, year, region, code) tuples, in the parse's order."""
+def records(result, families=()):
+    """The parsed events as (family, year, region, code) tuples, in the parse's order.
+
+    A family id is decoded as a rank among the sorted distinct `families`, the
+    family names of the input's kept lines, so a wrong rank reads as another name.
+    """
+    names = sorted(set(families))
     columns = (result.family, result.year, result.region, result.code)
     return [
-        (result.families[f], y, result.regions[r], result.codes[c])
+        (names[f], y, result.regions[r], result.codes[c])
         for f, y, r, c in zip(*(column.tolist() for column in columns))
     ]
 
@@ -95,13 +100,13 @@ class TestHierarchy:
 class TestParseEvents:
     def test_truncates_code_to_class(self):
         result = parse(["F1,1998,DE-A1,H01L"])
-        assert records(result) == [("F1", 1998, "DE-A1", "H01")]
+        assert records(result, ["F1"]) == [("F1", 1998, "DE-A1", "H01")]
         assert result.codes == IPC_LIKE.codes_at("class")
         assert result.n_rejected == 0
 
     def test_collapses_subgroup_duplicates(self):
         result = parse(["F1,1998,DE-A1,H01L21", "F1,1998,DE-A1,H01L33"])
-        assert len(records(result)) == 1
+        assert records(result, ["F1"]) == [("F1", 1998, "DE-A1", "H01")]
 
     def test_rejects_out_of_range_year(self):
         result = parse(["F1,2025,DE-A1,H01L"])
@@ -111,7 +116,9 @@ class TestParseEvents:
 
     def test_malformed_line_reports_line_number(self):
         result = parse(["F1,1998,DE-A1,H01L", "garbage-line", "F2,1999,FR-B2,A01B"])
-        assert len(records(result)) == 2
+        assert records(result, ["F1", "F2"]) == [
+            ("F1", 1998, "DE-A1", "H01"), ("F2", 1999, "FR-B2", "A01")
+        ]
         assert result.issues[0].line_no == 3
 
     def test_unknown_code_counted(self):
@@ -128,7 +135,7 @@ class TestParseEvents:
             ["family_id;year;region_id;code", "F1;1998;DE-A1;H01L"],
             IPC_LIKE, "class", delimiter=";", year_min=1980, year_max=2011,
         )
-        assert records(result)[0][3] == "H01"
+        assert records(result, ["F1"]) == [("F1", 1998, "DE-A1", "H01")]
 
     def test_blank_lines_are_skipped_with_a_whitespace_delimiter(self):
         body = ["", "   ", "\t\t\t", "F1\t1998\tr1\tH01L\r", "\t\tr1\tH01"]
@@ -136,7 +143,7 @@ class TestParseEvents:
             ["family_id\tyear\tregion_id\tcode", *body],
             IPC_LIKE, "class", delimiter="\t", year_min=1980, year_max=2011,
         )
-        assert records(result) == [("F1", 1998, "r1", "H01")]
+        assert records(result, ["F1"]) == [("F1", 1998, "r1", "H01")]
         assert [(issue.line_no, issue.kind) for issue in result.issues] == [(6, "empty_id")]
 
 
@@ -402,7 +409,7 @@ def test_columnar_ingest_matches_record_loop(seed, granularity):
         parsed = parse_events(make_lines(body), WIDE, granularity, year_min=1990, year_max=1995)
         assert parsed.regions == tuple(sorted({r for _f, _y, r, _c in kept}))
         assert parsed.codes == WIDE.codes_at(granularity)
-        assert records(parsed) == sorted(set(kept))
+        assert records(parsed, [f for f, _y, _r, _c in kept]) == sorted(set(kept))
         assert parsed.rejected_by_reason == {
             kind: 2 + (n_unknown if kind == "unknown_code" else 0) for kind in REJECTION_KINDS
         }

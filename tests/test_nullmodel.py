@@ -14,7 +14,9 @@ from technet.assist import AssistMatrix, assist_matrix
 from technet.nullmodel import (
     BicmFitError,
     BicmParameters,
+    count_dtype,
     exceedance_counts,
+    exceedance_test,
     exceedance_threshold,
     fit_bicm,
     null_assist_replicate,
@@ -97,6 +99,32 @@ class TestFitBicm:
         # peeling cascades: the saturated row forces column 0, then row 1 is empty
         self._assert_matches_oracle(np.array([[1, 1, 1], [1, 0, 0], [1, 1, 0]], dtype=np.uint8))
 
+    def test_fit_keeps_distinct_rows_and_no_dense_float_matrix(self, monkeypatch):
+        # 1000 x 120 at class-scale density, with forced rows and columns; the
+        # dense matrix the fit builds is caught on its way into the parameters
+        rng = np.random.default_rng(60)
+        pres = (rng.random((1000, 120)) < 0.04).astype(np.uint8)
+        pres[[3, 500]] = 1  # saturated rows
+        pres[[7, 8]] = 0  # empty rows
+        pres[:, 11] = 1  # a saturated column, once the saturated rows are peeled
+        pres[:, 90] = 0  # an empty column
+        dense = []
+        compress = BicmParameters.from_link_probability.__func__
+
+        def caught(cls, year, regions, fields, x, y, p, residual):
+            dense.append(p.copy())
+            return compress(cls, year, regions, fields, x, y, p, residual)
+
+        monkeypatch.setattr(BicmParameters, "from_link_probability", classmethod(caught))
+        params = fit_bicm(make_m(pres))
+        [p] = dense
+        assert p.shape == (1000, 120) and (p == 1.0).any() and (p == 0.0).any()
+        assert params.link_probability.tobytes() == p.tobytes()
+        assert len(params.rows) == len(np.unique(p, axis=0)) < 50
+        assert params.byte_floor.dtype == np.uint8
+        held = [v for v in vars(params).values() if isinstance(v, np.ndarray)]
+        assert not [v for v in held if v.dtype == np.float64 and v.size >= p.size]
+
     def test_non_convergence_raises(self):
         pres = (np.random.default_rng(13).random((30, 10)) < 0.3).astype(np.uint8)
         with pytest.raises(BicmFitError) as err:
@@ -118,7 +146,7 @@ def make_params(p):
     p = np.asarray(p, dtype=np.float64)
     regions = tuple(f"r{i}" for i in range(p.shape[0]))
     fields = tuple(f"f{i}" for i in range(p.shape[1]))
-    return BicmParameters(
+    return BicmParameters.from_link_probability(
         1998, regions, fields, np.ones(p.shape[0]), np.ones(p.shape[1]), p, 0.0
     )
 
@@ -231,18 +259,19 @@ class TestEnsemble:
         params = fit_bicm(make_m(pres))
         params_lag = fit_bicm(make_m(pres, year=1999))
         b_emp = assist_matrix(make_m(pres), make_m(pres, year=1999))
-        (counts,) = exceedance_counts(by_year(params, params_lag), [b_emp], range(5), 0)
-        assert pvalues_from_counts(b_emp, counts, 5).n_replicates == 5
+        test = exceedance_test(b_emp)
+        (counts,) = exceedance_counts(by_year(params, params_lag), [test], range(5), 0)
+        assert pvalues_from_counts(test, counts, 5).n_replicates == 5
         assert counts.min() >= 0 and counts.max() <= 5
-        (no_counts,) = exceedance_counts(by_year(params, params_lag), [b_emp], [], 0)
+        (no_counts,) = exceedance_counts(by_year(params, params_lag), [test], [], 0)
         with pytest.raises(ValueError):
-            pvalues_from_counts(b_emp, no_counts, 0)
+            pvalues_from_counts(test, no_counts, 0)
         # draws are keyed by (year, k): a pair over one year would reuse one draw
         with pytest.raises(ValueError):
             null_assist_replicate(params, params, 0, 0)
         with pytest.raises(ValueError):
             lag_0 = assist_matrix(make_m(pres), make_m(pres))
-            exceedance_counts(by_year(params), [lag_0], range(5), 0)
+            exceedance_counts(by_year(params), [exceedance_test(lag_0)], range(5), 0)
 
     def test_ensemble_mean_matches_exhaustive_enumeration_uniform_p(self):
         # 4x4 toy at uniform p: expectation over all weighted configurations.
@@ -267,11 +296,10 @@ class TestEnsemble:
         expected = row_factor[:, None] * cell_factor * np.ones((F, F))
 
         params, params_lag = (
-            BicmParameters(
+            BicmParameters.from_link_probability(
                 year=year, regions=tuple(f"r{i}" for i in range(R)),
                 fields=tuple(f"f{i}" for i in range(F)),
-                x=np.ones(R), y=np.ones(F),
-                link_probability=np.full((R, F), p), residual=0.0,
+                x=np.ones(R), y=np.ones(F), p=np.full((R, F), p), residual=0.0,
             )
             for year in (1998, 1999)
         )
@@ -303,8 +331,9 @@ class TestEmpiricalPvalues:
         return b_emp, params_t, params_lag
 
     def _pvalues(self, pair, n_replicates, seed=5):
-        (counts,) = exceedance_counts(by_year(*pair[1:]), pair[:1], range(n_replicates), seed)
-        return pvalues_from_counts(pair[0], counts, n_replicates)
+        test = exceedance_test(pair[0])
+        (counts,) = exceedance_counts(by_year(*pair[1:]), [test], range(n_replicates), seed)
+        return pvalues_from_counts(test, counts, n_replicates)
 
     def _null_values(self, pair, n_replicates, seed=5):
         return [null_assist_replicate(*pair[1:], seed, k).values for k in range(n_replicates)]
@@ -349,19 +378,20 @@ class TestEmpiricalPvalues:
 
     def test_empty_ensemble_is_error(self):
         pair = self._pair(0.0)
-        (counts,) = exceedance_counts(by_year(*pair[1:]), pair[:1], [], 5)
+        test = exceedance_test(pair[0])
+        (counts,) = exceedance_counts(by_year(*pair[1:]), [test], [], 5)
         with pytest.raises(ValueError):
-            pvalues_from_counts(pair[0], counts, 0)
+            pvalues_from_counts(test, counts, 0)
 
     def test_chunked_counts_equal_streamed(self):
         pres = (np.random.default_rng(4).random((8, 6)) < 0.4).astype(np.uint8)
         params_t = fit_bicm(make_m(pres, year=1998))
         params_lag = fit_bicm(make_m(pres[::-1], year=1999))
         b_emp = assist_matrix(make_m(pres, year=1998), make_m(pres[::-1], year=1999))
-        pair = (b_emp, params_t, params_lag)
-        (full,) = exceedance_counts(by_year(*pair[1:]), pair[:1], range(40), 77)
+        fits, tests = by_year(params_t, params_lag), [exceedance_test(b_emp)]
+        (full,) = exceedance_counts(fits, tests, range(40), 77)
         chunked = sum(
-            exceedance_counts(by_year(*pair[1:]), pair[:1], chunk, 77)[0]
+            exceedance_counts(fits, tests, chunk, 77)[0]
             for chunk in ([0, 1, 2], range(3, 17), range(17, 40))
         )
         assert np.array_equal(full, chunked)
@@ -375,11 +405,11 @@ class TestEmpiricalPvalues:
         pairs = [
             (assist_matrix(ms[y], ms[y + lag]), fits[y], fits[y + lag]) for y in range(1990, 1995)
         ]
-        b_emps = [pair[0] for pair in pairs]
-        walked = exceedance_counts(fits, b_emps, range(30), 8)
+        tests = [exceedance_test(pair[0]) for pair in pairs]
+        walked = exceedance_counts(fits, tests, range(30), 8)
         chunks = (range(11), range(11, 30))
         chunked = [
-            sum(parts) for parts in zip(*(exceedance_counts(fits, b_emps, c, 8) for c in chunks))
+            sum(parts) for parts in zip(*(exceedance_counts(fits, tests, c, 8) for c in chunks))
         ]
         for pair, counts, part_sum in zip(pairs, walked, chunked):
             nulls = [null_assist_replicate(*pair[1:], 8, k).values for k in range(30)]
@@ -387,7 +417,8 @@ class TestEmpiricalPvalues:
             expected = sum((v >= threshold).astype(np.int64) for v in nulls)
             assert np.array_equal(counts, expected)
             assert np.array_equal(counts, part_sum)
-            assert np.array_equal(counts, exceedance_counts(fits, pair[:1], range(30), 8)[0])
+            alone = exceedance_counts(fits, [exceedance_test(pair[0])], range(30), 8)[0]
+            assert np.array_equal(counts, alone)
 
     def test_walk_draws_each_year_once_per_replicate(self, monkeypatch):
         import technet.nullmodel as nullmodel
@@ -405,8 +436,8 @@ class TestEmpiricalPvalues:
             for y in range(2000, 2004)
         }
         fits = {y: fit_bicm(m) for y, m in ms.items()}
-        b_emps = [assist_matrix(ms[y], ms[y + 1]) for y in range(2000, 2003)]
-        exceedance_counts(fits, b_emps, range(6), 1)
+        tests = [exceedance_test(assist_matrix(ms[y], ms[y + 1])) for y in range(2000, 2003)]
+        exceedance_counts(fits, tests, range(6), 1)
         assert sorted(drawn) == sorted(list(range(2000, 2004)) * 6)
 
     def test_inconsistent_pairs_are_rejected(self):
@@ -415,14 +446,15 @@ class TestEmpiricalPvalues:
             make_m((rng.random((6, 4)) < 0.5).astype(np.uint8), year=y)
             for y in (1998, 1999, 2000)
         )
-        b_emp = assist_matrix(m_a, m_b)
+        test = exceedance_test(assist_matrix(m_a, m_b))
         fit_a, fit_b = fit_bicm(m_a), fit_bicm(m_b)
         with pytest.raises(ValueError):  # no fit of the later year
-            exceedance_counts({1998: fit_a}, [b_emp], range(2), 0)
+            exceedance_counts({1998: fit_a}, [test], range(2), 0)
         with pytest.raises(ValueError):  # the 2000 fit filed under 1999
-            exceedance_counts({1998: fit_a, 1999: fit_bicm(m_c)}, [b_emp], range(2), 0)
+            exceedance_counts({1998: fit_a, 1999: fit_bicm(m_c)}, [test], range(2), 0)
         with pytest.raises(ValueError):  # a lag-0 matrix: both halves would be one draw
-            exceedance_counts({1998: fit_a}, [assist_matrix(m_a, m_a)], range(2), 0)
+            lag_0 = exceedance_test(assist_matrix(m_a, m_a))
+            exceedance_counts({1998: fit_a}, [lag_0], range(2), 0)
         # other region or field names in the later fit, after the base fit's equal ones
         renamed_regions = PresenceMatrix(
             1999, tuple(r + "x" for r in m_b.regions), m_b.fields, m_b.presence
@@ -432,8 +464,8 @@ class TestEmpiricalPvalues:
         )
         for renamed in (renamed_regions, renamed_fields):
             with pytest.raises(ValueError, match="index sets"):
-                exceedance_counts({1998: fit_a, 1999: fit_bicm(renamed)}, [b_emp], range(2), 0)
-        exceedance_counts({1998: fit_a, 1999: fit_b}, [b_emp], range(2), 0)
+                exceedance_counts({1998: fit_a, 1999: fit_bicm(renamed)}, [test], range(2), 0)
+        exceedance_counts({1998: fit_a, 1999: fit_b}, [test], range(2), 0)
 
     def test_null_calibration_is_conservative(self):
         # p-values of null-drawn "empirical" matrices dominate the uniform law
@@ -443,12 +475,29 @@ class TestEmpiricalPvalues:
         collected = []
         for rep in range(30):
             emp = null_assist_replicate(params_t, params_lag, master_seed=123_000, replicate=rep)
-            (counts,) = exceedance_counts(by_year(params_t, params_lag), [emp], range(99), rep + 1)
-            pv = pvalues_from_counts(emp, counts, 99)
+            test = exceedance_test(emp)
+            (counts,) = exceedance_counts(by_year(params_t, params_lag), [test], range(99), rep + 1)
+            pv = pvalues_from_counts(test, counts, 99)
             collected.extend(pv.pvalues[pv.source_active].ravel().tolist())
         collected = np.array(collected)
         for x in (0.05, 0.1, 0.25, 0.5):
             assert (collected <= x).mean() <= x + 0.05
+
+    def test_counts_of_a_chunk_take_the_narrowest_type(self):
+        pair = self._pair(0.3)
+        fits, tests = by_year(*pair[1:]), [exceedance_test(pair[0])]
+        for replicates, dtype in (([], np.uint8), (range(255), np.uint8), (range(256), np.uint16)):
+            (counts,) = exceedance_counts(fits, tests, replicates, 5)
+            assert counts.dtype == dtype
+
+    @pytest.mark.parametrize(
+        "n, dtype",
+        [(0, np.uint8), (255, np.uint8), (256, np.uint16), (65_535, np.uint16),
+         (65_536, np.uint32)],
+    )
+    def test_count_type_holds_every_count_up_to_n(self, n, dtype):
+        assert count_dtype(n) == dtype
+        assert np.iinfo(count_dtype(n)).max >= n
 
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(4)
@@ -470,14 +519,16 @@ class TestTieRule:
         perm = rng.permutation(300)
         x, y = np.full(300, np.nan), np.full(30, np.nan)
         fixed = [
-            BicmParameters(m.year, m.regions, m.fields, x, y, m.presence[perm] * 1.0, 0.0)
+            BicmParameters.from_link_probability(
+                m.year, m.regions, m.fields, x, y, m.presence[perm] * 1.0, 0.0
+            )
             for m in ms
         ]
         b_emp = assist_matrix(*ms)
         null = null_assist_replicate(*fixed, master_seed=0, replicate=0).values
         assert np.allclose(null, b_emp.values, rtol=1e-13, atol=0)
         assert (null < b_emp.values).any()  # some exact ties land below in float
-        (counts,) = exceedance_counts(by_year(*fixed), [b_emp], range(3), 0)
+        (counts,) = exceedance_counts(by_year(*fixed), [exceedance_test(b_emp)], range(3), 0)
         assert (counts == 3).all()
 
 
@@ -500,11 +551,12 @@ class TestPinnedNullBytes:
 
     def test_chunked_counts_match_golden_hash(self):
         pair = self._pair()
+        test = exceedance_test(pair[0])
         counts = sum(
-            exceedance_counts(by_year(*pair[1:]), pair[:1], chunk, 11)[0]
+            exceedance_counts(by_year(*pair[1:]), [test], chunk, 11)[0]
             for chunk in (range(0, 10), range(10, 37))
         )
-        text = pvalues_to_text(pvalues_from_counts(pair[0], counts, 37))
+        text = pvalues_to_text(pvalues_from_counts(test, counts, 37))
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_SHA256
 
     def test_streamed_ensemble_matches_golden_hash(self):

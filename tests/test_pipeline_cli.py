@@ -62,6 +62,14 @@ def synth_inputs(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def complete_run(synth_inputs, tmp_path_factory):
+    """A complete run of `run_config`, for tests that copy it and change one artifact."""
+    out = tmp_path_factory.mktemp("complete") / "run"
+    run_pipeline(run_config(synth_inputs, out))
+    return out
+
+
 def _log_call(path, value):
     """Append one line for one call; forked null-pool workers append to the same file."""
     with open(path, "a") as log:
@@ -407,6 +415,69 @@ class TestRunPipeline:
                 year + 1, cfg.n_replicates, cfg.master_seed,
             )
             assert paths.pvalues(year).read_text() == expected
+
+    def test_uint16_chunk_counts_write_the_int64_reference_bytes(
+        self, synth_inputs, tmp_path, monkeypatch
+    ):
+        # one pair and one worker: K=2100 makes 8 chunks of 262-263
+        # replicates, so each task counts in uint16; the reference sums the
+        # same replicates' exceedances in int64
+        chunk_types = []
+        counts = pipeline.exceedance_counts
+
+        def recorded(*args, **kwargs):
+            result = counts(*args, **kwargs)
+            chunk_types.extend(c.dtype for c in result)
+            return result
+
+        monkeypatch.setattr(pipeline, "exceedance_counts", recorded)
+        out = tmp_path / "run"
+        cfg = run_config(synth_inputs, out, year_max=1992, n_replicates=2100)
+        run_pipeline(cfg)
+        assert chunk_types == [np.dtype(np.uint16)] * 8
+        paths = RunPaths(out)
+        fits = {year: fit_bicm(m) for year, m in pipeline._pair_presence(cfg, paths)}
+        b_emp = assist_from_text(
+            paths.assist(1991).read_text(), paths.assist_sidecar(1991).read_text(),
+            regions=fits[1991].regions, fields=fits[1991].fields, year=1991,
+        )
+        threshold = nullmodel.exceedance_threshold(b_emp)
+        replicates = (
+            nullmodel.null_assist_replicate(fits[1991], fits[1992], cfg.master_seed, k).values
+            for k in range(cfg.n_replicates)
+        )
+        reference = sum((values >= threshold).astype(np.int64) for values in replicates)
+        assert reference.max() > 255
+        expected = nullmodel.PvalueMatrix(1991, b_emp.fields, 2100, reference, b_emp.ubiquity > 0)
+        assert paths.pvalues(1991).read_text() == nullmodel.pvalues_to_text(expected)
+
+    @pytest.mark.parametrize("k", [255, 256, 65_535, 65_536])
+    def test_null_totals_hold_k_at_the_count_type_edges(
+        self, synth_inputs, complete_run, tmp_path, monkeypatch, k
+    ):
+        # a stand-in walk counts every replicate of its chunk as an exceedance,
+        # so every total reaches K without a replicate drawn
+        def every_replicate_exceeds(fits, tests, replicates, **kwargs):
+            dtype = nullmodel.count_dtype(len(replicates))
+            return [np.full(test.threshold.shape, len(replicates), dtype) for test in tests]
+
+        totals = []
+        to_pvalues = pipeline.pvalues_from_counts
+
+        def recorded(test, counts, n_replicates):
+            totals.append(counts.dtype)
+            return to_pvalues(test, counts, n_replicates)
+
+        monkeypatch.setattr(pipeline, "exceedance_counts", every_replicate_exceeds)
+        monkeypatch.setattr(pipeline, "pvalues_from_counts", recorded)
+        run = tmp_path / "run"
+        shutil.copytree(complete_run, run)
+        cfg = run_config(synth_inputs, run, n_replicates=k)
+        pipeline.stage_nulls(cfg, RunPaths(run))
+        assert totals == [nullmodel.count_dtype(k)] * len(cfg.base_years)
+        for year in cfg.base_years:
+            pv = nullmodel.pvalues_from_text(RunPaths(run).pvalues(year).read_text(), year=year)
+            assert pv.n_replicates == k and (pv.exceed_counts == k).all()
 
     def test_addone_basis_runs(self, synth_inputs, tmp_path):
         out = tmp_path / "addone"
@@ -818,7 +889,8 @@ class TestCli:
                      "--year-min", "1991", "--year-max", "1996"]) == 0
         assert main(["rca", "--run-dir", run]) == 0
         assert main(["assist", "--run-dir", run, "--lag", "1"]) == 0
-        assert main(["nulls", "--run-dir", run, "--lag", "2", "--replicates", "5"]) == 2
+        # an input inconsistency, so a validation error (AssistError)
+        assert main(["nulls", "--run-dir", run, "--lag", "2", "--replicates", "5"]) == 1
         assert list((tmp_path / "r" / "pvalues").iterdir()) == []
 
     def test_assist_of_another_year_fails_the_nulls_stage(self, synth_inputs, tmp_path):
@@ -834,7 +906,7 @@ class TestCli:
         paths = RunPaths(run)
         for path in (paths.assist, paths.assist_sidecar):
             path(1993).write_bytes(path(1992).read_bytes())
-        assert main(["nulls", "--run-dir", run, "--replicates", "5"]) == 2
+        assert main(["nulls", "--run-dir", run, "--replicates", "5"]) == 1
         assert list((tmp_path / "r" / "pvalues").iterdir()) == []
 
     def test_pvalues_do_not_depend_on_blas_threads(self, synth_inputs, tmp_path):
@@ -937,6 +1009,38 @@ class TestCli:
         assert manifest["status"] == "incomplete"
         assert manifest["failed"]["stage"] == "ingest"
         assert main(["ingest", "--run-dir", str(tmp_path / "ingest"), *inputs]) == 1
+
+    @pytest.mark.parametrize(
+        "stage, artifact",
+        [
+            ("rca", "occurrence/W_1993.csv"),
+            ("assist", "presence/M_1993.csv"),
+            ("nulls", "presence/M_1993.csv"),
+            ("nulls", "assist/B_1993.csv"),
+            ("filter", "pvalues/P_1993.csv"),
+            ("acs", "network/C_1993.csv"),
+            ("stats", "network/C_1993.csv"),
+            ("stats", "acs/labels_1993.csv"),
+            ("stats", "occurrence/F_1993.csv"),
+        ],
+    )
+    def test_one_bad_cell_in_a_stage_input_exits_1(
+        self, synth_inputs, complete_run, tmp_path, stage, artifact
+    ):
+        # the last cell of the last row becomes "x": an unknown region or field,
+        # a value that is not a number, or an unknown label. The events header
+        # of the ingest stage is covered above.
+        run = tmp_path / "run"
+        shutil.copytree(complete_run, run)
+        lines = (run / artifact).read_text().splitlines()
+        assert lines
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",x"
+        (run / artifact).write_text("\n".join(lines) + "\n")
+        flags = {
+            "nulls": ["--replicates", "5"],
+            "stats": ["--hierarchy", str(synth_inputs / "hierarchy.csv")],
+        }
+        assert main([stage, "--run-dir", str(run), *flags.get(stage, [])]) == 1
 
     def test_bad_flag_is_validation_error(self):
         assert main(["pipeline", "--no-such-flag"]) == 1

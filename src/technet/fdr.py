@@ -4,10 +4,11 @@ Two significance bases are supported when turning a p-value matrix into an
 adjacency matrix:
 
 ``percentile``
-    BH on the plain null-exceedance percentile counts/K. A link strictly above
-    every null replicate gets p = 0 and is always retained. This is the
-    default: it is the rank statistic the null ensemble actually measures, and
-    it keeps a handful of genuinely extreme links detectable at moderate K.
+    BH on the plain null-exceedance percentile counts/K. This is the default:
+    it is the rank statistic the null ensemble actually measures. Every link
+    with zero exceedances has p = 0 and passes BH, whatever q and the number
+    m of tested links are. Where no link is real, about m/(K+1) links have
+    zero exceedances by chance, and every one of them is kept.
 
 ``addone``
     BH on the pseudo-count p-values (1 + counts)/(K + 1). Conservative: the

@@ -23,6 +23,9 @@ Every matrix one stage hands to the next is written and read by `artifacts`,
 whose readers reject a truncated or malformed file. Events are parsed once,
 at ingest, each presence year is read once per stage, and each network is
 decomposed once, at acs: the stats stage reads the field counts and labels.
+`assist/` is an export that no stage reads back: the null stage reads only
+`presence/` and recomputes each pair's empirical assist values with the same
+join as the assist stage, bit for bit.
 
 Null replicates run in the calling process for one worker and on a pool of
 forked worker processes for more; the null matrix of year y, replicate k, is
@@ -54,14 +57,7 @@ import numpy as np
 
 from . import __version__, artifacts
 from .acs import decompose, decomposition_from_text, decomposition_to_text
-from .assist import (
-    AssistError,
-    AssistMatrix,
-    assist_from_text,
-    assist_matrix,
-    assist_sidecar_text,
-    assist_to_text,
-)
+from .assist import assist_matrix, assist_sidecar_text, assist_to_text
 from .fdr import SIGNIFICANCE_BASES, build_adjacency, network_from_text, network_to_text
 from .hierarchy import CodeHierarchy, parse_hierarchy
 from .ingest import (
@@ -71,7 +67,6 @@ from .ingest import (
     parse_events,
 )
 from .nullmodel import (
-    BicmParameters,
     count_dtype,
     exceedance_counts,
     exceedance_test,
@@ -264,9 +259,16 @@ class RunPaths:
         return tuple(self.regions_file().read_text().split())
 
     def read_years(self) -> tuple[int, int]:
-        rows = artifacts.tagged_rows(self.years_file().read_text(), {"year_min": 1, "year_max": 1})
-        [[year_min]], [[year_max]] = rows["year_min"], rows["year_max"]
-        return int(year_min), int(year_max)
+        """The year span that ingest wrote; a malformed file is a ConfigError."""
+        text = self.years_file().read_text()
+        rows = artifacts.tagged_rows(text, {"year_min": 1, "year_max": 1}, ConfigError)
+        try:
+            [[year_min]], [[year_max]] = rows["year_min"], rows["year_max"]
+            return int(year_min), int(year_max)
+        except ValueError:
+            raise ConfigError(
+                f"{self.years_file()}: expected one year_min and one year_max row, each an integer"
+            ) from None
 
 
 def _load_hierarchy(cfg: RunConfig) -> CodeHierarchy:
@@ -382,41 +384,34 @@ def _chunk_map(walk, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _read_pair_assist(cfg: RunConfig, paths: RunPaths, fit: BicmParameters) -> AssistMatrix:
-    """The assist matrix of the fit's year, over the fit's index tuples and of the run's lag."""
-    b_emp = assist_from_text(
-        paths.assist(fit.year).read_text(), paths.assist_sidecar(fit.year).read_text(),
-        regions=fit.regions, fields=fit.fields, year=fit.year,
-    )
-    if b_emp.lag != cfg.lag:
-        raise AssistError(f"assist matrix of lag {b_emp.lag} where the run's lag is {cfg.lag}")
-    return b_emp
-
-
 def stage_nulls(cfg: RunConfig, paths: RunPaths, workers: int = 1) -> None:
     """Null replicates of all year pairs, in 8 contiguous chunks of K per worker.
 
-    This process first fits the BiCM of every year that some pair uses, which
-    also fixes each cell's byte threshold for every draw of that year. Each
-    pair's assist matrix is read against the fits' index tuples and must be
-    of its own base year and of the run's lag (an AssistError otherwise); it
-    is kept only as its `ExceedanceTest`, whose threshold is computed here
-    once for every task, and its values are dropped. Each task walks every
-    year pair for its chunk of replicates with the year-keyed fits, drawing
-    each (year, k) matrix once as a hit list (one random byte per cell, and a
-    double only for the 1-in-256 boundary cells), and returns one count
-    matrix per pair in the narrowest type that holds its chunk's length
-    (uint8 up to 255 replicates). With more than one worker the tasks run on
-    forked worker processes (`_chunk_map`), since the walk is many small
-    NumPy calls that hold the interpreter lock. With one chunk per worker, a
-    worker that shares its CPU with another process held the whole stage
-    back, while the other worker idled after its chunk; 8 chunks per worker
-    let the faster one take more. This process adds each task's counts into
-    totals of the narrowest type that holds K, in submission order, and drops
-    them, so only a few tasks' counts are held at once.
+    The stage reads `presence/` alone. This process reads each year that some
+    pair uses once and fits its BiCM, which also fixes each cell's byte
+    threshold for every draw of that year. Each pair's empirical assist values
+    come from the same hit-list join as the `assist` stage's, so `assist/` is
+    an export that no stage reads back. A pair is kept only as its
+    `ExceedanceTest`, whose threshold is computed here once for every task;
+    the values and the presence matrices are dropped before the walk starts.
+    Each task walks every year pair for its chunk of replicates with the
+    year-keyed fits, drawing each (year, k) matrix once as a hit list (one
+    random byte per cell, and a double only for the 1-in-256 boundary cells),
+    and returns one count matrix per pair in the narrowest type that holds its
+    chunk's length (uint8 up to 255 replicates). With more than one worker the
+    tasks run on forked worker processes (`_chunk_map`), since the walk is
+    many small NumPy calls that hold the interpreter lock. With one chunk per
+    worker, a worker that shares its CPU with another process held the whole
+    stage back, while the other worker idled after its chunk; 8 chunks per
+    worker let the faster one take more. This process adds each task's counts
+    into totals of the narrowest type that holds K, in submission order, and
+    drops them, so only a few tasks' counts are held at once.
     """
-    fits = {year: fit_bicm(m) for year, m in _pair_presence(cfg, paths)}
-    tests = [exceedance_test(_read_pair_assist(cfg, paths, fits[year])) for year in cfg.base_years]
+    presence = dict(_pair_presence(cfg, paths))
+    fits = {year: fit_bicm(m) for year, m in presence.items()}
+    tests = [exceedance_test(assist_matrix(presence[year], presence[year + cfg.lag]))
+             for year in cfg.base_years]
+    del presence
     k = cfg.n_replicates
     totals = [np.zeros(test.threshold.shape, dtype=count_dtype(k)) for test in tests]
     chunks = [c.tolist() for c in np.array_split(np.arange(k), min(8 * workers, k))]

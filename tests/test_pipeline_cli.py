@@ -841,8 +841,19 @@ print(json.dumps({"exit": code, "loaded": loaded}))
 """
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _dir_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def _ingest_and_rca(synth_inputs, run):
+    """The ingest and rca stage commands over the fixture's 1991-1996 events."""
+    assert main(["ingest", "--run-dir", str(run), "--events", str(synth_inputs / "events.csv"),
+                 "--hierarchy", str(synth_inputs / "hierarchy.csv"),
+                 "--year-min", "1991", "--year-max", "1996"]) == 0
+    assert main(["rca", "--run-dir", str(run)]) == 0
 
 
 class TestCli:
@@ -882,48 +893,91 @@ class TestCli:
         assert (staged / "dynamics" / "trajectory_1993.csv").is_file()
         assert (staged / "dynamics" / "growth_1993.csv").is_file()
 
-    def test_nulls_of_another_lag_than_assist_fail(self, synth_inputs, tmp_path):
-        run = str(tmp_path / "r")
-        assert main(["ingest", "--run-dir", run, "--events", str(synth_inputs / "events.csv"),
-                     "--hierarchy", str(synth_inputs / "hierarchy.csv"),
-                     "--year-min", "1991", "--year-max", "1996"]) == 0
-        assert main(["rca", "--run-dir", run]) == 0
-        assert main(["assist", "--run-dir", run, "--lag", "1"]) == 0
-        # an input inconsistency, so a validation error (AssistError)
-        assert main(["nulls", "--run-dir", run, "--lag", "2", "--replicates", "5"]) == 1
-        assert list((tmp_path / "r" / "pvalues").iterdir()) == []
+    def test_nulls_run_without_assist_and_match_the_pipeline(
+        self, synth_inputs, complete_run, tmp_path
+    ):
+        # the null stage reads presence/ alone, so assist/ may be missing
+        run = tmp_path / "r"
+        _ingest_and_rca(synth_inputs, run)
+        shutil.rmtree(run / "assist")
+        assert main(["nulls", "--run-dir", str(run), "--replicates", "25", "--seed", "6"]) == 0
+        assert not (run / "assist").exists()
+        assert _dir_bytes(run / "pvalues") == _dir_bytes(complete_run / "pvalues")
 
-    def test_assist_of_another_year_fails_the_nulls_stage(self, synth_inputs, tmp_path):
-        run = str(tmp_path / "r")
-        assert main(["ingest", "--run-dir", run, "--events", str(synth_inputs / "events.csv"),
-                     "--hierarchy", str(synth_inputs / "hierarchy.csv"),
-                     "--year-min", "1991", "--year-max", "1996"]) == 0
-        assert main(["rca", "--run-dir", run]) == 0
-        assert main(["assist", "--run-dir", run]) == 0
+    def test_nulls_at_another_lag_than_assist_match_the_pipeline(self, synth_inputs, tmp_path):
+        # B_ is an export: nulls at lag 2 over a lag-1 assist/ tests the lag-2 pairs
+        run = tmp_path / "r"
+        _ingest_and_rca(synth_inputs, run)
+        assert main(["assist", "--run-dir", str(run), "--lag", "1"]) == 0
+        assert main(["nulls", "--run-dir", str(run), "--lag", "2", "--replicates", "25",
+                     "--seed", "6"]) == 0
+        direct = tmp_path / "direct"
+        run_pipeline(run_config(synth_inputs, direct, lag=2))
+        assert len(list((direct / "pvalues").iterdir())) == 4
+        assert _dir_bytes(run / "pvalues") == _dir_bytes(direct / "pvalues")
+
+    def test_nulls_worker_count_below_one_exits_1(self, synth_inputs, tmp_path):
+        run = tmp_path / "r"
+        _ingest_and_rca(synth_inputs, run)
         # a worker count below 1 is a validation error, not one worker
-        assert main(["nulls", "--run-dir", run, "--replicates", "5", "--workers", "0"]) == 1
-        # B_1992 under the name B_1993: a matrix of another base year
-        paths = RunPaths(run)
-        for path in (paths.assist, paths.assist_sidecar):
-            path(1993).write_bytes(path(1992).read_bytes())
-        assert main(["nulls", "--run-dir", run, "--replicates", "5"]) == 1
-        assert list((tmp_path / "r" / "pvalues").iterdir()) == []
+        assert main(["nulls", "--run-dir", str(run), "--replicates", "5", "--workers", "0"]) == 1
+        assert list((run / "pvalues").iterdir()) == []
+
+    def test_years_file_without_year_max_exits_1(self, complete_run, tmp_path):
+        # a non-integer year is one more bad cell, below
+        run = tmp_path / "run"
+        shutil.copytree(complete_run, run)
+        RunPaths(run).years_file().write_text("year_min,1991\n")
+        assert main(["rca", "--run-dir", str(run)]) == 1
+
+    def test_each_stage_reads_only_the_inputs_the_readme_lists(
+        self, synth_inputs, complete_run, tmp_path, monkeypatch
+    ):
+        # a stage that starts reading another artifact back fails here
+        table = re.findall(r"^\| `(\w+)` \| (.+) \|$", README.read_text(), re.MULTILINE)
+        listed = {stage: set(re.findall(r"`([^`]+)`", cell)) for stage, cell in table}
+        assert listed["nulls"] == {"index/", "presence/M_"}
+        run = tmp_path / "run"
+        shutil.copytree(complete_run, run)
+        reads = set()
+        for name in ("read_text", "read_bytes"):
+            def recorded(path, *args, _read=getattr(Path, name), **kwargs):
+                if run in path.parents:
+                    reads.add(path.relative_to(run).as_posix())
+                return _read(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, name, recorded)
+        flags = {
+            "nulls": ["--replicates", "5"],
+            "stats": ["--hierarchy", str(synth_inputs / "hierarchy.csv")],
+        }
+        read = {}
+        for stage, _fn in pipeline.STAGES[1:]:
+            reads.clear()
+            assert main([stage, "--run-dir", str(run), *flags.get(stage, [])]) == 0
+            read[stage] = sorted(reads)
+        assert read["nulls"] == [
+            "index/fields.txt", "index/regions.txt", "index/years.txt",
+            *(f"presence/M_{year}.csv" for year in range(1991, 1997)),
+        ]
+        kinds = {
+            stage: {"index/" if path.startswith("index/") else re.sub(r"\d+\.csv$", "", path)
+                    for path in paths}
+            for stage, paths in read.items()
+        }
+        assert kinds == listed
 
     def test_pvalues_do_not_depend_on_blas_threads(self, synth_inputs, tmp_path):
         # the nulls stage of the 50 x 10 fixture in two child processes, with
         # one and with two OpenBLAS threads
         run = tmp_path / "r"
-        assert main(["ingest", "--run-dir", str(run), "--events", str(synth_inputs / "events.csv"),
-                     "--hierarchy", str(synth_inputs / "hierarchy.csv"),
-                     "--year-min", "1991", "--year-max", "1996"]) == 0
-        assert main(["rca", "--run-dir", str(run)]) == 0
-        assert main(["assist", "--run-dir", str(run)]) == 0
+        _ingest_and_rca(synth_inputs, run)
         src = str(Path(pipeline.__file__).resolve().parents[1])
         pvalues = []
         for threads in ("1", "2"):
             copy = tmp_path / f"blas{threads}"
             shutil.copytree(run, copy)
-            env = {k: v for k, v in os.environ.items() if k != "TECHNET_WORKERS"}
+            env = dict(os.environ)
             env["OPENBLAS_NUM_THREADS"] = threads
             env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
             subprocess.run(
@@ -936,7 +990,7 @@ class TestCli:
 
     def test_scipy_is_loaded_only_by_the_acs_and_stats_stages(self, synth_inputs, tmp_path):
         src = str(Path(pipeline.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if k != "TECHNET_WORKERS"}
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         log, out = tmp_path / "worker_imports.log", tmp_path / "run"
         child = subprocess.run(
@@ -1013,10 +1067,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "stage, artifact",
         [
+            ("rca", "index/years.txt"),
             ("rca", "occurrence/W_1993.csv"),
             ("assist", "presence/M_1993.csv"),
             ("nulls", "presence/M_1993.csv"),
-            ("nulls", "assist/B_1993.csv"),
             ("filter", "pvalues/P_1993.csv"),
             ("acs", "network/C_1993.csv"),
             ("stats", "network/C_1993.csv"),
@@ -1204,7 +1258,7 @@ def test_cli_surface_is_the_parents_without_the_dead_q_flags():
 
 def test_every_flag_in_the_readme_is_accepted_by_a_subcommand():
     # a flag removed from the CLI cannot linger in the docs
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
     accepted = {flag for rows in _cli_surface().values() for row in rows for flag in row[0]}
     assert "--workers" in named and named <= accepted, sorted(named - accepted)

@@ -16,22 +16,20 @@ asymptotic activity of field i under growth driven by incoming links. That is
 the orientation under which periphery nodes, which are catalysed but feed
 nothing back, carry positive weight.
 
-scipy is imported inside the functions that call it, so that importing the
-package, and every stage before this one, runs without loading it.
+The cores come from one iterative Tarjan pass (Tarjan 1972) over successor
+lists, linear in nodes plus links, and what each core reaches from a
+level-by-level search over the dense adjacency; the module needs numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import artifacts
 from .fdr import TechnologyNetwork
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 LAMBDA_POSITIVE_TOL = 1e-8
 PF_SUPPORT_RTOL = 1e-9
@@ -103,51 +101,115 @@ class AcsDecomposition:
         return "outside"
 
 
-def find_core(graph: csr_matrix) -> list[np.ndarray]:
-    """The cycle cores in index order: SCCs of size >= 2 or with a self-loop (one SCC pass)."""
-    from scipy.sparse.csgraph import connected_components
+def find_core(adjacency: np.ndarray) -> list[np.ndarray]:
+    """The cycle cores in index order: SCCs of size >= 2 or with a self-loop.
 
-    n_sccs, scc = connected_components(graph, connection="strong")
-    cyclic = np.bincount(scc, minlength=n_sccs) >= 2
-    cyclic[scc[graph.diagonal() != 0]] = True
-    return [np.flatnonzero(scc == c) for c in np.flatnonzero(cyclic)]
+    One iterative Tarjan pass over the successor lists of the nonzero links.
+    `pending[v]` is the next link of v to follow, so the explicit call stack
+    `work` holds nodes only.
+    """
+    n = adjacency.shape[0]
+    src, dst = np.nonzero(adjacency)
+    succ = dst.tolist()
+    pending = np.searchsorted(src, np.arange(n + 1)).tolist()
+    end = pending[1:]
+    self_loop = (adjacency.diagonal() != 0).tolist()
+    index, low, on_stack = [-1] * n, [0] * n, [False] * n
+    stack: list[int] = []
+    cores = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [root]
+        while work:
+            v = work[-1]
+            i = pending[v]
+            if i < end[v]:
+                pending[v] = i + 1
+                w = succ[i]
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append(w)
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1]]:
+                low[work[-1]] = low[v]
+            if low[v] == index[v]:
+                at = len(stack) - 1
+                while stack[at] != v:
+                    at -= 1
+                component = stack[at:]
+                del stack[at:]
+                for w in component:
+                    on_stack[w] = False
+                if len(component) > 1 or self_loop[v]:
+                    cores.append(np.sort(np.array(component, dtype=np.intp)))
+    cores.sort(key=lambda comp: comp[0])
+    return cores
+
+
+def _reached(adjacency: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the nodes reachable from `start`, itself included: one level per step.
+
+    On a symmetric matrix this is the undirected component of `start`.
+    """
+    seen = np.zeros(adjacency.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = seen
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
 
 
 def split_distinct_acs(
-    graph: csr_matrix, names: Sequence[str], cores: list[np.ndarray]
+    adjacency: np.ndarray, names: Sequence[str], cores: list[np.ndarray]
 ) -> list[Acs]:
     """Group the cores joined by a directed path in either direction into ACSs.
 
     One search from one node of each core finds what the core reaches: an SCC
-    is reached as a whole, so one node stands for all. Each ACS keeps the
-    periphery its cores reach; the list runs from the largest core eigenvalue
-    down, then the larger core, then the smallest field code.
+    is reached as a whole, so one node stands for all. A search over the
+    cores, following reach in either direction, groups them. Each ACS
+    keeps the periphery its cores reach; the list runs from the largest core
+    eigenvalue down, then the larger core, then the smallest field code.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order, connected_components
-
-    n = graph.shape[0]
+    n = adjacency.shape[0]
     reach = np.zeros((len(cores), n), dtype=bool)
     for a, comp in enumerate(cores):
-        reach[a, breadth_first_order(graph, comp[0], return_predecessors=False)] = True
+        reach[a] = _reached(adjacency, comp[0])
     core_reach = reach[:, [comp[0] for comp in cores]]
-    n_groups, group = connected_components(csr_matrix(core_reach), directed=False)
+    joined = core_reach | core_reach.T
     outside_cores = np.ones(n, dtype=bool)
     outside_cores[[i for comp in cores for i in comp]] = False
 
     acs_list = []
-    for g in range(n_groups):
-        members = np.flatnonzero(group == g)
+    grouped = np.zeros(len(cores), dtype=bool)
+    for first in range(len(cores)):
+        if grouped[first]:
+            continue
+        in_group = _reached(joined, first)
+        grouped |= in_group
+        members = np.flatnonzero(in_group)
         idx = np.sort(np.concatenate([cores[a] for a in members]))
         reached = np.flatnonzero(reach[members].any(axis=0) & outside_cores)
-        lam, _ = pf_eigen(graph[idx][:, idx])
+        lam, _ = pf_eigen(adjacency[np.ix_(idx, idx)])
         periphery = frozenset(names[i] for i in reached)
         acs_list.append(Acs(frozenset(names[i] for i in idx), periphery, core_lambda1=lam))
     acs_list.sort(key=lambda a: (-a.core_lambda1, -len(a.core), min(a.core)))
     return acs_list
 
 
-def pf_eigen(graph: csr_matrix) -> tuple[float, np.ndarray]:
+def pf_eigen(adjacency: np.ndarray) -> tuple[float, np.ndarray]:
     """Leading eigenvalue and receiver-side eigenvector of a cyclic adjacency.
 
     The caller handles the acyclic (nilpotent) case, whose eigenvalue is 0
@@ -166,9 +228,9 @@ def pf_eigen(graph: csr_matrix) -> tuple[float, np.ndarray]:
     from its limit, and on non-normal matrices the quotient error is only
     first order in the eigenpair residual.)
     """
-    n = graph.shape[0]
+    n = adjacency.shape[0]
     start = np.full(n, 1.0 / n)
-    shifted = graph.toarray().T.astype(np.float64) + np.eye(n)
+    shifted = adjacency.T.astype(np.float64) + np.eye(n)
 
     power = shifted / shifted.max()
     width = np.inf
@@ -193,8 +255,8 @@ def pf_eigen(graph: csr_matrix) -> tuple[float, np.ndarray]:
 def decompose(net: TechnologyNetwork) -> AcsDecomposition:
     """Full combinatorial + spectral decomposition of one year's network.
 
-    One strong-components pass finds the cycle cores (`find_core`). One
-    search from each core finds what it reaches, and the periphery is
+    One Tarjan strong-components pass finds the cycle cores (`find_core`).
+    One search from each core finds what it reaches, and the periphery is
     everything reached outside the cores. Cores joined by a directed path in
     either direction form one distinct ACS (`split_distinct_acs`), found as
     the components of the cores' reach relation. A periphery node catalysed
@@ -205,15 +267,12 @@ def decompose(net: TechnologyNetwork) -> AcsDecomposition:
     Without a core the adjacency is nilpotent: lambda1 is exactly 0, the
     vector uniform, and there is no support to check.
     """
-    from scipy.sparse import csr_matrix
-
-    names = net.fields
-    graph = csr_matrix(net.adjacency)
-    acs_list = split_distinct_acs(graph, names, find_core(graph))
+    names, adjacency = net.fields, net.adjacency
+    acs_list = split_distinct_acs(adjacency, names, find_core(adjacency))
     core = frozenset().union(*(a.core for a in acs_list))
     periphery = frozenset().union(*(a.periphery for a in acs_list))
     if core:
-        pf_lambda, pf_vector = pf_eigen(graph)
+        pf_lambda, pf_vector = pf_eigen(adjacency)
         support = {names[i] for i in np.nonzero(pf_vector > PF_SUPPORT_RTOL * pf_vector.max())[0]}
         consistent = pf_lambda > LAMBDA_POSITIVE_TOL and support <= acs_list[0].nodes
     else:

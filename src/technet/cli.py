@@ -121,13 +121,17 @@ def _add_options(p: argparse.ArgumentParser, fields, **kwargs) -> None:
 
 
 def _config(args) -> RunConfig:
-    """The config file (pipeline only), then index/years.txt (stages only), then the flags."""
+    """The config file (pipeline only), then index/years.txt, then the flags.
+
+    index/years.txt is read by the stages after ingest only: ingest writes it,
+    so like `pipeline` it takes its span from its flags and the defaults.
+    """
     if args.command == "pipeline":
         cfg = load_run_config(args.config) if args.config else RunConfig()
     else:
         cfg = RunConfig()
         paths = RunPaths(args.out_dir)
-        if paths.years_file().is_file():
+        if args.command != "ingest" and paths.years_file().is_file():
             cfg.year_min, cfg.year_max = paths.read_years()
     for field in OPTIONS:
         value = getattr(args, field, None)

@@ -13,12 +13,18 @@ of binomial pmfs at their mean, so it stays finite at any spread of odds and
 600 fields. Full and empty sections are fitted in their limit, on the reduced
 problem of the free sections, so their odds are reported as absent.
 
-scipy is imported inside the functions that call it, so that the ingest stage,
-which counts fitness here, runs without loading it.
+The fit is Newton's method on the exact score and Hessian. The score of a
+section's log odds is its count minus its conditional mean given n draws, and
+the Hessian is minus the conditional covariance; both are read from the same
+tilted binomial pmfs, through leave-one-out and leave-two-out products. The
+log-likelihood is concave in the log odds, so a backtracking line search
+keeps every step uphill. The module needs numpy and the standard library
+alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -31,10 +37,32 @@ from .ingest import ParseResult
 
 CHI2_DF7_CRITICAL_5PCT = 14.07
 VARIETY_DF = 7
+# The tilt solve stops once a step moves t by less than this; any t gives the
+# exact normalizer, so this only keeps n at the bulk of S.
+TILT_XTOL = 1e-12
+TILT_MAX_STEPS = 200
+# The odds fit stops once every score entry is at most FIT_SCORE_RTOL * n, or
+# once FIT_MAX_HALVINGS halvings of a Newton step find no rise of the
+# log-likelihood; a fit still short after FIT_MAX_STEPS steps is an error.
+FIT_SCORE_RTOL = 1e-8
+FIT_MAX_STEPS = 100
+FIT_MAX_HALVINGS = 40
+FIT_ARMIJO = 1e-4
 
 
 class StatsError(ValueError):
     """Raised on infeasible counts or unmapped fields."""
+
+
+class FnchConvergenceError(StatsError):
+    """The odds fit ran out of Newton steps before its score fell below tolerance."""
+
+    def __init__(self, steps: int, score: np.ndarray):
+        super().__init__(
+            f"odds fit still has score {np.abs(score).max():.3e} after {steps} Newton steps"
+        )
+        self.steps = steps
+        self.score = score
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +149,42 @@ def subset_fitness(
 # ---------------------------------------------------------------------------
 
 
-def _log_binomial_poly(size: int, log_omega: float, max_degree: int) -> np.ndarray:
-    """Log coefficients of (1 + omega z)^size, truncated at max_degree."""
-    from scipy.special import gammaln
+def _tilted_pmfs(sizes: np.ndarray, lo: np.ndarray, n: int) -> tuple[list[np.ndarray], float]:
+    """Binomial(size_k, expit(lo_k + t)) pmfs at the tilt t with E[S] = n, and the log untilt.
 
-    xs = np.arange(0, min(size, max_degree) + 1, dtype=np.float64)
-    return gammaln(size + 1) - gammaln(xs + 1) - gammaln(size - xs + 1) + xs * log_omega
+    The pmfs are truncated at degree n. The coefficient of z^n in
+    prod_k (1 + e^lo_k z)^size_k is P(S = n) times e^(log untilt). Sizes are
+    positive and 0 < n < sum(sizes). t solves sum_k size_k p_k(t) = n by
+    Newton's method, whose slope sum_k size_k p_k (1 - p_k) is positive,
+    falling back to bisection when a step leaves the bracket; outside the
+    bracket E[S] is within e^-1 of 0 or of the total, so it spans n.
+    """
+    reach = np.log(sizes.sum()) + 1.0
+    low, high = -lo.max() - reach, reach - lo.min()
+    t = 0.5 * (low + high)
+    for _ in range(TILT_MAX_STEPS):
+        p = np.exp(-np.logaddexp(0.0, -(lo + t)))  # expit, in a form that cannot overflow
+        excess = float(sizes @ p) - n
+        if excess > 0.0:
+            high = t
+        else:
+            low = t
+        slope = float(sizes @ (p * (1.0 - p)))
+        stepped = 0.5 * (low + high)
+        if slope > 0.0 and low < t - excess / slope < high:
+            stepped = t - excess / slope
+        if abs(stepped - t) <= TILT_XTOL:
+            break
+        t = stepped
+    tilted = lo + t
+    log_scale = sizes * np.logaddexp(0.0, tilted)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(int(sizes.max()) + 1)])
+    pmfs = []
+    for size, x, scale in zip(sizes.tolist(), tilted.tolist(), log_scale.tolist()):
+        ks = np.arange(min(size, n) + 1)
+        log_choose = log_fact[size] - log_fact[ks] - log_fact[size - ks]
+        pmfs.append(np.exp(log_choose + ks * x - scale))
+    return pmfs, float(log_scale.sum() - n * t)
 
 
 def log_fnch_normalizer(sizes: Sequence[int], log_omega: Sequence[float], n: int) -> float:
@@ -138,9 +196,6 @@ def log_fnch_normalizer(sizes: Sequence[int], log_omega: Sequence[float], n: int
     of S, so the linear-space convolution of the binomial pmfs reads P(S = n)
     without underflow whatever the spread of the odds.
     """
-    from scipy.optimize import brentq
-    from scipy.special import expit
-
     sizes_arr = np.asarray(sizes, dtype=np.int64)
     keep = sizes_arr > 0
     sizes_arr, lo = sizes_arr[keep], np.asarray(log_omega, dtype=np.float64)[keep]
@@ -151,33 +206,67 @@ def log_fnch_normalizer(sizes: Sequence[int], log_omega: Sequence[float], n: int
         return float(sizes_arr @ lo)
     if n > total:
         return -np.inf
-    # outside this bracket E[S] is within e^-1 of 0 or of total, so it spans n
-    reach = np.log(total) + 1.0
-    t = brentq(lambda t: sizes_arr @ expit(lo + t) - n, -lo.max() - reach, reach - lo.min())
-    log_scale = sizes_arr * np.logaddexp(0.0, lo + t)
+    pmfs, log_untilt = _tilted_pmfs(sizes_arr, lo, n)
     pmf = np.ones(1)
-    for size, tilted, scale in zip(sizes_arr, lo + t, log_scale):
-        pmf = np.convolve(pmf, np.exp(_log_binomial_poly(size, tilted, n) - scale))[: n + 1]
-    return float(np.log(pmf[n]) - n * t + log_scale.sum())
+    for section in pmfs:
+        pmf = np.convolve(pmf, section)[: n + 1]
+    return float(np.log(pmf[n]) + log_untilt)
 
 
 def fnch_loglik(
     counts: Sequence[int], sizes: Sequence[int], log_omega: Sequence[float]
 ) -> float:
     """Log-likelihood of one composition under the noncentral hypergeometric."""
-    from scipy.special import gammaln
-
-    counts = np.asarray(counts, dtype=np.float64)
-    sizes_arr = np.asarray(sizes, dtype=np.float64)
+    counts = [int(c) for c in counts]
+    sizes_list = [int(s) for s in sizes]
     lo = np.asarray(log_omega, dtype=np.float64)
-    n = int(counts.sum())
-    log_terms = (
-        gammaln(sizes_arr + 1)
-        - gammaln(counts + 1)
-        - gammaln(sizes_arr - counts + 1)
-        + counts * lo
+    log_choose = sum(
+        math.lgamma(s + 1) - math.lgamma(c + 1) - math.lgamma(s - c + 1)
+        for c, s in zip(counts, sizes_list)
     )
-    return float(log_terms.sum() - log_fnch_normalizer(sizes, lo, n))
+    return float(log_choose + np.asarray(counts, dtype=np.float64) @ lo
+                 - log_fnch_normalizer(sizes_list, lo, sum(counts)))
+
+
+def _coefficient(a: np.ndarray, b: np.ndarray, n: int) -> float:
+    """The coefficient of z^n in the product of the polynomials a and b."""
+    first, last = max(0, n - len(b) + 1), min(len(a) - 1, n)
+    return float(a[first : last + 1] @ b[n - last : n - first + 1][::-1])
+
+
+def _conditional_moments(
+    sizes: np.ndarray, lo: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the section counts X given S = n, at log odds lo.
+
+    With f_k the tilted pmfs, prefix products P_k = f_0 .. f_(k-1) and suffix
+    products Q_k = f_k .. f_(K-1), the coefficient of z^n in P_k (j f_k) Q_(k+1)
+    is E[X_k; S = n] (leave-one-out), with (j^2 f_k) it is E[X_k^2; S = n], and
+    in P_k (j f_k) f_(k+1) .. f_(l-1) (j f_l) Q_(l+1) it is E[X_k X_l; S = n]
+    (leave-two-out). Each is divided by P(S = n), the coefficient of P_K.
+    """
+    pmfs, _log_untilt = _tilted_pmfs(sizes, lo, n)
+    k = len(pmfs)
+    prefix, suffix = [np.ones(1)], [np.ones(1)]
+    for section in pmfs:
+        prefix.append(np.convolve(prefix[-1], section)[: n + 1])
+    for section in reversed(pmfs):
+        suffix.append(np.convolve(section, suffix[-1])[: n + 1])
+    suffix.reverse()
+    p_n = prefix[k][n]
+    mean, second = np.empty(k), np.empty((k, k))
+    for a, section in enumerate(pmfs):
+        draws = np.arange(len(section))
+        ahead = np.convolve(prefix[a], draws * section)[: n + 1]
+        mean[a] = _coefficient(ahead, suffix[a + 1], n) / p_n
+        squared = np.convolve(prefix[a], draws**2 * section)[: n + 1]
+        second[a, a] = _coefficient(squared, suffix[a + 1], n) / p_n
+        for b in range(a + 1, k):
+            other = pmfs[b]
+            both = np.convolve(ahead, np.arange(len(other)) * other)[: n + 1]
+            second[a, b] = second[b, a] = _coefficient(both, suffix[b + 1], n) / p_n
+            ahead = np.convolve(ahead, other)[: n + 1]
+    return mean, second - np.outer(mean, mean)
 
 
 @dataclass(frozen=True)
@@ -200,8 +289,6 @@ def fit_noncentral_weights(counts: Sequence[int], sizes: Sequence[int]) -> FnchF
     sections' odds are not identified and are None. With fewer than two free
     sections nothing is fitted and the supremum log-likelihood is 0.
     """
-    from scipy.optimize import minimize
-
     counts = np.asarray(counts, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
     if counts.shape != sizes.shape or counts.ndim != 1 or not counts.size:
@@ -210,23 +297,43 @@ def fit_noncentral_weights(counts: Sequence[int], sizes: Sequence[int]) -> FnchF
         if not 0 <= c <= s:
             raise StatsError(f"infeasible count {c} for section size {s}")
     free = (counts > 0) & (counts < sizes)
-    free_counts, free_sizes = counts[free], sizes[free]
     theta, loglik = np.zeros(1), 0.0
     if free.sum() > 1:
-
-        def negloglik(theta_rest: np.ndarray) -> float:
-            return -fnch_loglik(free_counts, free_sizes, np.concatenate(([0.0], theta_rest)))
-
-        res = minimize(
-            negloglik,
-            x0=np.zeros(free.sum() - 1),
-            method="L-BFGS-B",
-            options={"ftol": 1e-12, "gtol": 1e-9, "maxiter": 1000},
-        )
-        theta, loglik = np.concatenate(([0.0], res.x)), -float(res.fun)
+        theta, loglik = _newton_fit(counts[free], sizes[free])
     odds = iter(np.exp(theta).tolist())
     omega = tuple(next(odds) if f else None for f in free)
     return FnchFit(omega=omega, loglik=loglik, boundary=not free.all())
+
+
+def _newton_fit(counts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, float]:
+    """Log odds, the first fixed at 0, and log-likelihood at the MLE of a free composition.
+
+    Each step solves Cov(X | S = n) d = score over the other sections and
+    halves d until the log-likelihood rises by an Armijo fraction of the
+    predicted rise.
+    """
+    n = int(counts.sum())
+    theta = np.zeros(len(counts))
+    loglik = fnch_loglik(counts, sizes, theta)
+    for steps in range(FIT_MAX_STEPS + 1):
+        mean, cov = _conditional_moments(sizes, theta, n)
+        score = (counts - mean)[1:]
+        if np.abs(score).max() <= FIT_SCORE_RTOL * n:
+            break
+        if steps == FIT_MAX_STEPS:
+            raise FnchConvergenceError(steps, score)
+        direction = np.linalg.solve(cov[1:, 1:], score)
+        rise = float(score @ direction)
+        for halving in range(FIT_MAX_HALVINGS):
+            trial = theta.copy()
+            trial[1:] += 0.5**halving * direction
+            trial_loglik = fnch_loglik(counts, sizes, trial)
+            if trial_loglik - loglik > FIT_ARMIJO * 0.5**halving * rise:
+                break
+        else:
+            break  # no step raises the log-likelihood any more
+        theta, loglik = trial, trial_loglik
+    return theta, loglik
 
 
 @dataclass(frozen=True)
@@ -240,6 +347,44 @@ class VarietyTestResult:
     boundary: bool
 
 
+def _chi2_survival(x: float, df: int) -> float:
+    """P(chi-square with integer df > x), in closed form.
+
+    Even df: e^(-x/2) sum_(i < df/2) (x/2)^i / i!. Odd df: erfc(sqrt(x/2))
+    plus e^(-x/2) sum_(i = 1 .. (df-1)/2) (x/2)^(i - 1/2) / Gamma(i + 1/2).
+    Every term is positive, so the sum loses nothing to cancellation.
+    """
+    half = x / 2.0
+    if df % 2 == 0:
+        term, total = 1.0, 1.0
+        for i in range(1, df // 2):
+            term *= half / i
+            total += term
+        return math.exp(-half) * total
+    term, total = 2.0 * math.sqrt(half / math.pi), 0.0  # (x/2)^(1/2) / Gamma(3/2)
+    for i in range(1, (df + 1) // 2):
+        total += term
+        term *= half / (i + 0.5)
+    return math.erfc(math.sqrt(half)) + math.exp(-half) * total
+
+
+def chi2_quantile_95(df: int) -> float:
+    """The 95% quantile of chi-square with integer df >= 1 (NaN below), by bisection."""
+    if df < 1:
+        return float("nan")
+    low, high = 0.0, float(df) + 10.0
+    while _chi2_survival(high, df) > 0.05:
+        low, high = high, 2.0 * high
+    while True:
+        mid = 0.5 * (low + high)
+        if mid in (low, high):
+            return high
+        if _chi2_survival(mid, df) > 0.05:
+            low = mid
+        else:
+            high = mid
+
+
 def variety_llr(counts: Sequence[int], sizes: Sequence[int]) -> VarietyTestResult:
     """Log-likelihood ratio test of biased vs unbiased section occupancy.
 
@@ -249,14 +394,8 @@ def variety_llr(counts: Sequence[int], sizes: Sequence[int]) -> VarietyTestResul
     the fitted odds lie at the edge of the parameter space. An empty ACS
     yields a not-applicable marker.
     """
-    from scipy.special import gammaincinv
-
     df = len(sizes) - 1
-    # 2 * gammaincinv(df / 2, 0.95) is the chi-square 95% quantile, the value
-    # scipy.stats.chi2.ppf computes, without importing scipy.stats
-    critical = (
-        CHI2_DF7_CRITICAL_5PCT if df == VARIETY_DF else float(2.0 * gammaincinv(df / 2, 0.95))
-    )
+    critical = CHI2_DF7_CRITICAL_5PCT if df == VARIETY_DF else chi2_quantile_95(df)
     fit = fit_noncentral_weights(counts, sizes)
     applicable = bool(sum(counts) > 0)
     g = float("nan")

@@ -2,7 +2,8 @@
 
 Every oracle here is implemented by a different route than the package code
 it checks: explicit walk enumeration instead of matrix algebra, boolean matrix
-powers instead of Tarjan and core grouping, Taylor-series matrix exponentials
+powers, and scipy's csgraph strong components and breadth-first order,
+instead of Tarjan and core grouping, Taylor-series matrix exponentials
 instead of RK4, the quadratic step-up definition instead of the sort-scan,
 brute-force composition enumeration instead of polynomial convolution, a
 row-by-row peel and a full-matrix fixed point instead of the degree-class BiCM
@@ -123,6 +124,39 @@ def acs_groups_bool_powers(adjacency: np.ndarray) -> set[tuple[frozenset[int], f
         (frozenset(g), frozenset(set().union(*(reach[v] for v in g)) - on_cycle))
         for g in groups
     }
+
+
+def acs_groups_scipy_csgraph(
+    adjacency: np.ndarray,
+) -> tuple[list[frozenset[int]], set[tuple[frozenset[int], frozenset[int]]]]:
+    """Cycle cores and distinct ACSs as index sets, via scipy.sparse.csgraph.
+
+    The cores are the strong components of two or more nodes or with a
+    self-loop; each core's reach is one breadth-first order from one of its
+    nodes, and the undirected components of the cores' reach relation group
+    them.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
+    graph = csr_matrix(adjacency)
+    n_sccs, scc = connected_components(graph, connection="strong")
+    cyclic = np.bincount(scc, minlength=n_sccs) >= 2
+    cyclic[scc[adjacency.diagonal() != 0]] = True
+    cores = [np.flatnonzero(scc == c) for c in np.flatnonzero(cyclic)]
+    if not cores:
+        return [], set()
+    reach = [set(breadth_first_order(graph, c[0], return_predecessors=False).tolist())
+             for c in cores]
+    linked = np.array([[c[0] in r for c in cores] for r in reach], dtype=bool)
+    n_groups, group = connected_components(csr_matrix(linked), directed=False)
+    in_core = set(np.concatenate(cores).tolist())
+    groups = set()
+    for g in range(n_groups):
+        members = np.flatnonzero(group == g)
+        core = frozenset(i for a in members for i in cores[a].tolist())
+        groups.add((core, frozenset(set().union(*(reach[a] for a in members)) - in_core)))
+    return [frozenset(c.tolist()) for c in cores], groups
 
 
 def bh_stepup_bruteforce(pvalues: list[float], q: float) -> set[int]:

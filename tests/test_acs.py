@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse.csgraph
 
 from technet import acs, artifacts
 from technet.acs import decompose, decomposition_from_text, decomposition_to_text
@@ -8,6 +7,7 @@ from technet.acs import decompose, decomposition_from_text, decomposition_to_tex
 from drivers import net_from_edges, random_digraph, random_single_acs
 from oracles import (
     acs_groups_bool_powers,
+    acs_groups_scipy_csgraph,
     cycle_nodes_bool_powers,
     has_cycle_bool_powers,
     reachable_bool_powers,
@@ -277,14 +277,13 @@ class TestDecompose:
 def test_one_scc_pass_per_decompose(monkeypatch):
     calls = []
 
-    def counted(graph, *args, **kwargs):
-        if kwargs.get("connection") == "strong":
-            calls.append(graph.shape[0])
-        return components(graph, *args, **kwargs)
+    def counted(adjacency):
+        calls.append(adjacency.shape[0])
+        return find_core(adjacency)
 
-    # acs imports connected_components at call time, so the patch reaches it there
-    components = scipy.sparse.csgraph.connected_components
-    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", counted)
+    # decompose looks find_core up in the module, so the patch reaches it there
+    find_core = acs.find_core
+    monkeypatch.setattr(acs, "find_core", counted)
     acyclic = net_from_edges(4, [(0, 1), (1, 2), (0, 3)])
     one_acs = net_from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
     two_acs = net_from_edges(6, [(0, 1), (1, 0), (2, 3), (3, 2), (1, 4), (3, 5)])
@@ -292,6 +291,28 @@ def test_one_scc_pass_per_decompose(monkeypatch):
         calls.clear()
         assert len(decompose(net).acs_list) == n_acs
         assert calls == [len(net.fields)]
+
+
+def test_cores_and_acs_list_match_the_csgraph_oracle():
+    # 240 digraphs of 1 to 40 nodes at four densities, a self-loop on each
+    # node with probability 0.05
+    rng = np.random.default_rng(23)
+    for trial in range(240):
+        n = int(rng.integers(1, 41))
+        density = (0.02, 0.05, 0.1, 0.3)[trial % 4]
+        adj = (rng.random((n, n)) < density).astype(np.uint8)
+        np.fill_diagonal(adj, rng.random(n) < 0.05)
+        cores, groups = acs_groups_scipy_csgraph(adj)
+        found = acs.find_core(adj)
+        assert [c.tolist() for c in found] == sorted(sorted(c) for c in cores)
+        net = net_from_edges(n, zip(*np.nonzero(adj)))
+        expect = {
+            (frozenset(net.fields[i] for i in core), frozenset(net.fields[i] for i in peri))
+            for core, peri in groups
+        }
+        acs_list = decompose(net).acs_list
+        assert len(acs_list) == len(expect)
+        assert {(a.core, a.periphery) for a in acs_list} == expect
 
 
 def test_labels_round_trip_and_summary():

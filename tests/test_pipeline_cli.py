@@ -508,6 +508,16 @@ class TestRunPipeline:
 # the commit before that change give these same bytes from the new P_ files.
 # The 1991 ACS (core 3, periphery 1) became empty and the 1992 periphery lost
 # one field, so the 1991 variety row is no longer applicable.
+# stats/variety.csv changed again when the odds fit became Newton's method on
+# the exact score, the normalizer took math.lgamma and a bisection-guarded
+# Newton tilt, and the df = 1 critical value came from the closed-form
+# chi-square tail: 9 of its 50 data rows differ, and no other file. omega_B of 1992
+# and 1995 went from 0.2033192383128674 to 0.2033192352973591 (1.5e-8
+# relative) at an unchanged llr; the llr of 1993 and 1994 went from
+# 4.969813299575999 to 4.9698132995760025, both within 2e-15 of the closed
+# form 4.969813299576001; critical_value went from 3.841458820694124 to
+# 3.841458820694126 in all five years. No applicable, significant, boundary or
+# df cell changed.
 ACS_STATS_SHA256 = {
     "acs/labels_1991.csv": "bcf53e923e6a22d6980db7a6a0e0e647ae8997a9d69e55746fa8af1ba7a73a9c",
     "acs/labels_1992.csv": "019f6af27b1895b54501033b9192bde016b6de5ad0f6c355f62c2abfdd2db826",
@@ -528,7 +538,7 @@ ACS_STATS_SHA256 = {
     "stats/fitness.csv": "1280800f7e697f463b6899bda83e1e5ebdae84573b78880a6673f165a623ff2c",
     "stats/mixing.csv": "d2859cc8bc7f25b3bdea696e3ece3659be254df05f55fc40e05e8a89f7b9bf5c",
     "stats/occupancy.csv": "19bd51f40f578180ed1e418a68b8a402715b379a4fc3307c738d52415074123f",
-    "stats/variety.csv": "f1f7da74da5d3386cfa67640ef3e44dc2cd910727afd0150ac0b5b9fc71340ea",
+    "stats/variety.csv": "bb31fe3ee401be5653827e7632c9944bbb60587df25d80789b8af103114b7f16",
 }
 
 # sha256 of every occurrence/, presence/, assist/, pvalues/ and network/
@@ -930,6 +940,19 @@ class TestCli:
         RunPaths(run).years_file().write_text("year_min,1991\n")
         assert main(["rca", "--run-dir", str(run)]) == 1
 
+    def test_reingest_over_a_malformed_years_file_rewrites_it(self, synth_inputs, tmp_path):
+        # ingest writes index/years.txt, so it never reads the old one back
+        run = tmp_path / "run"
+        _ingest_and_rca(synth_inputs, run)
+        years = RunPaths(run).years_file()
+        written = years.read_text()
+        years.write_text("year_max,x\n")
+        assert main(["ingest", "--run-dir", str(run), "--events", str(synth_inputs / "events.csv"),
+                     "--hierarchy", str(synth_inputs / "hierarchy.csv"),
+                     "--year-min", "1991", "--year-max", "1996"]) == 0
+        assert years.read_text() == written
+        assert RunPaths(run).read_years() == (1991, 1996)
+
     def test_each_stage_reads_only_the_inputs_the_readme_lists(
         self, synth_inputs, complete_run, tmp_path, monkeypatch
     ):
@@ -988,7 +1011,7 @@ class TestCli:
             pvalues.append(_dir_bytes(copy / "pvalues"))
         assert len(pvalues[0]) == 5 and pvalues[0] == pvalues[1]
 
-    def test_scipy_is_loaded_only_by_the_acs_and_stats_stages(self, synth_inputs, tmp_path):
+    def test_no_import_and_no_stage_loads_scipy(self, synth_inputs, tmp_path):
         src = str(Path(pipeline.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -1004,7 +1027,7 @@ class TestCli:
         assert report["exit"] == 0
         assert report["loaded"] == {
             "technet": False, "technet.cli": False, "ingest": False, "rca": False,
-            "assist": False, "nulls": False, "filter": False, "acs": True, "stats": True,
+            "assist": False, "nulls": False, "filter": False, "acs": False, "stats": False,
         }
         assert not log.exists()  # no null worker imported scipy
         assert json.loads((out / "manifest.json").read_text())["status"] == "complete"

@@ -6,10 +6,14 @@ import pytest
 from technet.acs import decompose, decomposition_from_text, decomposition_to_text
 from technet.hierarchy import CodeHierarchy
 from technet.ingest import parse_events
+from technet import stats
 from technet.stats import (
     CHI2_DF7_CRITICAL_5PCT,
+    FIT_SCORE_RTOL,
+    FnchConvergenceError,
     StatsError,
     acs_section_counts,
+    chi2_quantile_95,
     family_field_counts,
     fit_noncentral_weights,
     fnch_loglik,
@@ -214,6 +218,68 @@ class TestFitNoncentralWeights:
             null = fnch_loglik(counts, sizes, np.zeros(4))
             assert fit.loglik >= null - 1e-9
 
+    def test_fit_matches_or_beats_lbfgs_and_meets_its_score_tolerance(self):
+        # seeded free compositions of 2 to 8 sections, sizes 2 to 80; the
+        # score is the free sections' counts minus their conditional means
+        from scipy.optimize import minimize
+
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            k = int(rng.integers(2, 9))
+            sizes = rng.integers(2, 81, k)
+            counts = rng.integers(1, sizes)
+            n = int(counts.sum())
+            fit = fit_noncentral_weights(counts, sizes)
+            theta = np.log(fit.omega)
+            res = minimize(
+                lambda rest: -fnch_loglik(counts, sizes, np.concatenate(([0.0], rest))),
+                x0=np.zeros(k - 1), method="L-BFGS-B",
+                options={"ftol": 1e-12, "gtol": 1e-9, "maxiter": 1000},
+            )
+            assert fit.loglik >= -res.fun - 1e-12, (counts, sizes)
+            assert abs(fit.loglik - fnch_loglik(counts, sizes, theta)) <= 1e-12
+            mean, _cov = stats._conditional_moments(sizes, theta, n)
+            assert np.abs(counts - mean)[1:].max() <= FIT_SCORE_RTOL * n, (counts, sizes)
+
+    def test_conditional_moments_match_bruteforce_enumeration(self):
+        sizes, lo, n = np.array([3, 2, 4]), np.array([0.3, -0.8, 1.1]), 4
+        weights = {}
+        for x in np.ndindex(*(sizes + 1)):
+            if sum(x) == n:
+                weights[x] = math.prod(math.comb(int(m), c) for m, c in zip(sizes, x)) * math.exp(
+                    float(np.dot(x, lo)))
+        total = sum(weights.values())
+        xs = np.array(list(weights))
+        probs = np.array(list(weights.values())) / total
+        mean = probs @ xs
+        cov = (xs - mean).T @ ((xs - mean) * probs[:, None])
+        got_mean, got_cov = stats._conditional_moments(sizes, lo, n)
+        assert np.allclose(got_mean, mean, rtol=0, atol=1e-13)
+        assert np.allclose(got_cov, cov, rtol=0, atol=1e-13)
+
+    def test_sections_of_equal_count_and_size_get_equal_odds(self):
+        # the class-scale 1991 composition of the benchmark input, where a
+        # finite-difference fit gave B and E odds 6e-7 apart, and two more
+        for counts, sizes in (
+            ([5, 1, 0, 2, 1, 0, 0, 2], [15] * 8),
+            ([3, 1, 0, 1, 2, 0, 1, 1], [15] * 8),
+            ([7, 2, 9, 2, 7, 2], [20, 11, 30, 11, 20, 11]),
+        ):
+            omega = fit_noncentral_weights(counts, sizes).omega
+            for a in range(len(counts)):
+                for b in range(a):
+                    if (counts[a], sizes[a]) == (counts[b], sizes[b]) and omega[a] is not None:
+                        assert abs(omega[a] - omega[b]) <= 1e-12 * omega[b], (counts, a, b)
+
+    def test_fit_out_of_newton_steps_raises_with_its_score(self, monkeypatch):
+        monkeypatch.setattr(stats, "FIT_MAX_STEPS", 1)
+        with pytest.raises(FnchConvergenceError) as caught:
+            fit_noncentral_weights([6, 1, 9], [10, 20, 12])
+        assert caught.value.steps == 1
+        assert caught.value.score.shape == (2,)
+        assert np.abs(caught.value.score).max() > FIT_SCORE_RTOL * 16
+        assert isinstance(caught.value, StatsError)
+
     def test_infeasible_counts_error(self):
         with pytest.raises(StatsError):
             fit_noncentral_weights([5], [4])
@@ -232,6 +298,15 @@ class TestVarietyLlr:
         assert res.df == 7
         assert res.critical_value == 14.07
         assert CHI2_DF7_CRITICAL_5PCT == 14.07
+
+    def test_chi2_quantile_matches_scipy(self):
+        from scipy.stats import chi2
+
+        for df in range(1, 31):
+            expected = chi2.ppf(0.95, df)
+            assert abs(chi2_quantile_95(df) - expected) <= 1e-12 * expected, df
+        assert math.isnan(chi2_quantile_95(0))
+        assert variety_llr([2, 3, 1], [5, 5, 5]).critical_value == chi2_quantile_95(2)
 
     def test_concentrated_counts_significant(self):
         # one section fills the ACS on sizes mimicking 8 sections of ~15

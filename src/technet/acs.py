@@ -173,7 +173,10 @@ def _reached(adjacency: np.ndarray, start: int) -> np.ndarray:
 
 
 def split_distinct_acs(
-    adjacency: np.ndarray, names: Sequence[str], cores: list[np.ndarray]
+    adjacency: np.ndarray,
+    names: Sequence[str],
+    cores: list[np.ndarray],
+    whole_lambda: float,
 ) -> list[Acs]:
     """Group the cores joined by a directed path in either direction into ACSs.
 
@@ -182,6 +185,8 @@ def split_distinct_acs(
     cores, following reach in either direction, groups them. Each ACS
     keeps the periphery its cores reach; the list runs from the largest core
     eigenvalue down, then the larger core, then the smallest field code.
+    A core that covers every field takes `whole_lambda`, the eigenvalue of
+    the whole adjacency, in place of a second pf_eigen on the same matrix.
     """
     n = adjacency.shape[0]
     reach = np.zeros((len(cores), n), dtype=bool)
@@ -202,7 +207,10 @@ def split_distinct_acs(
         members = np.flatnonzero(in_group)
         idx = np.sort(np.concatenate([cores[a] for a in members]))
         reached = np.flatnonzero(reach[members].any(axis=0) & outside_cores)
-        lam, _ = pf_eigen(adjacency[np.ix_(idx, idx)])
+        if len(idx) == n:
+            lam = whole_lambda
+        else:
+            lam, _ = pf_eigen(adjacency[np.ix_(idx, idx)])
         periphery = frozenset(names[i] for i in reached)
         acs_list.append(Acs(frozenset(names[i] for i in idx), periphery, core_lambda1=lam))
     acs_list.sort(key=lambda a: (-a.core_lambda1, -len(a.core), min(a.core)))
@@ -263,21 +271,24 @@ def decompose(net: TechnologyNetwork) -> AcsDecomposition:
     by two path-disconnected cores appears in both: maximality of each ACS
     wins over disjointness of the list. `find_core`, `split_distinct_acs`
     and `pf_eigen` are public so that `perfbench/tracer.py` times each.
+    The whole adjacency's eigenpair is computed once, and an ACS whose core
+    covers every field takes its eigenvalue from it.
 
     Without a core the adjacency is nilpotent: lambda1 is exactly 0, the
     vector uniform, and there is no support to check.
     """
     names, adjacency = net.fields, net.adjacency
-    acs_list = split_distinct_acs(adjacency, names, find_core(adjacency))
-    core = frozenset().union(*(a.core for a in acs_list))
-    periphery = frozenset().union(*(a.periphery for a in acs_list))
-    if core:
+    cores = find_core(adjacency)
+    if cores:
         pf_lambda, pf_vector = pf_eigen(adjacency)
+        acs_list = split_distinct_acs(adjacency, names, cores, pf_lambda)
         support = {names[i] for i in np.nonzero(pf_vector > PF_SUPPORT_RTOL * pf_vector.max())[0]}
         consistent = pf_lambda > LAMBDA_POSITIVE_TOL and support <= acs_list[0].nodes
     else:
         pf_lambda, pf_vector = 0.0, np.full(len(names), 1.0 / max(len(names), 1))
-        consistent = True
+        acs_list, consistent = [], True
+    core = frozenset().union(*(a.core for a in acs_list))
+    periphery = frozenset().union(*(a.periphery for a in acs_list))
     return AcsDecomposition(
         year=net.year,
         fields=names,

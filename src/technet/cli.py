@@ -40,9 +40,9 @@ from .rca import PresenceError
 from .stats import StatsError
 from .synth import SynthConfig, SynthConfigError, generate_events, planted_cycle_pairs
 
-# A bad flag or config value, or a missing or malformed input: exit 1. Each
-# artifact reader raises its module's class, so one fault in any stage's input
-# exits the same way.
+# A bad flag or config value, or a missing or malformed input, a file that is
+# not UTF-8 text among them: exit 1. Each artifact reader raises its module's
+# class, so one fault in any stage's input exits the same way.
 VALIDATION_ERRORS = (
     ConfigError,
     SynthConfigError,
@@ -56,6 +56,7 @@ VALIDATION_ERRORS = (
     StatsError,
     FileNotFoundError,
     NotADirectoryError,
+    UnicodeDecodeError,
 )
 
 

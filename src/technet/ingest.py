@@ -8,11 +8,13 @@ active families.
 
 from __future__ import annotations
 
+import codecs
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import count
-from typing import Iterable, Sequence
+from itertools import chain, count
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,10 +25,63 @@ EVENT_COLUMNS = ("family_id", "year", "region_id", "code")
 # Why a line was rejected: too few columns, an empty family or region id, a
 # year that is not an integer, one outside the range, an unresolvable code.
 REJECTION_KINDS = ("columns", "empty_id", "year_format", "year_range", "unknown_code")
+# EventLines reads this many bytes at a time; the events file is never held whole.
+READ_BLOCK = 1 << 16
+# Every character str.splitlines() ends a line at ("\r\n" ends with "\n").
+LINE_BREAKS = ("\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 class IngestError(ValueError):
     """Raised on unusable event input (bad header, unknown index, ...)."""
+
+
+class EventLines:
+    """The lines of a UTF-8 events file, exactly as `read_text().splitlines()` gives them.
+
+    The file is read in READ_BLOCK-byte blocks and decoded as UTF-8, a leading
+    byte-order mark dropped. Each block is split by `str.splitlines`, and the
+    partial last line, or a last line ended by a "\r" that a "\n" may
+    complete, is carried into the next block. Iterating reads the file again;
+    `len()` counts its lines in one more pass. A byte that is not UTF-8 is an
+    IngestError naming its line.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(self._blocks())
+
+    def __len__(self) -> int:
+        return sum(map(len, self._blocks()))
+
+    def _blocks(self) -> Iterator[list[str]]:
+        decode = codecs.getincrementaldecoder("utf-8-sig")().decode
+        carry, n_lines = "", 0  # the lines yielded so far end where carry starts
+        with open(self.path, "rb") as f:
+            while True:
+                block = f.read(READ_BLOCK)
+                try:
+                    text = carry + decode(block, final=not block)
+                except UnicodeDecodeError as exc:
+                    # the bytes before the bad one decoded; count the breaks among them
+                    good = exc.object[:exc.start].decode("utf-8")
+                    line_no = n_lines + len((carry + good + ".").splitlines())
+                    raise IngestError(
+                        f"{self.path}: line {line_no} is not UTF-8 text ({exc.reason})"
+                    ) from None
+                lines = text.splitlines()
+                if not block:
+                    yield lines
+                    return
+                if text.endswith("\r"):  # a "\n" opening the next block ends the same line
+                    carry = lines.pop() + "\r"
+                elif text and not text.endswith(LINE_BREAKS):
+                    carry = lines.pop()
+                else:
+                    carry = ""
+                n_lines += len(lines)
+                yield lines
 
 
 @dataclass(frozen=True)
@@ -103,12 +158,12 @@ def parse_events(
     needed = max(idx.values()) + 1
     i_family, i_year, i_region, i_code = (idx[name] for name in EVENT_COLUMNS)
 
-    # Ids are assigned on first lookup; a kept line leaves four ints and no object.
+    # Ids are assigned on first lookup; a kept line leaves four 32-bit ints and no object.
     family_ids, region_ids = defaultdict(count().__next__), defaultdict(count().__next__)
     codes = hierarchy.codes_at(granularity)
     code_ids = dict(zip(codes, count()))
     resolved: dict[str, int | None] = {}  # raw code -> id of its code at granularity
-    kept = [array("q") for _ in EVENT_COLUMNS]  # family, year, region and code per line
+    kept = [array("i") for _ in EVENT_COLUMNS]  # family, year, region and code per line
     add_family, add_year, add_region, add_code = (column.append for column in kept)
     issues: list[tuple[int, str, str]] = []  # line number, reason, kind
     reject = issues.append
@@ -141,10 +196,13 @@ def parse_events(
         if code is None:
             reject((line_no, f"unknown code {raw_code.strip()!r}", "unknown_code"))
             continue
-        add_family(family_ids[family])
-        add_year(year)
-        add_region(region_ids[region])
-        add_code(code)
+        try:
+            add_family(family_ids[family])
+            add_year(year)
+            add_region(region_ids[region])
+            add_code(code)
+        except OverflowError:
+            raise IngestError(f"line {line_no}: year {year} or an id does not fit 32 bits") from None
 
     # Renumber families and regions in str order, then keep each event once. No
     # stage reads a family's name, so the names go before the event key is built.
@@ -154,7 +212,8 @@ def parse_events(
     family = np.argsort(by_name)[kept[0]]  # the inverse permutation maps an id to its rank
     regions = sorted(region_ids)
     region = np.argsort(list(map(region_ids.__getitem__, regions)))[kept[2]]
-    year, code = np.frombuffer(kept[1], dtype=np.int64), np.frombuffer(kept[3], dtype=np.int64)
+    year, code = (np.frombuffer(kept[i], dtype=np.intc).astype(np.int64) for i in (1, 3))
+    del kept
     n_years = year_max - year_min + 1
     if n_families * n_years * len(regions) * len(codes) >= 2**63:
         raise IngestError("too many distinct families, regions and codes for a 64-bit event key")

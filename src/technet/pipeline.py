@@ -61,6 +61,7 @@ from .assist import assist_matrix, assist_sidecar_text, assist_to_text
 from .fdr import SIGNIFICANCE_BASES, build_adjacency, network_from_text, network_to_text
 from .hierarchy import CodeHierarchy, parse_hierarchy
 from .ingest import (
+    EventLines,
     build_occurrence_matrix,
     occurrence_from_text,
     occurrence_to_text,
@@ -272,7 +273,7 @@ class RunPaths:
 
 
 def _load_hierarchy(cfg: RunConfig) -> CodeHierarchy:
-    return parse_hierarchy(Path(cfg.hierarchy_path).read_text())
+    return parse_hierarchy(Path(cfg.hierarchy_path).read_text(encoding="utf-8-sig"))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +283,7 @@ def _load_hierarchy(cfg: RunConfig) -> CodeHierarchy:
 
 def stage_ingest(cfg: RunConfig, paths: RunPaths) -> None:
     parsed = parse_events(
-        Path(cfg.events_path).read_text().splitlines(),
+        EventLines(cfg.events_path),
         _load_hierarchy(cfg),
         cfg.granularity,
         delimiter=cfg.delimiter,

@@ -293,6 +293,30 @@ def test_one_scc_pass_per_decompose(monkeypatch):
         assert calls == [len(net.fields)]
 
 
+def test_one_pf_eigen_call_when_a_core_covers_every_field(monkeypatch):
+    # a 600-field cycle with random chords is one strongly connected core
+    rng = np.random.default_rng(29)
+    n = 600
+    chords = zip(rng.integers(0, n, 3 * n).tolist(), rng.integers(0, n, 3 * n).tolist())
+    net = net_from_edges(n, [(i, (i + 1) % n) for i in range(n)] + list(chords))
+    lam, vec = acs.pf_eigen(net.adjacency)
+    core_lam, _ = acs.pf_eigen(net.adjacency[np.ix_(np.arange(n), np.arange(n))])
+    calls = []
+
+    def counted(adjacency):
+        calls.append(adjacency.shape[0])
+        return pf_eigen(adjacency)
+
+    pf_eigen = acs.pf_eigen
+    monkeypatch.setattr(acs, "pf_eigen", counted)
+    d = decompose(net)
+    assert calls == [n]
+    assert [len(a.core) for a in d.acs_list] == [n]
+    assert np.float64(d.lambda1).tobytes() == np.float64(lam).tobytes()
+    assert np.float64(d.dominant.core_lambda1).tobytes() == np.float64(core_lam).tobytes()
+    assert d.pf_vector.tobytes() == vec.tobytes()
+
+
 def test_cores_and_acs_list_match_the_csgraph_oracle():
     # 240 digraphs of 1 to 40 nodes at four densities, a self-loop on each
     # node with probability 0.05

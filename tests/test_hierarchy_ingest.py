@@ -1,13 +1,17 @@
+import codecs
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from technet import ingest
 from technet.hierarchy import CodeHierarchy, HierarchyError, hierarchy_to_text, parse_hierarchy
 from technet.ingest import (
     REJECTION_KINDS,
+    EventLines,
     IngestError,
     build_occurrence_matrix,
     occurrence_from_text,
@@ -145,6 +149,11 @@ class TestParseEvents:
         )
         assert records(result, ["F1"]) == [("F1", 1998, "r1", "H01")]
         assert [(issue.line_no, issue.kind) for issue in result.issues] == [(6, "empty_id")]
+
+    def test_year_beyond_32_bits_is_an_ingest_error(self):
+        lines = make_lines(["F1,1998,r1,H01L", f"F2,{2**31},r1,H01L"])
+        with pytest.raises(IngestError, match=f"line 3: year {2**31}"):
+            parse_events(lines, IPC_LIKE, "class", year_min=1980, year_max=2**31)
 
 
 class TestBuildOccurrenceMatrix:
@@ -304,13 +313,17 @@ GOLDEN_ISSUES = [
 ]
 
 
-def run_golden_ingest(root, body):
-    """Write the events with CRLF line endings and run the ingest stage on them."""
+def run_golden_ingest(root, body, prefix=b""):
+    """Write the events with CRLF line endings and run the ingest stage on them.
+
+    `prefix` opens both the events and the hierarchy file.
+    """
     root.mkdir(parents=True)
     events = root / "events.csv"
-    events.write_bytes(("\r\n".join(["family_id,year,region_id,code", *body]) + "\r\n").encode())
+    lines = ["family_id,year,region_id,code", *body]
+    events.write_bytes(prefix + ("\r\n".join(lines) + "\r\n").encode())
     hierarchy = root / "hierarchy.csv"
-    hierarchy.write_text(hierarchy_to_text(IPC_LIKE))
+    hierarchy.write_bytes(prefix + hierarchy_to_text(IPC_LIKE).encode())
     cfg = RunConfig(
         events_path=str(events), hierarchy_path=str(hierarchy), out_dir=str(root / "run"),
         year_min=1998, year_max=1999,
@@ -353,6 +366,68 @@ class TestIngestGolden:
         assert body != GOLDEN_BODY
         shuffled = run_golden_ingest(tmp_path / "shuffled", body)
         assert artifact_hashes(shuffled) == GOLDEN_HASHES
+
+    def test_events_are_never_read_whole(self, tmp_path, monkeypatch):
+        for name in ("read_text", "read_bytes"):
+            def guarded(path, *args, _read=getattr(Path, name), **kwargs):
+                assert path.name != "events.csv", "the events file was read whole"
+                return _read(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, name, guarded)
+        paths = run_golden_ingest(tmp_path / "streamed", GOLDEN_BODY)
+        assert artifact_hashes(paths) == GOLDEN_HASHES
+
+    def test_byte_order_mark_changes_no_byte(self, tmp_path):
+        plain = run_golden_ingest(tmp_path / "plain", GOLDEN_BODY)
+        marked = run_golden_ingest(tmp_path / "marked", GOLDEN_BODY, prefix=codecs.BOM_UTF8)
+        assert tree_bytes(marked.root) == tree_bytes(plain.root)
+        assert artifact_hashes(marked) == GOLDEN_HASHES
+
+
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# str.splitlines ends a line at each of these; "\r\n" is one break.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+READER_TEXTS = [
+    *(f"h{b}a,1{b}{b}b é{b}" for b in LINE_BREAKS),  # a blank line, a final break
+    *(f"h{b}a{b}€😀" for b in LINE_BREAKS),  # no final break, multi-byte last line
+    "h\r\n\r\n\r\r\na\n\r\nb\r",  # \r\n pairs, lone \r, \n\r
+    "é\r\n€\r\n😀\r\nx",  # every block size splits a \r\n or a character somewhere
+    "",
+    "no break at all",
+]
+
+
+class TestEventLines:
+    @pytest.mark.parametrize("block", range(1, 9))
+    def test_lines_and_length_equal_splitlines_at_every_block_size(
+        self, tmp_path, monkeypatch, block
+    ):
+        monkeypatch.setattr(ingest, "READ_BLOCK", block)
+        path = tmp_path / "events.csv"
+        for text in READER_TEXTS:
+            path.write_bytes(text.encode())
+            expected = path.read_text(encoding="utf-8").splitlines()
+            assert list(EventLines(path)) == expected, repr(text)
+            assert len(EventLines(path)) == len(expected), repr(text)
+
+    def test_a_block_boundary_splits_a_pair_and_a_character(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "READ_BLOCK", 3)
+        path = tmp_path / "events.csv"
+        path.write_bytes("ab\r\n€\n".encode())
+        assert [path.read_bytes()[i:i + 3] for i in (0, 3, 6)] == [b"ab\r", b"\n\xe2\x82", b"\xac\n"]
+        assert list(EventLines(path)) == ["ab", "€"]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 1 << 16])
+    def test_undecodable_byte_names_its_line(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(ingest, "READ_BLOCK", block)
+        path = tmp_path / "events.csv"
+        # with 1-byte blocks the lone \r before the bad byte is carried
+        path.write_bytes("h\r\né\r\n\n€x\r".encode() + b"\xff,1\n")
+        with pytest.raises(IngestError, match=r"events\.csv: line 5 is not UTF-8 text"):
+            list(EventLines(path))
 
 
 # Four sections of five classes of three subclasses each.

@@ -1066,7 +1066,9 @@ class TestCli:
                      "--year-min", "1989", "--year-max", "1996"])
         assert code == 2
 
-    @pytest.mark.parametrize("broken", ["events_header", "hierarchy_parent"])
+    @pytest.mark.parametrize(
+        "broken", ["events_header", "hierarchy_parent", "events_bytes", "hierarchy_bytes"]
+    )
     def test_malformed_input_exits_1_from_pipeline_and_ingest(
         self, synth_inputs, tmp_path, broken
     ):
@@ -1076,8 +1078,12 @@ class TestCli:
         if broken == "events_header":
             header, rest = events.read_text().split("\n", 1)
             events.write_text(header.replace("code", "kode") + "\n" + rest)
-        else:
+        elif broken == "hierarchy_parent":
             hierarchy.write_text(hierarchy.read_text() + "Z01,Z\n")
+        elif broken == "events_bytes":  # a byte that is not UTF-8
+            events.write_bytes(events.read_bytes() + b"F0,1991,r\xff,A01\n")
+        else:
+            hierarchy.write_bytes(hierarchy.read_bytes() + b"Z\xff,\n")
         inputs = ["--events", str(events), "--hierarchy", str(hierarchy),
                   "--year-min", "1991", "--year-max", "1996"]
         out = tmp_path / "pipeline"

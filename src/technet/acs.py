@@ -311,7 +311,9 @@ def decomposition_from_text(
     text: str, fields: Sequence[str], *, year: int | None = None
 ) -> dict[str, str]:
     """Parse a labels file, one row per field in `fields` order, into field -> label."""
-    _year, rows = artifacts.year_rows_from_text(text, 2, year=year, error=LabelError)
-    if [code for code, _label in rows] != list(fields):
+    _year, (row_fields, labels) = artifacts.year_rows_from_text(
+        text, 2, year=year, error=LabelError
+    )
+    if row_fields != list(fields):
         raise LabelError("labels are not over the given fields in their order")
-    return dict(rows)
+    return dict(zip(row_fields, labels))

@@ -1,12 +1,15 @@
 """Plain-text artifact I/O: one writer and one reader per line grammar.
 
 Year-keyed rows `year,c1,...,cn` hold W_, F_, M_, C_ and labels_: they are
-tagged rows whose tag is the year, and `scatter` places them on a dense array
-over given index tuples. Labelled dense matrices hold B_ and P_: an optional
-`# key=value ...` meta line, a `field,f1,...,fn` header, then one row per
-field in header order. The assist sidecar's tagged rows share the row reader.
-Each reader raises the ValueError subclass its caller passes. Output tables
-that no stage reads back (summaries, stats, dynamics) are rows of Python
+tagged rows whose tag is the year. They are written by joining whole rows and
+read as n cell columns from one join and split of the text's lines, once a
+check on that split shows every line to be the year and n cells; on a mismatch
+the tagged-row reader names the first bad row. `scatter` places key columns on
+a dense array over given index tuples. Labelled dense matrices hold B_ and P_:
+an optional `# key=value ...` meta line, a `field,f1,...,fn` header, then one
+row per field in header order. The assist sidecar's tagged rows share the row
+reader. Each reader raises the ValueError subclass its caller passes. Output
+tables that no stage reads back (summaries, stats, dynamics) are rows of Python
 scalars written by `rows_to_text` under its one cell rule.
 """
 
@@ -45,37 +48,48 @@ def tagged_rows(text: str, widths: Mapping[str, int], error=ValueError) -> dict[
 
 
 def year_rows_to_text(year: int, rows: Iterable[Sequence[str]]) -> str:
+    lines = list(map(",".join, rows))
     prefix = f"{year},"
-    return "".join(prefix + ",".join(row) + "\n" for row in rows)
+    return prefix + ("\n" + prefix).join(lines) + "\n" if lines else ""
 
 
 def year_rows_from_text(
     text: str, width: int, *, year: int | None = None, error=ValueError
 ) -> tuple[int, list[list[str]]]:
-    """Rows of `width` cells after one year: `year`, or else the first row's."""
+    """The year, `year` or else the first row's, and the `width` cell columns after it."""
+    lines = list(filter(str.strip, text.splitlines()))
     if year is None:
-        first = next(filter(str.strip, text.splitlines()), "")
+        first = lines[0] if lines else ""
         try:
             year = int(first.split(",")[0])
         except ValueError:
             raise error(f"no year at the start of {first!r}") from None
-    return year, tagged_rows(text, {str(year): width}, error)[str(year)]
+    tag, stride = str(year), width + 1
+    # Joined by ",\n", a line's first cell is the only one to start with "\n". When the
+    # n - 1 such cells after the first line all sit at multiples of the stride and
+    # read the tag, every line is the tag and `width` cells.
+    cells = ",\n".join(lines).split(",") if lines else []
+    if len(cells) != stride * len(lines) or (
+        lines and (cells[0] != tag or cells[stride::stride].count("\n" + tag) != len(lines) - 1)
+    ):
+        tagged_rows(text, {tag: width}, error)  # raises for the first row that is not
+    return year, [cells[k::stride] for k in range(1, stride)]
 
 
-def scatter(rows: Sequence[Sequence[str]], axes, values, dtype, error=ValueError) -> np.ndarray:
-    """Zeros over the index tuples `axes`, and `values` where cell a of a row keys axis a.
+def scatter(columns: Sequence[Sequence[str]], axes, values, dtype, error=ValueError) -> np.ndarray:
+    """Zeros over the index tuples `axes`, and `values` where row r of column a keys axis a.
 
     Two rows with the same keys are an error, not a cell that the last one wins.
     """
     cells = []
-    for a, axis in enumerate(axes):
-        index = {key: i for i, key in enumerate(axis)}
+    for column, axis in zip(columns, axes):
+        index = dict(zip(axis, range(len(axis))))
         try:
-            cells.append([index[row[a]] for row in rows])
+            cells.append(np.fromiter(map(index.__getitem__, column), np.intp, len(column)))
         except KeyError as exc:
             raise error(f"unknown key {exc.args[0]!r}") from None
     out = np.zeros([len(axis) for axis in axes], dtype=dtype)
-    flat = np.ravel_multi_index(np.array(cells, dtype=np.intp), out.shape)
+    flat = np.ravel_multi_index(cells, out.shape)
     n_duplicates = flat.size - np.unique(flat).size
     if n_duplicates:
         raise error(f"{n_duplicates} of {flat.size} rows repeat an earlier row's keys")

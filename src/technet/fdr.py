@@ -124,6 +124,6 @@ def network_to_text(net: TechnologyNetwork) -> str:
 def network_from_text(
     text: str, fields: Sequence[str], *, year: int | None = None
 ) -> TechnologyNetwork:
-    year, rows = artifacts.year_rows_from_text(text, 2, year=year, error=NetworkError)
-    adjacency = artifacts.scatter(rows, (fields, fields), 1, np.uint8, NetworkError)
+    year, columns = artifacts.year_rows_from_text(text, 2, year=year, error=NetworkError)
+    adjacency = artifacts.scatter(columns, (fields, fields), 1, np.uint8, NetworkError)
     return TechnologyNetwork(year=year, fields=tuple(fields), adjacency=adjacency)

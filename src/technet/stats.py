@@ -84,12 +84,12 @@ def field_counts_to_text(year: int, counts: Mapping[str, int]) -> str:
 
 def field_counts_from_text(text: str, fields: Sequence[str], *, year: int) -> dict[str, int]:
     """Parse a counts file of `year` into a field -> count mapping over `fields`."""
-    _year, rows = artifacts.year_rows_from_text(text, 2, year=year, error=StatsError)
+    _year, (row_fields, cells) = artifacts.year_rows_from_text(text, 2, year=year, error=StatsError)
     try:
-        values = [int(c) for _f, c in rows]
+        values = list(map(int, cells))
     except ValueError as exc:
         raise StatsError(f"family count is not an integer: {exc}") from None
-    counts = artifacts.scatter(rows, (fields,), values, np.int64, StatsError)
+    counts = artifacts.scatter((row_fields,), (fields,), values, np.int64, StatsError)
     if counts.min(initial=0) < 0:
         raise StatsError("family counts must be nonnegative")
     return dict(zip(fields, counts.tolist()))

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from technet import artifacts
 from technet.acs import decomposition_from_text
 from technet.assist import (
     AssistError,
@@ -238,3 +239,81 @@ def test_malformed_assist_sidecar_is_rejected(sidecar_change):
         assist_from_text(
             text, "\n".join(sidecar_change(rows)) + "\n", regions=REGIONS, fields=FIELDS, year=YEAR
         )
+
+
+YEAR_ROW_READERS = ("occurrence", "presence", "network", "field_counts", "labels")
+LABELS_ORDER = "labels are not over the given fields in their order"
+
+
+def year_row_error(reader, case, tampered):
+    """The error text the row-by-row reader gave for each tampered year-row text."""
+    if case == "unknown_key":
+        return LABELS_ORDER if reader == "labels" else "unknown key 'ZZZ'"
+    if case == "duplicate_row":
+        return LABELS_ORDER if reader == "labels" else "1 of 4 rows repeat an earlier row's keys"
+    return f"row {tampered.splitlines()[-1]!r}: expected a key of ['{YEAR}'] and its cells"
+
+
+@pytest.mark.parametrize("reader", YEAR_ROW_READERS)
+@pytest.mark.parametrize(
+    "case", ["wrong_column_count", "short_row", "second_year", "unknown_key", "duplicate_row"]
+)
+def test_year_row_errors_keep_their_text(reader, case):
+    read, text, error = READERS[reader]
+    tampered = CASES[case][0](text)
+    with pytest.raises(error, match=f"^{re.escape(year_row_error(reader, case, tampered))}$"):
+        read(tampered)
+
+
+@pytest.mark.parametrize("reader", YEAR_ROW_READERS)
+def test_year_rows_skip_blank_lines_and_read_crlf(reader):
+    read, text, _error = READERS[reader]
+    lines = text.splitlines()
+    messy = "\r\n".join(["", " ", *lines[:1], "\t", *lines[1:], "  "]) + "\r\n"
+    clean, got = read(text), read(messy)
+    if isinstance(clean, dict):
+        assert got == clean
+    else:
+        assert vars(got).keys() == vars(clean).keys()
+        for name, value in vars(clean).items():
+            assert np.array_equal(getattr(got, name), value), name
+
+
+def test_year_rows_from_text_gives_columns():
+    text = "\n2000,a,1\n  \n2000,b,2\r\n"
+    assert artifacts.year_rows_from_text(text, 2) == (2000, [["a", "b"], ["1", "2"]])
+    assert artifacts.year_rows_from_text(text, 2, year=2000) == (2000, [["a", "b"], ["1", "2"]])
+    assert artifacts.year_rows_from_text(" \n", 2, year=2000) == (2000, [[], []])
+    with pytest.raises(ValueError, match="no year at the start of ''"):
+        artifacts.year_rows_from_text(" \n", 2)
+
+
+def rows_to_text_by_cell(rows):
+    return "".join(",".join(map(artifacts._cell, row)) + "\n" for row in rows)
+
+
+def year_rows_to_text_by_row(year, rows):
+    return "".join(f"{year}," + ",".join(row) + "\n" for row in rows)
+
+
+WRITER_ROWS = [
+    ("code", "parent"),
+    (None, True, False, 1.5, 1e-300, 0.1, -0.0, float("nan"), float("inf"), 3, -7, "x", ""),
+    ["a", 1, 2.0],
+    (False, 2, "b", 0.5),
+    (np.float64(0.5), np.int64(2), np.str_("s")),
+    (),
+    (None,),
+]
+YEAR_ROWS = [("r0", "A", "0.5"), ["r1", "B"], (), ("x",)]
+
+
+def test_writers_keep_their_bytes():
+    for rows in (WRITER_ROWS, WRITER_ROWS[4:], []):
+        assert artifacts.rows_to_text(rows) == rows_to_text_by_cell(rows)
+    assert artifacts.rows_to_text(iter(map(iter, WRITER_ROWS))) == rows_to_text_by_cell(WRITER_ROWS)
+    for rows in (YEAR_ROWS, YEAR_ROWS[:1], YEAR_ROWS[2:3], []):
+        assert artifacts.year_rows_to_text(2000, rows) == year_rows_to_text_by_row(2000, rows)
+    assert artifacts.year_rows_to_text(2000, iter(YEAR_ROWS)) == year_rows_to_text_by_row(
+        2000, YEAR_ROWS
+    )

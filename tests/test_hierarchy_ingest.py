@@ -20,6 +20,7 @@ from technet.ingest import (
 )
 from technet.pipeline import RunConfig, RunPaths, stage_ingest
 from technet.stats import family_field_counts
+from technet.synth import SynthConfig, generate_events
 
 from oracles import field_counts_by_record_set, occurrence_by_record_loop
 
@@ -495,3 +496,140 @@ def test_columnar_ingest_matches_record_loop(seed, granularity):
             assert family_field_counts(parsed, year) == field_counts_by_record_set(kept, year)
         assert not build_occurrence_matrix(parsed, 1993).weights.any()
         assert family_field_counts(parsed, 1993) == {}
+
+
+# Cells that only the per-line rules read: whitespace that they strip, non-ASCII
+# and long names, a NUL that a bytes array would drop, and years and codes that
+# int() or the hierarchy reads otherwise, or not at all.
+ODD_CELLS = {
+    "family_id": [" F1", "F1\t", "\x1cF1\x1f", "\xa0F1", "\x1dF1", "Fé", "F€😀", "", "F1\x00",
+                  "F", "F\x00", "F" + "x" * 80, "F" + "x" * 80 + "y", "é" * 40],
+    "year": ["+1990", "1_990", "１９９０", "01990", "0000001990", "1979", "2012", str(2**31),
+             " 1990", "19 90", "", "x", "1990.0", "-1990"],
+    "region_id": ["r1 ", "\x1er1", "ré", "", "r1\x00", "r" * 70, "r" * 70 + "\x00"],
+    "code": ["Z99", " H01L", "H01L\t", "", "h01l", "H01L21/02", "H" + "0" * 70],
+}
+ODD_HEADER = ("code", "extra", "region_id", "year", "family_id")
+
+
+def event_corpus(header, delimiter, seed=0):
+    """Shuffled event lines: good ones, each odd cell in a copy of a good one, too
+    few and extra cells, and blank lines."""
+    rng = random.Random(seed)
+    good = [
+        {"family_id": f"F{rng.randrange(40)}", "year": str(rng.randint(1980, 2011)),
+         "region_id": f"r{rng.randrange(9)}", "code": rng.choice(["H01L", "A01B33/00", "H02"])}
+        for _ in range(80)
+    ]
+    odd = [dict(rng.choice(good), **{name: cell}) for name, cells in ODD_CELLS.items()
+           for cell in cells]
+    rows = [[event.get(name, "extra") for name in header] for event in good + odd]
+    rows += [row[:2] for row in rng.sample(rows, 3)]
+    rows += [row + ["x", ""] for row in rng.sample(rows, 3)]
+    lines = [delimiter.join(row) for row in rows] + ["", "   ", delimiter * 4]
+    rng.shuffle(lines)
+    return [delimiter.join(header), *lines]
+
+
+def parse_line_by_line(lines, hierarchy, granularity, delimiter, year_min, year_max):
+    """parse_events' result, built from ingest._parse_lines alone, names ranked by sorted()."""
+    columns = [c.strip() for c in lines[0].split(delimiter)]
+    codes = hierarchy.codes_at(granularity)
+
+    def code_id(raw):
+        code = hierarchy.resolve(raw, granularity)
+        return codes.index(code) if code in codes else None
+
+    rules = ingest._LineRules(delimiter, *map(columns.index, ingest.EVENT_COLUMNS),
+                             year_min, year_max, code_id)
+    out = ingest._Kept()
+    ingest._parse_lines(enumerate(lines[1:], 2), rules, out)
+    names = [{i: name for name, i in ids.items()} for ids in (out.family_ids, out.region_ids)]
+    kept = [(names[0][f], y, names[1][r], c) for f, y, r, c in zip(*out.columns)]
+    families, regions = ({name: i for i, name in enumerate(sorted({e[k] for e in kept}))}
+                         for k in (0, 2))
+    events = sorted({(families[f], y, regions[r], c) for f, y, r, c in kept})
+    return ingest.ParseResult(
+        tuple(regions), codes, *(np.array(column, dtype=np.int64) for column in zip(*events)),
+        out.issues,
+    )
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 7, ingest.PARSE_BATCH])
+@pytest.mark.parametrize("delimiter", [",", "\t", "::"])
+def test_parse_equals_the_per_line_rules(monkeypatch, batch, delimiter):
+    monkeypatch.setattr(ingest, "PARSE_BATCH", batch)
+    for header in (ingest.EVENT_COLUMNS, ODD_HEADER):
+        lines = event_corpus(header, delimiter)
+        expected = parse_line_by_line(lines, IPC_LIKE, "class", delimiter, 1980, 2011)
+        assert min(expected.rejected_by_reason.values()) > 0
+        assert len(expected.family) > 80
+        parsed = parse_events(lines, IPC_LIKE, "class", delimiter=delimiter,
+                              year_min=1980, year_max=2011)
+        assert parsed == expected
+
+
+@pytest.mark.parametrize("batch", [1, 3, ingest.PARSE_BATCH])
+def test_ranks_follow_str_order(monkeypatch, batch):
+    monkeypatch.setattr(ingest, "PARSE_BATCH", batch)
+    long = "a" * ingest.NAME_BYTES
+    names = [
+        "b", "a", "a\x00", "a\x00\x00", "ab", "A", "\xe9", "e\u0301", "\u20ac", "\U0001f600",
+        "z" * 30, long[1:], long[1:] + "\x00", long, long + "\x00", long[1:] + "\x00b",
+        long + "b", long + "c", long * 2, "\xe9" * 40, "\ud800", "\uffff",
+    ]
+    for order in (names, names[::-1], random.Random(batch).sample(names, len(names))):
+        lines = [f"{name},1990,{name},H01" for name in order]
+        parsed = parse_events(make_lines(lines), IPC_LIKE, "class", year_min=1980, year_max=2011)
+        assert parsed.regions == tuple(sorted(names))
+        assert records(parsed, names) == sorted((name, 1990, name, "H01") for name in names)
+
+
+def test_a_code_longer_than_name_bytes_resolves_whole():
+    # cut to NAME_BYTES, the code would resolve to Q1
+    long_class = "Q" + "1" * ingest.NAME_BYTES
+    hierarchy = CodeHierarchy.from_pairs([("Q", None), ("Q1", "Q"), (long_class, "Q")])
+    parsed = parse_events(make_lines([f"F1,1990,r1,{long_class}"]), hierarchy, "class")
+    assert records(parsed, ["F1"]) == [("F1", 1990, "r1", long_class)]
+
+
+def test_canonical_lines_skip_the_per_line_rules(monkeypatch):
+    calls, parse_lines = [], ingest._parse_lines
+
+    def counted(numbered, rules, kept):
+        numbered = list(numbered)
+        calls.extend(line_no for line_no, _line in numbered)
+        return parse_lines(numbered, rules, kept)
+
+    monkeypatch.setattr(ingest, "_parse_lines", counted)
+    synth = generate_events(SynthConfig(n_regions=100, n_fields=12, n_sections=3, year_min=1990,
+                                        year_max=1993, baseline_presence=0.2, master_seed=3))
+    hierarchy = parse_hierarchy(synth.hierarchy_text)
+    lines = synth.events_text.splitlines()
+    parsed = parse_events(lines, hierarchy, "class", year_min=1990, year_max=1993)
+    assert calls == [] and parsed.n_rejected == 0 and len(parsed.family) == len(lines) - 1
+
+    odd = ["", " " + lines[1], lines[2].replace(",199", ",+199"), lines[3] + "\r",
+           lines[4].replace(",", ";"), lines[5].replace(",199", ",0000000199")]
+    at = sorted(random.Random(1).sample(range(2, len(lines) + len(odd)), len(odd)))
+    for line_no, line in zip(at, odd):
+        lines.insert(line_no - 1, line)
+    parse_events(lines, hierarchy, "class", year_min=1990, year_max=1993)
+    assert calls == at
+
+
+def test_mostly_odd_batches_skip_the_numpy_pass(monkeypatch):
+    monkeypatch.setattr(ingest, "PARSE_BATCH", 4)
+    looked_at, canonical_lines = [], ingest._canonical_lines
+
+    def counted(batch, rules):
+        looked_at.append(batch[0])
+        return canonical_lines(batch, rules)
+
+    monkeypatch.setattr(ingest, "_canonical_lines", counted)
+    odd = [f"F{i},1990,r1,H01 21/02" for i in range(40)]  # a code with an inner space
+    good = [f"F{i},1991,r{i % 3},H01" for i in range(40, 80)]
+    lines = make_lines(odd + good)  # batches 0-9 are odd, 10-19 canonical
+    parsed = parse_events(lines, IPC_LIKE, "class", year_min=1980, year_max=2011)
+    assert parsed == parse_line_by_line(lines, IPC_LIKE, "class", ",", 1980, 2011)
+    assert looked_at == [lines[1 + 4 * n] for n in (0, 8, 16, 17, 18, 19)]

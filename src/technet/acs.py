@@ -89,10 +89,6 @@ class AcsDecomposition:
         """Year, lambda1, core size, periphery size, ACS size."""
         return self.year, self.lambda1, len(self.core), len(self.periphery), len(self.acs_nodes)
 
-    @property
-    def dominant(self) -> Acs | None:
-        return self.acs_list[0] if self.acs_list else None
-
     def label_of(self, code: str) -> str:
         if code in self.core:
             return "core"

@@ -48,10 +48,6 @@ class TechnologyNetwork:
         if self.adjacency.dtype != np.uint8:
             object.__setattr__(self, "adjacency", self.adjacency.astype(np.uint8))
 
-    @property
-    def n_links(self) -> int:
-        return int(self.adjacency.sum())
-
     def edges(self) -> list[tuple[str, str]]:
         src, dst = np.nonzero(self.adjacency)
         return sorted((self.fields[s], self.fields[t]) for s, t in zip(src, dst))

@@ -309,11 +309,14 @@ def _canonical_lines(batch: list[str], rules: _LineRules) -> tuple[np.ndarray, _
     """Which lines of a batch are canonical, and their columns.
 
     A line is canonical when the delimiter is one ASCII character, every other
-    byte is printable ASCII without space, it has the needed cells, its family
-    and region cells are not empty, its year cell is 1-9 ASCII digits inside the
-    year range, its raw code resolves, and its family, region and code cells
-    hold at most NAME_BYTES. _parse_lines keeps such a line with its cells as
-    they are, so the columns are read straight from the bytes.
+    byte is printable ASCII, a space stands only inside a cell (not next to a
+    delimiter nor at the line's start or end, where the per-line rules strip
+    it), it has the needed cells, its family and region cells are not empty,
+    its year cell is 1-9 ASCII digits inside the year range, its raw code
+    resolves, and its family, region and code cells hold at most NAME_BYTES.
+    _parse_lines keeps such a line with its cells as they are, so the columns
+    are read straight from the bytes. Only the batch's odd bytes are looked at
+    for spaces, so a batch without any pays nothing for them.
     """
     n = len(batch)
     if not (len(rules.delimiter) == 1 and rules.delimiter.isascii()):
@@ -331,6 +334,12 @@ def _canonical_lines(batch: list[str], rules: _LineRules) -> tuple[np.ndarray, _
     starts = ends - lengths
     delimiter = ord(rules.delimiter)
     odd = np.flatnonzero((buf - np.uint8(0x21) > 0x7E - 0x21) & (buf != delimiter))
+    space = buf[odd] == ord(" ")
+    if space.any():  # a space is odd only at a cell's edge
+        at, edge = odd[space], (delimiter, ord("\n"))
+        space[space] = ~((at == 0) | np.isin(buf[at - 1], edge)
+                         | (at + 1 == len(buf)) | np.isin(padded[at + 1], edge))
+        odd = odd[~space]
     stop = buf == delimiter
     stop[ends[:-1]] = True
     stops = np.append(np.flatnonzero(stop), len(buf))  # every cell ends at a stop
@@ -436,10 +445,6 @@ class OccurrenceMatrix:
             raise IngestError("weight matrix shape does not match index sets")
         if not np.all((self.weights >= 0) & (self.weights < np.inf)):  # NaN fails both
             raise IngestError("occurrence weights must be finite and nonnegative")
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
 
 
 def build_occurrence_matrix(events: ParseResult, year: int) -> OccurrenceMatrix:

@@ -91,19 +91,16 @@ class BicmParameters:
     A cell's probability depends only on its row's and its column's degrees,
     so the fit holds each distinct row of the cell-probability matrix once:
     region r draws from `rows[row_of[r]]`. That matrix includes the rows and
-    columns forced to 0 (empty) or 1 (saturated) before the interior fit, and
-    `link_probability` rebuilds it, dense, on each access. The x, y
-    multipliers are NaN on forced rows/columns; they are diagnostics, not
-    needed for sampling. byte_floor is each cell's uint8 threshold
-    min(floor(256 p), 255), dense and computed once here, so every draw of the
-    year shares it; a draw reads a cell's p only where its byte equals it.
+    columns forced to 0 (empty) or 1 (saturated) before the interior fit.
+    byte_floor is each cell's uint8 threshold min(floor(256 p), 255), dense
+    and computed once here, so every draw of the year shares it; a draw reads
+    a cell's p only where its byte equals it. residual is the fit's largest
+    degree miss over every row and column.
     """
 
     year: int
     regions: tuple[str, ...]
     fields: tuple[str, ...]
-    x: np.ndarray
-    y: np.ndarray
     rows: np.ndarray
     row_of: np.ndarray
     residual: float
@@ -116,19 +113,14 @@ class BicmParameters:
     @classmethod
     def from_link_probability(
         cls, year: int, regions: tuple[str, ...], fields: tuple[str, ...],
-        x: np.ndarray, y: np.ndarray, p: np.ndarray, residual: float,
+        p: np.ndarray, residual: float,
     ) -> BicmParameters:
         """The parameters of the region x field cell probabilities p, each distinct row once."""
         p = np.ascontiguousarray(p, dtype=np.float64)
         # rows equal bit for bit are one void scalar each, and np.unique groups those
         keys = p.view(np.dtype((np.void, p.itemsize * p.shape[1]))).reshape(len(p))
         _keys, first, row_of = np.unique(keys, return_index=True, return_inverse=True)
-        return cls(year, regions, fields, x, y, p[first], row_of, residual)
-
-    @property
-    def link_probability(self) -> np.ndarray:
-        """The dense region x field cell-probability matrix, rebuilt from the distinct rows."""
-        return self.rows[self.row_of]
+        return cls(year, regions, fields, p[first], row_of, residual)
 
 
 def _degree_residual(p: np.ndarray, d: np.ndarray, u: np.ndarray) -> float:
@@ -145,10 +137,10 @@ def fit_bicm(m: PresenceMatrix, tol: float = 1e-8, max_iter: int = 10_000) -> Bi
     with equal targets share one multiplier, and so do columns, so the fixed
     point is iterated over the distinct (row target, column target) classes,
     each weighted by its size, and the class solution is scattered back over
-    the matrix. The dense matrix lives only inside the fit: the parameters
-    keep its distinct rows. Raises BicmFitError carrying the residual if
-    max_iter is exhausted or the full matrix misses the degrees by more than
-    10 * tol.
+    the matrix. The dense matrix and the class multipliers live only inside
+    the fit: the parameters keep the matrix's distinct rows. Raises
+    BicmFitError carrying the residual if max_iter is exhausted or the full
+    matrix misses the degrees by more than 10 * tol.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -179,8 +171,6 @@ def fit_bicm(m: PresenceMatrix, tol: float = 1e-8, max_iter: int = 10_000) -> Bi
         active_f &= ~(empty_f | full_f)
         changed = bool((empty_r | full_r).any() or (empty_f | full_f).any())
 
-    x = np.full(n_regions, np.nan)
-    y = np.full(n_fields, np.nan)
     ar = np.nonzero(active_r)[0]
     af = np.nonzero(active_f)[0]
     if ar.size and af.size:
@@ -206,13 +196,11 @@ def fit_bicm(m: PresenceMatrix, tol: float = 1e-8, max_iter: int = 10_000) -> Bi
         if not converged:
             raise BicmFitError("BiCM fit did not converge", res, iterations)
         p[np.ix_(ar, af)] = block[np.ix_(row_class, col_class)]
-        x[ar] = xs[row_class]
-        y[af] = ys[col_class]
 
     residual = _degree_residual(p, d_emp, u_emp)
     if residual > 10 * tol:
         raise BicmFitError("BiCM degree residual above tolerance", residual, 0)
-    return BicmParameters.from_link_probability(m.year, m.regions, m.fields, x, y, p, residual)
+    return BicmParameters.from_link_probability(m.year, m.regions, m.fields, p, residual)
 
 
 def sample_null_matrix(params: BicmParameters, rng: np.random.Generator) -> HitList:

@@ -62,6 +62,7 @@ from .fdr import SIGNIFICANCE_BASES, build_adjacency, network_from_text, network
 from .hierarchy import CodeHierarchy, parse_hierarchy
 from .ingest import (
     EventLines,
+    IngestError,
     build_occurrence_matrix,
     occurrence_from_text,
     occurrence_to_text,
@@ -254,10 +255,10 @@ class RunPaths:
         return self.root / "manifest.json"
 
     def read_fields(self) -> tuple[str, ...]:
-        return tuple(self.fields_file().read_text().split())
+        return tuple(self.fields_file().read_text().splitlines())
 
     def read_regions(self) -> tuple[str, ...]:
-        return tuple(self.regions_file().read_text().split())
+        return tuple(self.regions_file().read_text().splitlines())
 
     def read_years(self) -> tuple[int, int]:
         """The year span that ingest wrote; a malformed file is a ConfigError."""
@@ -290,8 +291,12 @@ def stage_ingest(cfg: RunConfig, paths: RunPaths) -> None:
         year_min=cfg.year_min,
         year_max=cfg.year_max,
     )
-    paths.fields_file().write_text("\n".join(parsed.codes) + "\n")
-    paths.regions_file().write_text("\n".join(parsed.regions) + "\n")
+    # the year-row artifacts are comma-separated, so a region id cannot hold a comma
+    comma = next((region for region in parsed.regions if "," in region), None)
+    if comma is not None:
+        raise IngestError(f"region id {comma!r} holds a comma, the artifacts' cell separator")
+    paths.fields_file().write_text("".join(f"{code}\n" for code in parsed.codes))
+    paths.regions_file().write_text("".join(f"{region}\n" for region in parsed.regions))
     paths.years_file().write_text(
         artifacts.rows_to_text([("year_min", cfg.year_min), ("year_max", cfg.year_max)])
     )

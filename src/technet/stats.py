@@ -442,10 +442,6 @@ class MixingCounts:
     within: int
     between: int
 
-    @property
-    def total(self) -> int:
-        return self.within + self.between
-
 
 def section_mixing(net: TechnologyNetwork, hierarchy: CodeHierarchy) -> MixingCounts:
     """Classify every directed link as within- or between-section."""

@@ -245,13 +245,12 @@ def fnch_loglik_bruteforce(counts: list[int], sizes: list[int], omegas: list[flo
 
 def bicm_fit_full_matrix(
     presence: np.ndarray, tol: float = 1e-8, max_iter: int = 10_000
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """BiCM link probabilities and multipliers by iterating on every cell.
+) -> np.ndarray:
+    """BiCM link probabilities by iterating on every cell.
 
     Forced rows and columns are peeled one at a time; the interior fixed point
     then runs over the full region x field block, one multiplier per row and
-    column, without grouping equal degrees. Returns (p, x, y), with NaN
-    multipliers on forced rows and columns.
+    column, without grouping equal degrees. Returns the dense matrix p.
     """
     presence = np.asarray(presence, dtype=np.float64)
     n_regions, n_fields = presence.shape
@@ -284,8 +283,6 @@ def bicm_fit_full_matrix(
                 active_f[f] = False
                 changed = True
 
-    x = np.full(n_regions, np.nan)
-    y = np.full(n_fields, np.nan)
     ar = np.nonzero(active_r)[0]
     af = np.nonzero(active_f)[0]
     if ar.size and af.size:
@@ -304,9 +301,7 @@ def bicm_fit_full_matrix(
         else:
             raise RuntimeError(f"full-matrix BiCM fit did not converge (residual {res:.3e})")
         p[np.ix_(ar, af)] = block
-        x[ar] = xs
-        y[af] = ys
-    return p, x, y
+    return p
 
 
 def stream_bytes(rng: np.random.Generator, n: int) -> bytes:

@@ -215,7 +215,7 @@ def test_criterion_5_bicm_degree_preservation():
             presence=presence,
         )
         params = fit_bicm(m)
-        p = params.link_probability
+        p = params.rows[params.row_of]
         var_d = (p * (1 - p)).sum(axis=1)
         var_u = (p * (1 - p)).sum(axis=0)
         k = 1000
@@ -249,7 +249,7 @@ def test_criterion_6_fdr_calibration_under_null():
         for net, pv in yearly_networks(cfg, n_replicates=200, null_seed=seed + 50_000):
             n = len(net.fields)
             tested = int(pv.source_active.sum()) * (n - 1)
-            fractions.append(net.n_links / tested)
+            fractions.append(int(net.adjacency.sum()) / tested)
     mean_fraction = float(np.mean(fractions))
     elapsed = time.time() - start
     report(

@@ -124,12 +124,11 @@ class TestDistinctAcs:
         edges += [(2, 3), (3, 4), (4, 2), (3, 2), (4, 3)]
         net = net_from_edges(5, edges)
         d = decompose(net)
-        assert d.dominant is not None
-        assert d.dominant.core == {"N02", "N03", "N04"}
+        assert d.acs_list[0].core == {"N02", "N03", "N04"}
         # equal lambda: larger core wins
         net2 = net_from_edges(5, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)])
         d2 = decompose(net2)
-        assert d2.dominant.core == {"N02", "N03", "N04"}
+        assert d2.acs_list[0].core == {"N02", "N03", "N04"}
 
 
 class TestPfEigen:
@@ -313,7 +312,7 @@ def test_one_pf_eigen_call_when_a_core_covers_every_field(monkeypatch):
     assert calls == [n]
     assert [len(a.core) for a in d.acs_list] == [n]
     assert np.float64(d.lambda1).tobytes() == np.float64(lam).tobytes()
-    assert np.float64(d.dominant.core_lambda1).tobytes() == np.float64(core_lam).tobytes()
+    assert np.float64(d.acs_list[0].core_lambda1).tobytes() == np.float64(core_lam).tobytes()
     assert d.pf_vector.tobytes() == vec.tobytes()
 
 

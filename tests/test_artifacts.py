@@ -317,3 +317,35 @@ def test_writers_keep_their_bytes():
     assert artifacts.year_rows_to_text(2000, iter(YEAR_ROWS)) == year_rows_to_text_by_row(
         2000, YEAR_ROWS
     )
+
+
+def dense_to_text_by_cell(fields, values, meta=None):
+    lines = [] if meta is None else ["# " + " ".join(f"{k}={v}" for k, v in meta.items())]
+    lines.append(",".join(("field", *fields)))
+    lines.extend(",".join((code, *(repr(cell) for cell in row)))
+                 for code, row in zip(fields, values.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def test_dense_to_text_writes_each_cells_repr():
+    rng = np.random.default_rng(8)
+    floats = np.round(rng.random((9, 9)) * 4) / 3
+    other_nan = np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0]
+    floats.ravel()[:8] = [-0.0, 0.0, np.nan, other_nan, np.inf, -np.inf, 5e-324, -5e-324]
+    integers = rng.integers(-(2**62), 2**62, (9, 9))
+    integers.ravel()[:3] = [0, -1, 2**63 - 1]
+    fields = tuple(f"f{i}" for i in range(9))
+    for values in (floats, floats.T, integers, (integers % 3).astype(np.uint8)):
+        for meta in (None, {"year": 2000, "replicates": 7}):
+            text = artifacts.dense_to_text(fields, values, meta)
+            assert text == dense_to_text_by_cell(fields, values, meta)
+    assert artifacts.dense_to_text((), np.zeros((0, 0))) == "field\n"
+
+
+@pytest.mark.parametrize("keys", [["a", "b", "b", "c"], ["c", "b", "a", "b"]])
+def test_scatter_counts_repeated_keys_in_and_out_of_order(keys):
+    axes = (("a", "b", "c"),)
+    assert artifacts.scatter([["a", "b", "c"]], axes, [1, 2, 3], np.int64).tolist() == [1, 2, 3]
+    assert artifacts.scatter([["c", "a"]], axes, [3, 1], np.int64).tolist() == [1, 0, 3]
+    with pytest.raises(IngestError, match="^1 of 4 rows repeat an earlier row's keys$"):
+        artifacts.scatter([keys], axes, [1, 2, 3, 4], np.int64, IngestError)

@@ -78,7 +78,7 @@ class TestBuildAdjacency:
     def test_all_ones_empty_network(self):
         pv = make_pvalue_matrix(np.full((4, 4), 100), 100)
         net = build_adjacency(pv, q=0.05)
-        assert net.n_links == 0
+        assert net.adjacency.sum() == 0
 
     def test_finite_k_floor_blocks_addone_basis(self):
         # one link strictly above all 1000 nulls among 121x120 tested pairs:
@@ -87,19 +87,19 @@ class TestBuildAdjacency:
         counts = np.full((121, 121), 1000)
         counts[3, 7] = 0
         pv = make_pvalue_matrix(counts, 1000)
-        assert build_adjacency(pv, q=0.05, basis="addone").n_links == 0
+        assert build_adjacency(pv, q=0.05, basis="addone").adjacency.sum() == 0
         # the percentile basis keeps the extreme link (raw p = 0)
         net = build_adjacency(pv, q=0.05, basis="percentile")
-        assert net.n_links == 1
+        assert net.adjacency.sum() == 1
         assert net.adjacency[3, 7] == 1
 
     def test_diagonal_excluded_by_default(self):
         counts = np.full((3, 3), 50)
         np.fill_diagonal(counts, 0)
         pv = make_pvalue_matrix(counts, 50)
-        assert build_adjacency(pv, q=0.05).n_links == 0
+        assert build_adjacency(pv, q=0.05).adjacency.sum() == 0
         with_diag = build_adjacency(pv, q=0.05, include_diagonal=True)
-        assert with_diag.n_links == 3
+        assert with_diag.adjacency.sum() == 3
         assert np.all(with_diag.adjacency.diagonal() == 1)
 
     def test_inactive_sources_never_emit_links(self):
@@ -140,6 +140,6 @@ def test_empty_network_round_trip_needs_year():
     text = network_to_text(net)
     assert text == ""
     again = network_from_text(text, net.fields, year=1998)
-    assert again.n_links == 0
+    assert again.adjacency.sum() == 0
     with pytest.raises(ValueError):
         network_from_text(text, net.fields)

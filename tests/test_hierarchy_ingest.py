@@ -166,7 +166,7 @@ class TestBuildOccurrenceMatrix:
         assert cells(w) == {
             ("r1", "A01"): 0.25, ("r1", "H01"): 0.25, ("r2", "A01"): 0.25, ("r2", "H01"): 0.25,
         }
-        assert w.total_mass == 1.0
+        assert w.weights.sum() == 1.0
 
     def test_three_unique_pairs_third_each(self):
         # hand enumeration: {(r1,i), (r1,j), (r2,i)} -> three entries of 1/3
@@ -185,7 +185,7 @@ class TestBuildOccurrenceMatrix:
     def test_empty_year_gives_zero_mass(self):
         w = occurrence(["F1,1999,r1,H01"], year=1998)
         assert w.weights.shape == (1, 4)
-        assert w.total_mass == 0.0
+        assert w.weights.sum() == 0.0
 
     def test_two_families_same_cell(self):
         assert cells(occurrence(["F1,1998,r1,H01", "F2,1998,r1,H01"])) == {("r1", "H01"): 2.0}
@@ -207,7 +207,7 @@ class TestBuildOccurrenceMatrix:
                     region = regions[rng.integers(0, len(regions))]
                     rows.append(f"F{f},1998,{region},{codes[rng.integers(0, len(codes))]}")
             w = occurrence(rows)
-            assert abs(w.total_mass - n_families) < 1e-9
+            assert abs(w.weights.sum() - n_families) < 1e-9
 
 
 class TestSerialization:
@@ -500,14 +500,16 @@ def test_columnar_ingest_matches_record_loop(seed, granularity):
 
 # Cells that only the per-line rules read: whitespace that they strip, non-ASCII
 # and long names, a NUL that a bytes array would drop, and years and codes that
-# int() or the hierarchy reads otherwise, or not at all.
+# int() or the hierarchy reads otherwise, or not at all. Inner spaces, which
+# neither strips, are read by both.
 ODD_CELLS = {
     "family_id": [" F1", "F1\t", "\x1cF1\x1f", "\xa0F1", "\x1dF1", "Fé", "F€😀", "", "F1\x00",
-                  "F", "F\x00", "F" + "x" * 80, "F" + "x" * 80 + "y", "é" * 40],
+                  "F", "F\x00", "F" + "x" * 80, "F" + "x" * 80 + "y", "é" * 40, "F 1", "F  1"],
     "year": ["+1990", "1_990", "１９９０", "01990", "0000001990", "1979", "2012", str(2**31),
              " 1990", "19 90", "", "x", "1990.0", "-1990"],
-    "region_id": ["r1 ", "\x1er1", "ré", "", "r1\x00", "r" * 70, "r" * 70 + "\x00"],
-    "code": ["Z99", " H01L", "H01L\t", "", "h01l", "H01L21/02", "H" + "0" * 70],
+    "region_id": ["r1 ", "\x1er1", "ré", "", "r1\x00", "r" * 70, "r" * 70 + "\x00", "r 1"],
+    "code": ["Z99", " H01L", "H01L\t", "", "h01l", "H01L21/02", "H" + "0" * 70, "H01L 21/02",
+             "H01L 21/02 ", "H01 "],
 }
 ODD_HEADER = ("code", "extra", "region_id", "year", "family_id")
 
@@ -608,6 +610,10 @@ def test_canonical_lines_skip_the_per_line_rules(monkeypatch):
     lines = synth.events_text.splitlines()
     parsed = parse_events(lines, hierarchy, "class", year_min=1990, year_max=1993)
     assert calls == [] and parsed.n_rejected == 0 and len(parsed.family) == len(lines) - 1
+    # an inner space, kept by the per-line rules too, leaves a line canonical
+    spaced = [lines[0], *(line + " 21/02" for line in lines[1:])]
+    assert parse_events(spaced, hierarchy, "class", year_min=1990, year_max=1993) == parsed
+    assert calls == []
 
     odd = ["", " " + lines[1], lines[2].replace(",199", ",+199"), lines[3] + "\r",
            lines[4].replace(",", ";"), lines[5].replace(",199", ",0000000199")]
@@ -627,7 +633,7 @@ def test_mostly_odd_batches_skip_the_numpy_pass(monkeypatch):
         return canonical_lines(batch, rules)
 
     monkeypatch.setattr(ingest, "_canonical_lines", counted)
-    odd = [f"F{i},1990,r1,H01 21/02" for i in range(40)]  # a code with an inner space
+    odd = [f"F{i},1990,r1, H01" for i in range(40)]  # a code with a leading space
     good = [f"F{i},1991,r{i % 3},H01" for i in range(40, 80)]
     lines = make_lines(odd + good)  # batches 0-9 are odd, 10-19 canonical
     parsed = parse_events(lines, IPC_LIKE, "class", year_min=1980, year_max=2011)

@@ -29,6 +29,11 @@ from technet.nullmodel import (
 from technet.rca import PresenceMatrix
 
 
+def dense_p(params):
+    """The fit's region x field cell-probability matrix, dense."""
+    return params.rows[params.row_of]
+
+
 def make_m(presence, year=1998):
     presence = np.asarray(presence, dtype=np.uint8)
     regions = tuple(f"r{i}" for i in range(presence.shape[0]))
@@ -39,17 +44,17 @@ def make_m(presence, year=1998):
 class TestFitBicm:
     def test_all_zero_matrix_gives_zero_probabilities(self):
         params = fit_bicm(make_m(np.zeros((3, 4))))
-        assert np.all(params.link_probability == 0.0)
+        assert np.all(dense_p(params) == 0.0)
 
     def test_two_by_two_identity_solves_to_half(self):
         # degrees all 1; the symmetric fixed point is x = y = 1, p = 1/2
         params = fit_bicm(make_m(np.eye(2)))
-        assert np.allclose(params.link_probability, 0.5, atol=1e-7)
-        assert np.allclose(params.link_probability.sum(axis=1), 1.0, atol=1e-7)
+        assert np.allclose(dense_p(params), 0.5, atol=1e-7)
+        assert np.allclose(dense_p(params).sum(axis=1), 1.0, atol=1e-7)
 
     def test_saturated_row_forced_to_one(self):
         params = fit_bicm(make_m([[1, 1], [1, 0]]))
-        assert np.all(params.link_probability[0] == 1.0)
+        assert np.all(dense_p(params)[0] == 1.0)
 
     def test_degree_matching_on_random_matrices(self):
         rng = np.random.default_rng(1)
@@ -58,7 +63,7 @@ class TestFitBicm:
             pres = (rng.random(shape) < rng.uniform(0.1, 0.6)).astype(np.uint8)
             m = make_m(pres)
             params = fit_bicm(m, tol=1e-9)
-            p = params.link_probability
+            p = dense_p(params)
             assert np.abs(p.sum(axis=1) - pres.sum(axis=1)).max() < 1e-8
             assert np.abs(p.sum(axis=0) - pres.sum(axis=0)).max() < 1e-8
             assert p.min() >= 0.0 and p.max() <= 1.0
@@ -70,10 +75,8 @@ class TestFitBicm:
     @staticmethod
     def _assert_matches_oracle(pres, tol=1e-9):
         params = fit_bicm(make_m(pres), tol=tol)
-        p, x, y = bicm_fit_full_matrix(pres, tol=tol)
-        assert np.abs(params.link_probability - p).max() <= 1e-12
-        assert np.array_equal(np.isnan(params.x), np.isnan(x))
-        assert np.array_equal(np.isnan(params.y), np.isnan(y))
+        p = bicm_fit_full_matrix(pres, tol=tol)
+        assert np.abs(dense_p(params) - p).max() <= 1e-12
 
     def test_degree_classes_match_full_matrix_oracle(self):
         rng = np.random.default_rng(11)
@@ -111,15 +114,15 @@ class TestFitBicm:
         dense = []
         compress = BicmParameters.from_link_probability.__func__
 
-        def caught(cls, year, regions, fields, x, y, p, residual):
+        def caught(cls, year, regions, fields, p, residual):
             dense.append(p.copy())
-            return compress(cls, year, regions, fields, x, y, p, residual)
+            return compress(cls, year, regions, fields, p, residual)
 
         monkeypatch.setattr(BicmParameters, "from_link_probability", classmethod(caught))
         params = fit_bicm(make_m(pres))
         [p] = dense
         assert p.shape == (1000, 120) and (p == 1.0).any() and (p == 0.0).any()
-        assert params.link_probability.tobytes() == p.tobytes()
+        assert dense_p(params).tobytes() == p.tobytes()
         assert len(params.rows) == len(np.unique(p, axis=0)) < 50
         assert params.byte_floor.dtype == np.uint8
         held = [v for v in vars(params).values() if isinstance(v, np.ndarray)]
@@ -146,9 +149,7 @@ def make_params(p):
     p = np.asarray(p, dtype=np.float64)
     regions = tuple(f"r{i}" for i in range(p.shape[0]))
     fields = tuple(f"f{i}" for i in range(p.shape[1]))
-    return BicmParameters.from_link_probability(
-        1998, regions, fields, np.ones(p.shape[0]), np.ones(p.shape[1]), p, 0.0
-    )
+    return BicmParameters.from_link_probability(1998, regions, fields, p, 0.0)
 
 
 def dense(draw):
@@ -232,7 +233,7 @@ class TestSampling:
         n = 10_000
         for _ in range(n):
             total += dense(sample_null_matrix(params, rng))
-        p = params.link_probability
+        p = dense_p(params)
         se = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(total / n - p) <= 3 * se + 1e-12)
 
@@ -298,8 +299,7 @@ class TestEnsemble:
         params, params_lag = (
             BicmParameters.from_link_probability(
                 year=year, regions=tuple(f"r{i}" for i in range(R)),
-                fields=tuple(f"f{i}" for i in range(F)),
-                x=np.ones(R), y=np.ones(F), p=np.full((R, F), p), residual=0.0,
+                fields=tuple(f"f{i}" for i in range(F)), p=np.full((R, F), p), residual=0.0,
             )
             for year in (1998, 1999)
         )
@@ -517,10 +517,9 @@ class TestTieRule:
         rng = np.random.default_rng(50)
         ms = [make_m((rng.random((300, 30)) < 0.1).astype(np.uint8), year=y) for y in (1998, 1999)]
         perm = rng.permutation(300)
-        x, y = np.full(300, np.nan), np.full(30, np.nan)
         fixed = [
             BicmParameters.from_link_probability(
-                m.year, m.regions, m.fields, x, y, m.presence[perm] * 1.0, 0.0
+                m.year, m.regions, m.fields, m.presence[perm] * 1.0, 0.0
             )
             for m in ms
         ]
@@ -562,6 +561,6 @@ class TestPinnedNullBytes:
     def test_streamed_ensemble_matches_golden_hash(self):
         b_emp, params_t, params_lag = self._pair()
         text = pvalue_text_by_loop(
-            b_emp, params_t.link_probability, params_lag.link_probability, 1999, 37, 11
+            b_emp, dense_p(params_t), dense_p(params_lag), 1999, 37, 11
         )
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_SHA256

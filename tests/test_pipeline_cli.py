@@ -391,12 +391,14 @@ class TestRunPipeline:
         assert sorted(map(int, _logged_calls(drawn))) == [1991] * 6 + [1993] * 6
         paths = RunPaths(out)
         presence = dict(pipeline._pair_presence(cfg, paths))
-        p_t, p_lag = (fit(presence[year]).link_probability for year in (1991, 1993))
+        fit_t, fit_lag = (fit(presence[year]) for year in (1991, 1993))
         b_emp = assist_from_text(
             paths.assist(1991).read_text(), paths.assist_sidecar(1991).read_text(),
             regions=paths.read_regions(), fields=paths.read_fields(), year=1991,
         )
-        expected = pvalue_text_by_loop(b_emp, p_t, p_lag, 1993, 6, cfg.master_seed)
+        expected = pvalue_text_by_loop(
+            b_emp, fit_t.rows[fit_t.row_of], fit_lag.rows[fit_lag.row_of], 1993, 6, cfg.master_seed
+        )
         assert paths.pvalues(1991).read_text() == expected
 
     def test_pvalues_equal_the_replicate_loop_oracle(self, synth_inputs, tmp_path):
@@ -410,8 +412,9 @@ class TestRunPipeline:
                 paths.assist(year).read_text(), paths.assist_sidecar(year).read_text(),
                 regions=fits[year].regions, fields=fits[year].fields, year=year,
             )
+            fit_t, fit_lag = fits[year], fits[year + 1]
             expected = pvalue_text_by_loop(
-                b_emp, fits[year].link_probability, fits[year + 1].link_probability,
+                b_emp, fit_t.rows[fit_t.row_of], fit_lag.rows[fit_lag.row_of],
                 year + 1, cfg.n_replicates, cfg.master_seed,
             )
             assert paths.pvalues(year).read_text() == expected
@@ -1124,6 +1127,47 @@ class TestCli:
             "stats": ["--hierarchy", str(synth_inputs / "hierarchy.csv")],
         }
         assert main([stage, "--run-dir", str(run), *flags.get(stage, [])]) == 1
+
+    def test_region_ids_with_inner_spaces_run_end_to_end(
+        self, synth_inputs, complete_run, tmp_path
+    ):
+        # each region id becomes "New York <id>", which keeps the regions' order, so
+        # every artifact that names no region is the same as with the plain ids
+        events = tmp_path / "events.csv"
+        header, *rows = (synth_inputs / "events.csv").read_text().splitlines()
+        cells = [row.split(",") for row in rows]
+        events.write_text("\n".join([header, *(
+            ",".join((f, y, f"New York {r}", c)) for f, y, r, c in cells
+        )]) + "\n")
+        out = tmp_path / "run"
+        run_pipeline(run_config(synth_inputs, out, events_path=str(events)))
+        regions = RunPaths(out).read_regions()
+        assert regions == tuple(sorted({f"New York {r}" for _f, _y, r, _c in cells}))
+        spaced, plain = (
+            json.loads((run / "manifest.json").read_text())["artifacts"]
+            for run in (out, complete_run)
+        )
+        assert spaced.keys() == plain.keys()
+        unnamed = [name for name in plain if name.startswith(("pvalues/", "network/", "acs/"))]
+        assert unnamed and all(spaced[name] == plain[name] for name in unnamed)
+
+    def test_a_comma_in_a_region_id_exits_1_from_ingest(self, synth_inputs, tmp_path):
+        # under a tab delimiter a comma is an ordinary byte of a cell, but the
+        # year-row artifacts separate their cells by commas
+        events = tmp_path / "events.tsv"
+        lines = (synth_inputs / "events.csv").read_text().splitlines()
+        lines = [line.replace(",", "\t") for line in lines]
+        lines[-1] = "\t".join(["F-last", "1993", "NY,US", lines[-1].split("\t")[-1]])
+        events.write_text("\n".join(lines) + "\n")
+        inputs = ["--events", str(events), "--hierarchy", str(synth_inputs / "hierarchy.csv"),
+                  "--year-min", "1991", "--year-max", "1996", "--delimiter", "\t"]
+        out = tmp_path / "pipeline"
+        assert main(["pipeline", "--run-dir", str(out), *inputs]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed"]["stage"] == "ingest"
+        assert "region id 'NY,US' holds a comma" in manifest["failed"]["error"]
+        assert not list((out / "index").iterdir())
+        assert main(["ingest", "--run-dir", str(tmp_path / "ingest"), *inputs]) == 1
 
     def test_bad_flag_is_validation_error(self):
         assert main(["pipeline", "--no-such-flag"]) == 1

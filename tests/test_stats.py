@@ -387,7 +387,7 @@ class TestSectionStats:
                             adjacency=net.adjacency)
         mix = section_mixing(net, TWO_SECTIONS)
         assert mix.within == 1 and mix.between == 1
-        assert mix.total == 2
+        assert mix.within + mix.between == 2
 
     def test_unmapped_field_is_error(self):
         net = net_from_edges(2, [(0, 1)])
@@ -406,7 +406,7 @@ class TestSectionStats:
             net = net.__class__(year=net.year, fields=fields,
                                 adjacency=net.adjacency)
             mix = section_mixing(net, TWO_SECTIONS)
-            assert mix.total == int(adj.sum())
+            assert mix.within + mix.between == int(adj.sum())
 
     def test_ordered_adjacency_blocks(self):
         net = net_from_edges(4, [(0, 1), (2, 3)])

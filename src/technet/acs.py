@@ -39,10 +39,6 @@ PF_BRACKET_TOL = 1e-10
 PF_MAX_SQUARINGS = 60
 
 
-class LabelError(ValueError):
-    """Raised on a malformed or inconsistent ACS labels artifact."""
-
-
 class PfConvergenceError(RuntimeError):
     """Power iteration failed to bracket the leading eigenvalue."""
 
@@ -307,9 +303,7 @@ def decomposition_from_text(
     text: str, fields: Sequence[str], *, year: int | None = None
 ) -> dict[str, str]:
     """Parse a labels file, one row per field in `fields` order, into field -> label."""
-    _year, (row_fields, labels) = artifacts.year_rows_from_text(
-        text, 2, year=year, error=LabelError
-    )
+    _year, (row_fields, labels) = artifacts.year_rows_from_text(text, 2, year=year)
     if row_fields != list(fields):
-        raise LabelError("labels are not over the given fields in their order")
+        raise artifacts.ArtifactError("labels are not over the given fields in their order")
     return dict(zip(row_fields, labels))

@@ -24,11 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from . import artifacts
+from .artifacts import ArtifactError
 from .rca import PresenceMatrix
-
-
-class AssistError(ValueError):
-    """Raised when the two presence matrices do not share index sets."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +41,7 @@ class AssistMatrix:
     def __post_init__(self) -> None:
         n = len(self.fields)
         if self.values.shape != (n, n):
-            raise AssistError("assist matrix must be square over the field set")
+            raise ValueError("assist matrix must be square over the field set")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +129,7 @@ def assist_matrix(m_t: PresenceMatrix, m_t_lag: PresenceMatrix) -> AssistMatrix:
     zero base ubiquity get all-zero rows, keeping the matrix sub-stochastic.
     """
     if m_t.regions != m_t_lag.regions or m_t.fields != m_t_lag.fields:
-        raise AssistError("presence matrices must share region and field index sets")
+        raise ValueError("presence matrices must share region and field index sets")
     # a bool view scans about 4x faster than the uint8 array
     base, lag = (_hit_list(np.flatnonzero(m.presence.view(bool)), m.presence.shape)
                  for m in (m_t, m_t_lag))
@@ -162,27 +159,27 @@ def assist_from_text(
     read against one run index shares them.
     """
     regions, fields = tuple(regions), tuple(fields)
-    _meta, header, values = artifacts.dense_from_text(text, float, AssistError)
+    _meta, header, values = artifacts.dense_from_text(text, float)
     if header != fields:
-        raise AssistError("assist matrix header is not the run's fields in order")
+        raise ArtifactError("assist matrix header is not the run's fields in order")
     if not np.all((values >= 0) & (values < np.inf)):  # NaN fails both
-        raise AssistError("assist values must be finite and nonnegative")
-    rows = artifacts.tagged_rows(sidecar, {"base_year": 1, "lag": 1, "d": 2, "u": 2}, AssistError)
+        raise ArtifactError("assist values must be finite and nonnegative")
+    rows = artifacts.tagged_rows(sidecar, {"base_year": 1, "lag": 1, "d": 2, "u": 2})
     try:
         [[base_year]], [[lag]] = rows["base_year"], rows["lag"]
     except ValueError:
-        raise AssistError("sidecar needs one base_year and one lag row") from None
+        raise ArtifactError("sidecar needs one base_year and one lag row") from None
     try:
         base_year, lag = int(base_year), int(lag)
         d, u = ([int(n) for _key, n in rows[tag]] for tag in ("d", "u"))
     except ValueError as exc:
-        raise AssistError(f"sidecar cell is not an integer: {exc}") from None
+        raise ArtifactError(f"sidecar cell is not an integer: {exc}") from None
     if base_year != year:
-        raise AssistError(f"assist matrix of base year {base_year} where {year} is expected")
+        raise ArtifactError(f"assist matrix of base year {base_year} where {year} is expected")
     if [region for region, _d in rows["d"]] != list(regions):
-        raise AssistError("sidecar diversification rows are not the run's regions in order")
+        raise ArtifactError("sidecar diversification rows are not the run's regions in order")
     if [code for code, _u in rows["u"]] != list(fields):
-        raise AssistError("sidecar ubiquity rows are not over the matrix fields in order")
+        raise ArtifactError("sidecar ubiquity rows are not over the matrix fields in order")
     return AssistMatrix(
         base_year=year,
         lag=lag,

@@ -4,10 +4,12 @@ A stage command takes the pipeline's flag for each setting it reads (see
 `technet <stage> --help`); `OPTIONS` declares each flag once. `--regions` is
 only checked to exist. `pipeline` and each stage command run their stages
 through `pipeline.run_stage`, so they share one exit-code rule: 0 success,
-1 validation error (bad flags, missing or malformed inputs, whether found
-before a stage runs or by the stage), 2 compute error (a stage failed on
-valid inputs). `--workers` (default 1) sets the worker processes of the
-null stage.
+1 validation error, 2 compute error (a stage failed on valid inputs). A
+validation error is an exception of a class in `VALIDATION_ERRORS`, raised
+before a stage runs or as a stage's cause: a bad flag or config value, or a
+missing or malformed input, where every artifact reader and every check on
+an artifact's content raises `artifacts.ArtifactError`. `--workers`
+(default 1) sets the worker processes of the null stage.
 """
 
 from __future__ import annotations
@@ -19,13 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .acs import LabelError
-from .assist import AssistError
-from .dynamics import estimate_growth_rate, simulate_linear, trajectory_to_text
-from .fdr import SIGNIFICANCE_BASES, NetworkError, network_from_text
+from .dynamics import TimeGridError, estimate_growth_rate, simulate_linear, trajectory_to_text
+from .fdr import SIGNIFICANCE_BASES, network_from_text
 from .hierarchy import HierarchyError
 from .ingest import IngestError
-from .nullmodel import PvalueError
 from .pipeline import (
     GRANULARITIES,
     ConfigError,
@@ -36,39 +35,29 @@ from .pipeline import (
     run_pipeline,
     run_stage,
 )
-from .rca import PresenceError
 from .stats import StatsError
 from .synth import SynthConfig, SynthConfigError, generate_events, planted_cycle_pairs
 
 # A bad flag or config value, or a missing or malformed input, a file that is
-# not UTF-8 text among them: exit 1. Each artifact reader raises its module's
-# class, so one fault in any stage's input exits the same way.
+# not UTF-8 text among them: exit 1.
 VALIDATION_ERRORS = (
     ConfigError,
     SynthConfigError,
     HierarchyError,
     IngestError,
-    PresenceError,
-    AssistError,
-    PvalueError,
-    NetworkError,
-    LabelError,
+    artifacts.ArtifactError,
     StatsError,
+    TimeGridError,
     FileNotFoundError,
     NotADirectoryError,
     UnicodeDecodeError,
 )
 
 
-class _ValidationExit(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exits 2; we reserve 2 for compute
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise _ValidationExit(message)
+        raise ConfigError(message)
 
 
 # Each CLI-settable RunConfig field: its flag and argparse keywords. A flag left
@@ -267,8 +256,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _ValidationExit:
-        return 1
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,8 +27,8 @@ class BlowupError(RuntimeError):
         self.blow_up_time = blow_up_time
 
 
-class WindowError(ValueError):
-    """Growth-rate window too short for a least-squares fit."""
+class TimeGridError(ValueError):
+    """A time step, horizon or growth-rate window that gives no usable time grid."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +59,9 @@ def simulate_linear(
     of first overflow when activity passes the guard before t_end.
     """
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise TimeGridError("dt must be positive")
     if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+        raise TimeGridError("t_end must be nonnegative")
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.shape != (len(net.fields),):
         raise ValueError("y0 length must match the field set")
@@ -93,7 +93,7 @@ def _slope(times: np.ndarray, values: np.ndarray) -> float:
     t_centered = times - times.mean()
     denom = float(t_centered @ t_centered)
     if denom == 0.0:
-        raise WindowError("degenerate fit window")
+        raise TimeGridError("degenerate fit window")
     return float(t_centered @ (values - values.mean()) / denom)
 
 
@@ -108,11 +108,11 @@ def estimate_growth_rate(
     a genuine exponential holds a constant slope.
     """
     if window <= 0:
-        raise WindowError("window must be positive")
+        raise TimeGridError("window must be positive")
     t_last = traj.t_end
     mask = traj.times >= t_last - window - 1e-12
     if int(mask.sum()) < 4:
-        raise WindowError("window must contain at least 4 trajectory samples")
+        raise TimeGridError("window must contain at least 4 trajectory samples")
     times = traj.times[mask]
     values = traj.activities[mask]
 

@@ -29,10 +29,6 @@ from .nullmodel import PvalueMatrix
 SIGNIFICANCE_BASES = ("percentile", "addone")
 
 
-class NetworkError(ValueError):
-    """Raised on a malformed or inconsistent network (edge list) artifact."""
-
-
 @dataclass(frozen=True, eq=False)
 class TechnologyNetwork:
     """Directed binary adjacency over the field set; entry (i, j) = link i -> j."""
@@ -113,13 +109,12 @@ def build_adjacency(
 
 
 def network_to_text(net: TechnologyNetwork) -> str:
-    """Year-keyed 'year,source_field,target_field' edge rows, lexicographic order."""
-    return artifacts.year_rows_to_text(net.year, net.edges())
+    """Year-keyed 'year,source_field,target_field' edge rows, in field order."""
+    return artifacts.year_matrix_to_text(net.year, (net.fields, net.fields), net.adjacency)
 
 
 def network_from_text(
     text: str, fields: Sequence[str], *, year: int | None = None
 ) -> TechnologyNetwork:
-    year, columns = artifacts.year_rows_from_text(text, 2, year=year, error=NetworkError)
-    adjacency = artifacts.scatter(columns, (fields, fields), 1, np.uint8, NetworkError)
+    year, adjacency = artifacts.year_matrix_from_text(text, (fields, fields), np.uint8, year=year)
     return TechnologyNetwork(year=year, fields=tuple(fields), adjacency=adjacency)

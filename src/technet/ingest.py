@@ -442,9 +442,7 @@ class OccurrenceMatrix:
 
     def __post_init__(self) -> None:
         if self.weights.shape != (len(self.regions), len(self.fields)):
-            raise IngestError("weight matrix shape does not match index sets")
-        if not np.all((self.weights >= 0) & (self.weights < np.inf)):  # NaN fails both
-            raise IngestError("occurrence weights must be finite and nonnegative")
+            raise ValueError("weight matrix shape does not match index sets")
 
 
 def build_occurrence_matrix(events: ParseResult, year: int) -> OccurrenceMatrix:
@@ -460,25 +458,15 @@ def build_occurrence_matrix(events: ParseResult, year: int) -> OccurrenceMatrix:
 
 def occurrence_to_text(m: OccurrenceMatrix) -> str:
     """Year-keyed 'year,region,field,weight' rows of the nonzero cells, in index order."""
-    ri, fi = np.nonzero(m.weights)
-    cells = zip(
-        [m.regions[i] for i in ri.tolist()], [m.fields[j] for j in fi.tolist()],
-        map(repr, m.weights[ri, fi].tolist()),
-    )
-    return artifacts.year_rows_to_text(m.year, cells)
+    return artifacts.year_matrix_to_text(m.year, (m.regions, m.fields), m.weights, repr)
 
 
 def occurrence_from_text(
     text: str, *, regions: Sequence[str], fields: Sequence[str], year: int | None = None
 ) -> OccurrenceMatrix:
-    year, (row_regions, row_fields, cells) = artifacts.year_rows_from_text(
-        text, 3, year=year, error=IngestError
+    year, weights = artifacts.year_matrix_from_text(
+        text, (regions, fields), np.float64, year=year, cast=float
     )
-    try:
-        values = list(map(float, cells))
-    except ValueError as exc:
-        raise IngestError(f"occurrence weight is not a number: {exc}") from None
-    weights = artifacts.scatter(
-        (row_regions, row_fields), (regions, fields), values, np.float64, IngestError
-    )
+    if not np.all((weights >= 0) & (weights < np.inf)):  # NaN fails both
+        raise artifacts.ArtifactError("occurrence weights must be finite and nonnegative")
     return OccurrenceMatrix(year=year, regions=tuple(regions), fields=tuple(fields), weights=weights)

@@ -54,6 +54,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import artifacts
+from .artifacts import ArtifactError
 from .assist import AssistMatrix, HitList, _assist_from_hits, _hit_list
 from .rca import PresenceMatrix
 
@@ -63,10 +64,6 @@ from .rca import PresenceMatrix
 # exact value differ by at most about (R + 2) * eps relative; 4 * R * eps
 # covers that with room to spare for R >= 1.
 TIE_RTOL_PER_REGION = 4 * float(np.finfo(np.float64).eps)
-
-
-class PvalueError(ValueError):
-    """Raised on a malformed or inconsistent p-value (exceedance count) artifact."""
 
 
 class BicmFitError(RuntimeError):
@@ -390,17 +387,17 @@ def pvalues_to_text(p: PvalueMatrix) -> str:
 
 def pvalues_from_text(text: str, *, year: int | None = None) -> PvalueMatrix:
     """The p-value matrix; with `year` given, its base year must be that year."""
-    meta, fields, counts = artifacts.dense_from_text(text, int, PvalueError)
+    meta, fields, counts = artifacts.dense_from_text(text, int)
     try:
         base_year, n_replicates = int(meta["base_year"]), int(meta["replicates"])
     except KeyError as exc:
-        raise PvalueError(f"p-value matrix text lacks {exc.args[0]!r} in its meta line") from None
+        raise ArtifactError(f"p-value matrix text lacks {exc.args[0]!r} in its meta line") from None
     except ValueError as exc:
-        raise PvalueError(f"p-value matrix meta line: {exc}") from None
+        raise ArtifactError(f"p-value matrix meta line: {exc}") from None
     if year is not None and base_year != year:
-        raise PvalueError(f"p-value matrix of base year {base_year} where {year} is expected")
+        raise ArtifactError(f"p-value matrix of base year {base_year} where {year} is expected")
     if n_replicates < 1 or counts.min(initial=0) < 0 or counts.max(initial=0) > n_replicates:
-        raise PvalueError(f"p-value counts outside [0, {n_replicates}] or no replicates")
+        raise ArtifactError(f"p-value counts outside [0, {n_replicates}] or no replicates")
     inactive = set(meta.get("inactive_sources", "").split("|"))
     return PvalueMatrix(
         base_year=base_year,

@@ -35,9 +35,9 @@ so any worker count gives byte-identical artifacts. Assist values, empirical
 and null, come from a hit-list join that sums in region order without BLAS,
 and null values that tie the empirical ones up to summation order count as
 exceedances, so `pvalues/` does not depend on the BLAS thread count either.
-The manifest records the effective config, versions, seed, and a checksum per
-artifact; it carries no timestamps or worker counts, so identical runs produce
-identical manifests.
+The manifest records the effective config but the run directory, versions,
+seed, and a checksum per artifact; it carries no timestamps or worker counts,
+so identical runs produce identical manifests wherever they are written.
 """
 
 from __future__ import annotations
@@ -261,14 +261,14 @@ class RunPaths:
         return tuple(self.regions_file().read_text().splitlines())
 
     def read_years(self) -> tuple[int, int]:
-        """The year span that ingest wrote; a malformed file is a ConfigError."""
+        """The year span that ingest wrote; a malformed file is an ArtifactError."""
         text = self.years_file().read_text()
-        rows = artifacts.tagged_rows(text, {"year_min": 1, "year_max": 1}, ConfigError)
+        rows = artifacts.tagged_rows(text, {"year_min": 1, "year_max": 1})
         try:
             [[year_min]], [[year_max]] = rows["year_min"], rows["year_max"]
             return int(year_min), int(year_max)
         except ValueError:
-            raise ConfigError(
+            raise artifacts.ArtifactError(
                 f"{self.years_file()}: expected one year_min and one year_max row, each an integer"
             ) from None
 
@@ -295,6 +295,11 @@ def stage_ingest(cfg: RunConfig, paths: RunPaths) -> None:
     comma = next((region for region in parsed.regions if "," in region), None)
     if comma is not None:
         raise IngestError(f"region id {comma!r} holds a comma, the artifacts' cell separator")
+    # RCA is undefined on a year without events: such a year fails here, before any write
+    per_year = np.bincount(parsed.year - cfg.year_min, minlength=len(cfg.years)).tolist()
+    empty = [year for year, n in zip(cfg.years, per_year) if n == 0]
+    if empty:
+        raise IngestError(f"no event of the range is kept in years {empty}")
     paths.fields_file().write_text("".join(f"{code}\n" for code in parsed.codes))
     paths.regions_file().write_text("".join(f"{region}\n" for region in parsed.regions))
     paths.years_file().write_text(
@@ -514,7 +519,7 @@ def _collect_artifacts(paths: RunPaths) -> dict[str, str]:
 
 def _write_manifest(cfg: RunConfig, paths: RunPaths, status: str, failed: dict | None) -> dict:
     manifest = {
-        "config": asdict(cfg),
+        "config": {key: value for key, value in asdict(cfg).items() if key != "out_dir"},
         "versions": {
             "technet": __version__,
             "numpy": np.__version__,

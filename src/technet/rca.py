@@ -20,10 +20,6 @@ class RcaError(ValueError):
     """Raised when RCA is undefined (all-zero occurrence matrix)."""
 
 
-class PresenceError(ValueError):
-    """Raised on a malformed or inconsistent presence artifact."""
-
-
 @dataclass(frozen=True, eq=False)
 class PresenceMatrix:
     """Binary region x field presence matrix M for one year."""
@@ -57,15 +53,11 @@ def binarize_rca(w: OccurrenceMatrix) -> PresenceMatrix:
 
 def presence_to_text(m: PresenceMatrix) -> str:
     """Year-keyed 'year,region,field' rows listing only presences, in index order."""
-    ri, fi = np.nonzero(m.presence)
-    return artifacts.year_rows_to_text(
-        m.year, zip([m.regions[i] for i in ri.tolist()], [m.fields[j] for j in fi.tolist()])
-    )
+    return artifacts.year_matrix_to_text(m.year, (m.regions, m.fields), m.presence)
 
 
 def presence_from_text(
     text: str, *, regions: Sequence[str], fields: Sequence[str], year: int | None = None
 ) -> PresenceMatrix:
-    year, columns = artifacts.year_rows_from_text(text, 2, year=year, error=PresenceError)
-    presence = artifacts.scatter(columns, (regions, fields), 1, np.uint8, PresenceError)
+    year, presence = artifacts.year_matrix_from_text(text, (regions, fields), np.uint8, year=year)
     return PresenceMatrix(year=year, regions=tuple(regions), fields=tuple(fields), presence=presence)

@@ -54,7 +54,7 @@ class StatsError(ValueError):
     """Raised on infeasible counts or unmapped fields."""
 
 
-class FnchConvergenceError(StatsError):
+class FnchConvergenceError(RuntimeError):
     """The odds fit ran out of Newton steps before its score fell below tolerance."""
 
     def __init__(self, steps: int, score: np.ndarray):
@@ -84,14 +84,9 @@ def field_counts_to_text(year: int, counts: Mapping[str, int]) -> str:
 
 def field_counts_from_text(text: str, fields: Sequence[str], *, year: int) -> dict[str, int]:
     """Parse a counts file of `year` into a field -> count mapping over `fields`."""
-    _year, (row_fields, cells) = artifacts.year_rows_from_text(text, 2, year=year, error=StatsError)
-    try:
-        values = list(map(int, cells))
-    except ValueError as exc:
-        raise StatsError(f"family count is not an integer: {exc}") from None
-    counts = artifacts.scatter((row_fields,), (fields,), values, np.int64, StatsError)
+    _year, counts = artifacts.year_matrix_from_text(text, (fields,), np.int64, year=year, cast=int)
     if counts.min(initial=0) < 0:
-        raise StatsError("family counts must be nonnegative")
+        raise artifacts.ArtifactError("family counts must be nonnegative")
     return dict(zip(fields, counts.tolist()))
 
 

@@ -1,4 +1,4 @@
-"""Artifact readers reject truncated and malformed text with their stage's ValueError."""
+"""Artifact readers reject truncated and malformed text with ArtifactError."""
 
 import re
 
@@ -7,15 +7,15 @@ import pytest
 
 from technet import artifacts
 from technet.acs import decomposition_from_text
+from technet.artifacts import ArtifactError
 from technet.assist import (
-    AssistError,
     assist_from_text,
     assist_matrix,
     assist_sidecar_text,
     assist_to_text,
 )
 from technet.fdr import network_from_text
-from technet.ingest import IngestError, occurrence_from_text
+from technet.ingest import occurrence_from_text
 from technet.nullmodel import (
     exceedance_counts,
     exceedance_test,
@@ -25,7 +25,7 @@ from technet.nullmodel import (
     pvalues_to_text,
 )
 from technet.rca import PresenceMatrix, presence_from_text
-from technet.stats import StatsError, field_counts_from_text
+from technet.stats import field_counts_from_text
 
 YEAR = 2000
 REGIONS = ("r0", "r1", "r2")
@@ -53,48 +53,41 @@ def _pvalues_text():
     return pvalues_to_text(pvalues_from_counts(test, counts, 4))
 
 
-# reader name -> (read(text), good text, error class of its module)
+# reader name -> (read(text), good text)
 READERS = {
     "occurrence": (
         lambda text: occurrence_from_text(text, regions=REGIONS, fields=FIELDS, year=YEAR),
         "2000,r0,A,0.5\n2000,r1,B,0.25\n2000,r2,C,1.0\n",
-        IngestError,
     ),
     "presence": (
         lambda text: presence_from_text(text, regions=REGIONS, fields=FIELDS, year=YEAR),
         "2000,r0,A\n2000,r1,B\n2000,r2,C\n",
-        ValueError,
     ),
     "network": (
         lambda text: network_from_text(text, FIELDS, year=YEAR),
         "2000,A,B\n2000,B,C\n2000,C,A\n",
-        ValueError,
     ),
     "field_counts": (
         lambda text: field_counts_from_text(text, FIELDS, year=YEAR),
         "2000,A,3\n2000,B,1\n2000,C,2\n",
-        StatsError,
     ),
     "labels": (
         lambda text: decomposition_from_text(text, FIELDS, year=YEAR),
         "2000,A,core\n2000,B,core\n2000,C,outside\n",
-        ValueError,
     ),
     "assist": (
         lambda text: assist_from_text(
             text, _assist_texts()[1], regions=REGIONS, fields=FIELDS, year=YEAR
         ),
         _assist_texts()[0],
-        AssistError,
     ),
     "assist_sidecar": (
         lambda text: assist_from_text(
             _assist_texts()[0], text, regions=REGIONS, fields=FIELDS, year=YEAR
         ),
         _assist_texts()[1],
-        AssistError,
     ),
-    "pvalues": (lambda text: pvalues_from_text(text, year=YEAR), _pvalues_text(), ValueError),
+    "pvalues": (lambda text: pvalues_from_text(text, year=YEAR), _pvalues_text()),
 }
 
 DENSE = ("assist", "pvalues")
@@ -215,10 +208,10 @@ CASES = {
     [(reader, case) for case, (_fn, readers) in CASES.items() for reader in readers],
 )
 def test_malformed_text_is_rejected(reader, case):
-    read, text, error = READERS[reader]
+    read, text = READERS[reader]
     read(text)
     tampered = CASES[case][0](text)
-    with pytest.raises(error):
+    with pytest.raises(ArtifactError):
         read(tampered)
 
 
@@ -235,7 +228,7 @@ def test_malformed_text_is_rejected(reader, case):
 def test_malformed_assist_sidecar_is_rejected(sidecar_change):
     text, sidecar = _assist_texts()
     rows = sidecar.splitlines()
-    with pytest.raises(AssistError):
+    with pytest.raises(ArtifactError):
         assist_from_text(
             text, "\n".join(sidecar_change(rows)) + "\n", regions=REGIONS, fields=FIELDS, year=YEAR
         )
@@ -259,15 +252,16 @@ def year_row_error(reader, case, tampered):
     "case", ["wrong_column_count", "short_row", "second_year", "unknown_key", "duplicate_row"]
 )
 def test_year_row_errors_keep_their_text(reader, case):
-    read, text, error = READERS[reader]
+    read, text = READERS[reader]
     tampered = CASES[case][0](text)
-    with pytest.raises(error, match=f"^{re.escape(year_row_error(reader, case, tampered))}$"):
+    expected = re.escape(year_row_error(reader, case, tampered))
+    with pytest.raises(ArtifactError, match=f"^{expected}$"):
         read(tampered)
 
 
 @pytest.mark.parametrize("reader", YEAR_ROW_READERS)
 def test_year_rows_skip_blank_lines_and_read_crlf(reader):
-    read, text, _error = READERS[reader]
+    read, text = READERS[reader]
     lines = text.splitlines()
     messy = "\r\n".join(["", " ", *lines[:1], "\t", *lines[1:], "  "]) + "\r\n"
     clean, got = read(text), read(messy)
@@ -284,7 +278,7 @@ def test_year_rows_from_text_gives_columns():
     assert artifacts.year_rows_from_text(text, 2) == (2000, [["a", "b"], ["1", "2"]])
     assert artifacts.year_rows_from_text(text, 2, year=2000) == (2000, [["a", "b"], ["1", "2"]])
     assert artifacts.year_rows_from_text(" \n", 2, year=2000) == (2000, [[], []])
-    with pytest.raises(ValueError, match="no year at the start of ''"):
+    with pytest.raises(ArtifactError, match="no year at the start of ''"):
         artifacts.year_rows_from_text(" \n", 2)
 
 
@@ -347,5 +341,5 @@ def test_scatter_counts_repeated_keys_in_and_out_of_order(keys):
     axes = (("a", "b", "c"),)
     assert artifacts.scatter([["a", "b", "c"]], axes, [1, 2, 3], np.int64).tolist() == [1, 2, 3]
     assert artifacts.scatter([["c", "a"]], axes, [3, 1], np.int64).tolist() == [1, 0, 3]
-    with pytest.raises(IngestError, match="^1 of 4 rows repeat an earlier row's keys$"):
-        artifacts.scatter([keys], axes, [1, 2, 3, 4], np.int64, IngestError)
+    with pytest.raises(ArtifactError, match="^1 of 4 rows repeat an earlier row's keys$"):
+        artifacts.scatter([keys], axes, [1, 2, 3, 4], np.int64)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from technet.assist import (
-    AssistError,
     assist_from_text,
     assist_matrix,
     assist_sidecar_text,
@@ -72,7 +71,7 @@ class TestAssistMatrix:
             year=1999, regions=("x0", "x1"), fields=("f0", "f1"),
             presence=np.eye(2, dtype=np.uint8),
         )
-        with pytest.raises(AssistError):
+        with pytest.raises(ValueError):
             assist_matrix(m_t, other)
 
     def test_zero_ubiquity_row_is_zero(self):

@@ -4,7 +4,7 @@ import pytest
 from technet.acs import decompose
 from technet.dynamics import (
     BlowupError,
-    WindowError,
+    TimeGridError,
     estimate_growth_rate,
     simulate_linear,
     trajectory_to_text,
@@ -110,9 +110,9 @@ class TestGrowthRate:
     def test_degenerate_window_is_error(self):
         net = net_from_edges(2, [])
         traj = simulate_linear(net, np.array([1.0, 1.0]), t_end=1.0)
-        with pytest.raises(WindowError):
+        with pytest.raises(TimeGridError):
             estimate_growth_rate(traj, window=0.0)
-        with pytest.raises(WindowError):
+        with pytest.raises(TimeGridError):
             estimate_growth_rate(traj, window=0.015)
 
     def test_asymptotic_alignment_with_pf_vector(self):

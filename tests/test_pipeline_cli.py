@@ -1,10 +1,12 @@
 import argparse
 import gc
 import hashlib
+import importlib
 import json
 import math
 import multiprocessing
 import os
+import pkgutil
 import re
 import shutil
 import signal
@@ -20,10 +22,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import technet
 from oracles import pvalue_text_by_loop
 from technet import artifacts, nullmodel, pipeline
 from technet.assist import assist_from_text
-from technet.cli import _config, build_parser, main
+from technet.cli import VALIDATION_ERRORS, _config, build_parser, main
 from technet.hierarchy import hierarchy_to_text
 from technet.nullmodel import BicmFitError, fit_bicm
 from technet.pipeline import (
@@ -216,6 +219,8 @@ class TestRunPipeline:
         on_disk = json.loads(paths.manifest().read_text())
         assert on_disk["artifacts"] == manifest["artifacts"]
         assert "technet" in on_disk["versions"]
+        # the manifest's bytes do not depend on where the run directory is
+        assert "out_dir" not in on_disk["config"]
 
     def test_rerun_same_dir_is_byte_identical(self, synth_inputs, tmp_path):
         out = tmp_path / "run"
@@ -229,17 +234,18 @@ class TestRunPipeline:
         }
         assert first == second
 
-    def test_failed_stage_marks_manifest_incomplete(self, synth_inputs, tmp_path):
-        # a year with no events yields an all-zero occurrence matrix: the RCA
-        # stage fails, the manifest records it, and partial artifacts remain
+    def test_failed_stage_marks_manifest_incomplete(self, synth_inputs, tmp_path, monkeypatch):
+        # a variety fit out of Newton steps fails the stats stage: the manifest
+        # records it, and the earlier stages' artifacts remain
+        monkeypatch.setattr("technet.stats.FIT_MAX_STEPS", 0)
         out = tmp_path / "bad"
-        cfg = run_config(synth_inputs, out, year_min=1989, year_max=1996)
         with pytest.raises(PipelineError) as err:
-            run_pipeline(cfg)
-        assert err.value.stage == "rca"
+            run_pipeline(run_config(synth_inputs, out))
+        assert err.value.stage == "stats"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "incomplete"
-        assert manifest["failed"]["stage"] == "rca"
+        assert manifest["failed"]["stage"] == "stats"
+        assert RunPaths(out).labels(1993).is_file()
 
     def test_null_artifacts_identical_across_worker_counts(self, synth_inputs, tmp_path):
         # K=37 splits unevenly into 8 chunks per worker, and each chunk walks
@@ -1060,14 +1066,50 @@ class TestCli:
                      "--hierarchy", str(synth_inputs / "hierarchy.csv"),
                      "--year-min", "2001", "--year-max", "2000"])
         assert code == 1
-
-    def test_exit_code_compute_error(self, synth_inputs, tmp_path):
-        # 1989 has no events: RCA stage fails on the all-zero year
-        code = main(["pipeline", "--run-dir", str(tmp_path / "z"),
+        # 1989 and 1990 have no events, and RCA is undefined on an empty year:
+        # ingest names them before it writes anything
+        out = tmp_path / "z"
+        code = main(["pipeline", "--run-dir", str(out),
                      "--events", str(synth_inputs / "events.csv"),
                      "--hierarchy", str(synth_inputs / "hierarchy.csv"),
                      "--year-min", "1989", "--year-max", "1996"])
+        assert code == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed"]["stage"] == "ingest"
+        assert "years [1989, 1990]" in manifest["failed"]["error"]
+        assert not list((out / "index").iterdir())
+
+    def test_exit_code_compute_error(self, synth_inputs, complete_run, tmp_path, monkeypatch):
+        # a variety fit out of Newton steps fails on valid inputs, from the
+        # pipeline and from the stats stage command alike
+        monkeypatch.setattr("technet.stats.FIT_MAX_STEPS", 0)
+        code = main(["pipeline", "--run-dir", str(tmp_path / "z"),
+                     "--events", str(synth_inputs / "events.csv"),
+                     "--hierarchy", str(synth_inputs / "hierarchy.csv"),
+                     "--year-min", "1991", "--year-max", "1996", "--replicates", "25"])
         assert code == 2
+        run = tmp_path / "run"
+        shutil.copytree(complete_run, run)
+        code = main(["stats", "--run-dir", str(run),
+                     "--hierarchy", str(synth_inputs / "hierarchy.csv")])
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--window", "0"], 1),
+            (["--dt", "0"], 1),
+            (["--t-end", "-1"], 1),
+            (["--window", "0.01"], 1),  # holds 2 of the 4 samples a fit needs
+            (["--t-end", "1000", "--dt", "1"], 2),  # the planted 3-cycle blows up
+        ],
+    )
+    def test_dynamics_flag_values_exit_1_and_a_blowup_exits_2(
+        self, complete_run, tmp_path, flags, code
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(complete_run, run)
+        assert main(["dynamics", "--run-dir", str(run), "--year", "1993", *flags]) == code
 
     @pytest.mark.parametrize(
         "broken", ["events_header", "hierarchy_parent", "events_bytes", "hierarchy_bytes"]
@@ -1335,3 +1377,38 @@ def test_every_flag_in_the_readme_is_accepted_by_a_subcommand():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
     accepted = {flag for rows in _cli_surface().values() for row in rows for flag in row[0]}
     assert "--workers" in named and named <= accepted, sorted(named - accepted)
+
+
+# Every exception class that technet defines, by the exit code the CLI gives it.
+VALIDATION_CLASSES = {
+    "artifacts.ArtifactError",
+    "dynamics.TimeGridError",
+    "hierarchy.HierarchyError",
+    "ingest.IngestError",
+    "pipeline.ConfigError",
+    "stats.StatsError",
+    "synth.SynthConfigError",
+}
+COMPUTE_CLASSES = {
+    "acs.PfConvergenceError",
+    "dynamics.BlowupError",
+    "nullmodel.BicmFitError",
+    "pipeline.PipelineError",  # a stage's wrapper: the exit code is its cause's
+    "rca.RcaError",
+    "stats.FnchConvergenceError",
+}
+
+
+def test_every_error_class_has_one_listed_exit_code():
+    # a new class must be put in one list, so it cannot fall to an exit code unseen
+    defined = {}
+    for info in pkgutil.iter_modules(technet.__path__):
+        module = importlib.import_module(f"technet.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and issubclass(cls, BaseException)
+                    and cls.__module__ == module.__name__):
+                defined[f"{info.name}.{cls.__name__}"] = cls
+    assert not VALIDATION_CLASSES & COMPUTE_CLASSES
+    assert defined.keys() == VALIDATION_CLASSES | COMPUTE_CLASSES
+    caught = {name for name, cls in defined.items() if issubclass(cls, VALIDATION_ERRORS)}
+    assert caught == VALIDATION_CLASSES
